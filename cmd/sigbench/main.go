@@ -1,4 +1,4 @@
-// Command sigbench is this repository's benchmark. It drives four workloads
+// Command sigbench is this repository's benchmark. It drives three workloads
 // through the real sigserve and siggate HTTP handlers (simsvc.NewHandler and
 // cluster.NewHandler on in-process listeners), checks every simulated result
 // against a committed golden, and prints the end-to-end metrics of each run.
@@ -57,7 +57,7 @@ type result struct {
 func main() {
 	workload := flag.String("workload", "", "run only this workload, in this process (default: every workload, each in a child process)")
 	seed := flag.Int64("seed", 1, "seed of the generated requests")
-	seconds := flag.Int("seconds", 10, "length of the timed phase, in seconds")
+	seconds := flag.Int("seconds", 25, "length of the timed phase, in seconds")
 	traceArg := flag.String("trace", "0", `"0": untraced; "1" or a file: traced, reporting per-layer metrics and writing spans to the file (default `+workDir+`/spans-<workload>-<seed>.json)`)
 	runs := flag.Int("runs", 1, "without -workload: runs of each workload, with seeds seed, seed+1, ...")
 	out := flag.String("out", "", "without -workload: ledger file the runs are appended to")

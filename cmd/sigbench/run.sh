@@ -2,7 +2,7 @@
 # Builds sigbench from the sources of the checkout it is run from, then runs
 # it with the given flags. Run it from the root of a checkout, e.g.
 #
-#   bash cmd/sigbench/run.sh --workload simulate-resident --seed 1 --seconds 10 --trace 0
+#   bash cmd/sigbench/run.sh --workload simulate-resident --seed 1 --seconds 25 --trace 0
 #
 # The binary, the Go build cache and the benchmark's scratch files all stay
 # under .bench_build/ in the checkout.

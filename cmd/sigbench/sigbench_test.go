@@ -184,7 +184,6 @@ func TestWorkloadsSmoke(t *testing.T) {
 		return r, res
 	}
 
-	run("suite-cold", false)
 	for _, name := range []string{"simulate-resident", "simulate-mapped"} {
 		r, res := run(name, false)
 		if want := len(tiny) * len(pipeline.AllNames()) * 2; res.Attempted != want {

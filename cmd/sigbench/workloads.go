@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -30,14 +31,12 @@ import (
 // Workloads, in the order the benchmark runs them. Why each exists is in
 // README.md and BENCHMARK.json.
 // reps is how many times a run sets its fleet up: setup_s is the median,
-// and the last fleet serves the timed phase. suite-cold's set-up is a bare
-// shard coming up in well under a millisecond, so it takes more samples.
+// and the last fleet serves the timed phase.
 var workloads = []struct {
 	name string
 	reps int
 	run  func(context.Context, *runner) error
 }{
-	{"suite-cold", 15, runSuiteCold},
 	{"simulate-resident", 3, func(ctx context.Context, r *runner) error { return runSimulate(ctx, r, false) }},
 	{"simulate-mapped", 3, func(ctx context.Context, r *runner) error { return runSimulate(ctx, r, true) }},
 	{"suite-gateway", 3, runSuiteGateway},
@@ -100,15 +99,6 @@ func (r *runner) names() []string {
 	return out
 }
 
-// suitePath is the suite request for names: bare when names is the whole
-// served suite in serving order, as a client wanting the full table asks.
-func suitePath(names []string) string {
-	if strings.Join(names, ",") == strings.Join(bench.Names(), ",") {
-		return "/v1/suite"
-	}
-	return "/v1/suite?bench=" + url.QueryEscape(strings.Join(names, ","))
-}
-
 // fleet is the in-process serving system of one workload: sigserve shards
 // (simsvc.NewHandler) and optionally a siggate gateway (cluster.NewHandler),
 // each on its own httptest listener, reached by fixed host names so ring
@@ -156,8 +146,12 @@ func (r *runner) newFleet(n, workers int, traceDir string, gateway bool) *fleet 
 		f.gwSrv = httptest.NewUnstartedServer(nil)
 		f.addrs["gateway"] = f.gwSrv.Listener.Addr().String()
 		f.gwClient = &http.Client{Transport: f.transport()}
-		// Cannot fail: the backend list is non-empty and duplicate-free.
-		f.gw, _ = cluster.New(cluster.Config{Backends: backends, Client: f.gwClient})
+		// Hedging is off: every shard is busy with its own partition, so a
+		// hedge only doubles a partition's work on two cores, and whether it
+		// fires depends on whether the partition outlasts the hedge delay on
+		// this run's host speed. Cannot fail: the backend list is non-empty
+		// and duplicate-free.
+		f.gw, _ = cluster.New(cluster.Config{Backends: backends, Client: f.gwClient, HedgeAfter: -1})
 		f.gwSrv.Config.Handler = middleware(r.rec, "cluster.gateway", "gateway", nil, cluster.NewHandler(f.gw))
 		f.gwSrv.Start()
 	}
@@ -235,12 +229,6 @@ func delta(after, before map[string]float64) map[string]float64 {
 		out[k] = v - before[k]
 	}
 	return out
-}
-
-func addCounts(dst, src map[string]float64) {
-	for k, v := range src {
-		dst[k] += v
-	}
 }
 
 // get sends one GET under a span named http.client and decodes a 200 answer
@@ -329,14 +317,20 @@ func (r *runner) setup(up func() (*fleet, error)) (*fleet, error) {
 	return f, nil
 }
 
-// timed is the timed phase: clients closed-loop clients run op on
-// consecutive indices until r.seconds have passed (ops in flight finish),
-// or, with r.seconds == 0, until n ops have run. op returns the latency it
-// measured and the simulated work its answer reports.
+// timed is the timed phase: the given number of closed-loop clients run op
+// on consecutive indices in whole cycles of n, until the cycle in progress
+// when r.seconds have passed is done, or, with r.seconds == 0, for one
+// cycle. Every run thus measures the same mix of ops, whatever the seed's
+// order. op returns the latency it measured and the simulated work its
+// answer reports.
 func (r *runner) timed(ctx context.Context, clients, n int, op func(i int) (time.Duration, float64, error)) {
 	r.rec.setOn(true)
 	defer r.rec.setOn(false)
-	var next atomic.Int64
+	var next, limit atomic.Int64
+	limit.Store(math.MaxInt64)
+	if r.seconds == 0 {
+		limit.Store(int64(n))
+	}
 	start := time.Now()
 	deadline := start.Add(time.Duration(r.seconds) * time.Second)
 	var wg sync.WaitGroup
@@ -345,11 +339,16 @@ func (r *runner) timed(ctx context.Context, clients, n int, op func(i int) (time
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1) - 1)
-				if ctx.Err() != nil || (r.seconds > 0 && !time.Now().Before(deadline)) || (r.seconds == 0 && i >= n) {
+				i := next.Add(1) - 1
+				if r.seconds > 0 && !time.Now().Before(deadline) {
+					// The first index drawn after the deadline fixes the end
+					// of its cycle.
+					limit.CompareAndSwap(math.MaxInt64, (i+int64(n)-1)/int64(n)*int64(n))
+				}
+				if ctx.Err() != nil || i >= limit.Load() {
 					return
 				}
-				lat, work, err := op(i)
+				lat, work, err := op(int(i))
 				r.record(lat, work, err)
 			}
 		}()
@@ -386,48 +385,6 @@ func suiteWork(resp *simsvc.Response) float64 {
 		}
 	}
 	return w
-}
-
-// runSuiteCold: every op is a process restart as the service sees it — a
-// fresh shard with no trace dir answers a whole suite, so it profiles the
-// recoder, captures every benchmark and replays the full consumer fan-out.
-func runSuiteCold(ctx context.Context, r *runner) error {
-	f, err := r.setup(func() (*fleet, error) {
-		f := r.newFleet(1, 0, "", false)
-		if _, err := r.get(ctx, f.client, "http://shard0/readyz", 0, nil); err != nil {
-			f.close()
-			return nil, err
-		}
-		return f, nil
-	})
-	if err != nil {
-		return err
-	}
-	f.close()
-	names := r.names()
-	path := suitePath(names)
-	r.svc = make(map[string]float64)
-	r.timed(ctx, 1, 1, func(i int) (time.Duration, float64, error) {
-		root := r.rec.start("op", 0, r.reqID(i), "")
-		defer r.rec.end(root)
-		t := time.Now()
-		f := r.newFleet(1, 0, "", false)
-		defer func() {
-			f.close()
-			r.mu.Lock()
-			addCounts(r.svc, f.svcCounts())
-			r.mu.Unlock()
-			// Peak RSS is then one cold shard's, not GC timing's.
-			debug.FreeOSMemory()
-		}()
-		var resp simsvc.Response
-		if _, err := r.get(ctx, f.client, "http://shard0"+path, root.id(), &resp); err != nil {
-			return 0, 0, err
-		}
-		return time.Since(t), suiteWork(&resp), r.golden.checkSuite(&resp, names)
-	})
-	r.mapLoads = r.svc["mapLoads"]
-	return nil
 }
 
 // simKey is one simulate request of the key cycle.
