@@ -51,16 +51,19 @@ const (
 	baselineLatch = 160 // IF(32) + two operands(64) + EX out(32) + MEM out(32)
 )
 
-// Collector consumes annotated trace events and accumulates Counts. It owns
-// a private cache hierarchy (for fill and tag accounting) and reads line
-// contents from the running program's memory at fill time, which is when
-// the paper generates extension bits ("new extension bit values are
-// generated only when there is a cache line filled from main memory", §1).
+// Collector consumes annotated trace events and accumulates Counts. It
+// needs the cache hierarchy's fills and writebacks (for fill and tag
+// accounting) and reads line contents from the running program's memory at
+// fill time, which is when the paper generates extension bits ("new
+// extension bit values are generated only when there is a cache line filled
+// from main memory", §1). The scalar Consume path simulates a private
+// hierarchy; ConsumeBlock reads the same outcomes from the block's miss
+// stream.
 type Collector struct {
 	g      int // block size in bytes: 1 or 2
 	scheme Scheme
 	rc     *icomp.Recoder
-	hier   *mem.Hierarchy
+	hier   *mem.Hierarchy // scalar path only, allocated on first Consume
 	memory *mem.Memory
 
 	dataTagBits int
@@ -94,18 +97,20 @@ func NewCollector(g int, rc *icomp.Recoder, memory *mem.Memory) *Collector {
 // both cases, matching the paper's note that the two schemes' performance
 // results "are likely to be very similar" (§2.1).
 func NewCollectorScheme(g int, scheme Scheme, rc *icomp.Recoder, memory *mem.Memory) *Collector {
-	cfg := mem.DefaultHierarchyConfig()
 	c := &Collector{
 		g:      g,
 		scheme: scheme,
 		rc:     rc,
-		hier:   mem.NewHierarchy(cfg),
 		memory: memory,
 	}
-	sets := cfg.L1D.Size / (cfg.L1D.LineBytes * cfg.L1D.Assoc)
-	c.dataTagBits = 32 - log2(sets) - log2(cfg.L1D.LineBytes)
+	sets := hierCfg.L1D.Size / (hierCfg.L1D.LineBytes * hierCfg.L1D.Assoc)
+	c.dataTagBits = 32 - log2(sets) - log2(hierCfg.L1D.LineBytes)
 	return c
 }
+
+// hierCfg is the memory hierarchy every collector models: the paper's, which
+// is also the one the trace's miss stream describes.
+var hierCfg = mem.DefaultHierarchyConfig()
 
 func log2(v int) int {
 	n := 0
@@ -185,13 +190,17 @@ func (c *Collector) pcBlocks(old, new uint32) int {
 func (c *Collector) Consume(e trace.Event) {
 	c.counts.Insts++
 
+	if c.hier == nil {
+		c.hier = mem.NewHierarchy(hierCfg)
+	}
+
 	// Instruction fetch: word read plus the extension bit; fills move the
 	// whole line in both machines.
 	fillsBefore := c.hier.InstFills
 	c.hier.Fetch(e.PC)
 	fetchBase, fetchComp := baselineWord, 8*e.IFBytes+icomp.FetchExtBits
 	if c.hier.InstFills != fillsBefore {
-		fb, fc := c.lineFillBits(e.PC, c.hier.L1I.Config().LineBytes, true)
+		fb, fc := c.lineFillBits(e.PC, hierCfg.L1I.LineBytes, true)
 		fetchBase += fb
 		fetchComp += fc
 	}
@@ -234,14 +243,14 @@ func (c *Collector) Consume(e trace.Event) {
 		}
 		dataComp := c.storedBits(memBlocks)
 		if c.hier.DataFills != fillsBefore {
-			fb, fc := c.lineFillBits(e.Addr, c.hier.L1D.Config().LineBytes, false)
+			fb, fc := c.lineFillBits(e.Addr, hierCfg.L1D.LineBytes, false)
 			dataBase += fb
 			dataComp += fc
 		}
 		if c.hier.L1D.Writeback != wbBefore {
 			// Dirty victim pushed to L2: approximate its contents with the
 			// current memory image (stores have already landed there).
-			fb, fc := c.lineFillBits(e.Addr, c.hier.L1D.Config().LineBytes, false)
+			fb, fc := c.lineFillBits(e.Addr, hierCfg.L1D.LineBytes, false)
 			dataBase += fb
 			dataComp += fc
 		}

@@ -11,7 +11,9 @@
 // Collectors read cache-line contents from the program memory image at fill
 // time, so they must be replayed with ReplayBlocksOn/BatchReplay over the
 // benchmark's initial image: the engine's store-delimited spans guarantee a
-// row's fill never observes a later row's store.
+// row's fill never observes a later row's store. Which rows fill or write
+// back comes from the block's miss stream (trace.Block.Misses), so the batch
+// path runs no cache simulation of its own.
 package activity
 
 import (
@@ -21,8 +23,20 @@ import (
 
 // ConsumeBlock implements trace.BatchConsumer.
 func (c *Collector) ConsumeBlock(b *trace.Block) {
-	lineI := c.hier.L1I.Config().LineBytes
-	lineD := c.hier.L1D.Config().LineBytes
+	if c.hier != nil || b.Misses == nil {
+		// Reference fallback: a collector that has simulated its own
+		// hierarchy keeps doing so, as must one given a block with no
+		// miss stream.
+		var ev trace.Event
+		for i := range b.Slot {
+			b.EventAt(i, &ev)
+			c.Consume(ev)
+		}
+		return
+	}
+	lineI := hierCfg.L1I.LineBytes
+	lineD := hierCfg.L1D.LineBytes
+	ms := b.Misses
 	n := len(b.Slot)
 	for i := 0; i < n; i++ {
 		sw := b.Slot[i]
@@ -30,14 +44,17 @@ func (c *Collector) ConsumeBlock(b *trace.Block) {
 		sg := trace.PackedSig(b.Sig[i])
 		pc := b.PC[i]
 		c.counts.Insts++
+		var miss uint8
+		if len(ms) > 0 && int(ms[0].Row) == b.Start+i {
+			miss = ms[0].Flags
+			ms = ms[1:]
+		}
 
 		// Instruction fetch: word read plus the extension bit; fills move
 		// the whole line in both machines.
 		ifBits := 8*int(b.IFB[sw&trace.SlotMask]) + icomp.FetchExtBits
-		fillsBefore := c.hier.InstFills
-		c.hier.Fetch(pc)
 		fetchBase, fetchComp := baselineWord, ifBits
-		if c.hier.InstFills != fillsBefore {
+		if miss&trace.MissIFill != 0 {
 			fb, fc := c.lineFillBits(pc, lineI, true)
 			fetchBase += fb
 			fetchComp += fc
@@ -81,21 +98,18 @@ func (c *Collector) ConsumeBlock(b *trace.Block) {
 				memVal = b.SrcB[i]
 			}
 			memBlocks = c.memBlocksVal(sg.MemBytes(), sg.MemHalves(), memVal, int(st.MemWidth))
-			fillsBefore := c.hier.DataFills
-			wbBefore := c.hier.L1D.Writeback
-			c.hier.Data(addr, st.IsStore)
 
 			dataBase := baselineWord
 			if st.IsStore {
 				dataBase = 8 * int(st.MemWidth) // byte-enables exist in the baseline
 			}
 			dataComp := c.storedBits(memBlocks)
-			if c.hier.DataFills != fillsBefore {
+			if miss&trace.MissDFill != 0 {
 				fb, fc := c.lineFillBits(addr, lineD, false)
 				dataBase += fb
 				dataComp += fc
 			}
-			if c.hier.L1D.Writeback != wbBefore {
+			if miss&trace.MissDWriteback != 0 {
 				// Dirty victim pushed to L2: approximate its contents with
 				// the current memory image (stores have already landed).
 				fb, fc := c.lineFillBits(addr, lineD, false)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -103,6 +104,16 @@ func TestCacheSweep(t *testing.T) {
 	}
 	if tbl.Rows() != 2 {
 		t.Fatalf("rows: %d", tbl.Rows())
+	}
+	// The 8 KB row is the paper's geometry set through SetHierarchy, so its
+	// models simulate their own caches. It must agree with the suite
+	// evaluation, whose kernels read the trace's shared miss stream.
+	r := load(t)
+	row := tbl.JSON().Rows[1]
+	for i, model := range []string{pipeline.NameBaseline32, pipeline.NameByteSerial} {
+		if want := fmt.Sprintf("%.3f", r.MeanCPI(model)); row[i+1] != want {
+			t.Errorf("8 KB %s mean CPI %s, suite evaluation %s", model, row[i+1], want)
+		}
 	}
 }
 

@@ -142,6 +142,7 @@ type Cache struct {
 	sets      [][]cacheLine
 	setShift  uint
 	setMask   uint32
+	tagShift  uint // setShift + log2(len(sets))
 	stamp     uint64
 	Accesses  uint64
 	Misses    uint64
@@ -163,6 +164,7 @@ func NewCache(cfg CacheConfig) *Cache {
 	for c.setShift = 0; 1<<c.setShift < cfg.LineBytes; c.setShift++ {
 	}
 	c.setMask = uint32(nsets - 1)
+	c.tagShift = c.setShift + log2(uint32(nsets))
 	return c
 }
 
@@ -181,7 +183,7 @@ func (c *Cache) Access(addr uint32, write bool) AccessResult {
 	c.Accesses++
 	c.stamp++
 	set := c.sets[(addr>>c.setShift)&c.setMask]
-	tag := addr >> c.setShift >> log2(uint32(len(c.sets)))
+	tag := addr >> c.tagShift
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			set[i].lru = c.stamp

@@ -13,9 +13,14 @@
 // TestConsumeBlockMatchesConsume pins the two paths cycle-for-cycle across
 // every model and benchmark.
 //
-// Models without a kernel (the ablation alternates in alternates.go, or any
-// model with a Timeline observer attached) fall back to EventAt + Consume,
-// which is always correct.
+// Cache and TLB stalls come from the block's miss stream (trace.Block.Misses):
+// the hierarchy's outcome is the same for every model, so the trace engine
+// simulates it once per capture and the kernels never touch a cache.
+//
+// Models without a kernel (the ablation alternates in alternates.go, any
+// model with a Timeline observer attached, or one owning a hierarchy of its
+// own through SetHierarchy) fall back to EventAt + Consume, which is always
+// correct. So does a block that carries no miss stream.
 package pipeline
 
 import (
@@ -84,7 +89,6 @@ const (
 	sfReadsA slotFlags = 1 << iota
 	sfReadsB
 	sfHasDest
-	sfIsStore
 	sfIsLoad
 	sfIsMem
 	sfWritesHILO
@@ -99,12 +103,10 @@ const (
 // scheduler needs that is static per instruction word, including the
 // recoder-dependent fetch size of the current replay.
 type slotInfo struct {
-	flags    slotFlags
-	dest     uint8
-	rs, rt   uint8
-	memWidth uint8
-	ifb      uint8
-	simm     uint32
+	flags  slotFlags
+	dest   uint8
+	rs, rt uint8
+	ifb    uint8
 }
 
 // rowDyn carries one row's computed stage costs from the kernel to the
@@ -116,9 +118,9 @@ type rowDyn struct {
 	skipped  [maxStages]bool
 	exSlices int // cycles after EX entry until the full result exists
 	brDelta  int // >= 0: resolve at exEnter+brDelta; -1: at end of EX
+	ic, dc   int // I-cache and D-cache stall cycles, from the miss stream
 	pc       uint32
 	nextPC   uint32
-	addr     uint32
 	taken    bool
 }
 
@@ -133,14 +135,7 @@ type batchState struct {
 }
 
 func (m *Model) ensureBatch(blk *trace.Block) *batchState {
-	bs := m.batch
-	if bs == nil {
-		bs = &batchState{}
-		for i := range m.spec.stages {
-			bs.structIdx[i] = m.spec.structIdx(i)
-		}
-		m.batch = bs
-	}
+	bs := &m.batch
 	var sid *trace.Static
 	if len(blk.Statics) > 0 {
 		sid = &blk.Statics[0]
@@ -152,6 +147,9 @@ func (m *Model) ensureBatch(blk *trace.Block) *batchState {
 	if bs.staticsID != sid || bs.ifbID != iid || len(bs.slots) != len(blk.Statics) {
 		bs.buildSlots(blk)
 		bs.staticsID, bs.ifbID = sid, iid
+		for i := range m.spec.stages {
+			bs.structIdx[i] = m.spec.structIdx(i)
+		}
 	}
 	return bs
 }
@@ -173,9 +171,6 @@ func (bs *batchState) buildSlots(blk *trace.Block) {
 		}
 		if st.HasDest {
 			fl |= sfHasDest
-		}
-		if st.IsStore {
-			fl |= sfIsStore
 		}
 		if in.IsLoad() {
 			fl |= sfIsLoad
@@ -204,13 +199,11 @@ func (bs *batchState) buildSlots(blk *trace.Block) {
 			fl |= sfIsJDir
 		}
 		bs.slots[i] = slotInfo{
-			flags:    fl,
-			dest:     uint8(st.Dest),
-			rs:       uint8(in.Rs),
-			rt:       uint8(in.Rt),
-			memWidth: st.MemWidth,
-			ifb:      blk.IFB[i],
-			simm:     st.Simm,
+			flags: fl,
+			dest:  uint8(st.Dest),
+			rs:    uint8(in.Rs),
+			rt:    uint8(in.Rt),
+			ifb:   blk.IFB[i],
 		}
 	}
 }
@@ -218,7 +211,7 @@ func (bs *batchState) buildSlots(blk *trace.Block) {
 // ConsumeBlock implements trace.BatchConsumer: schedules every row of the
 // block, bit-identical to feeding the rows through Consume one by one.
 func (m *Model) ConsumeBlock(blk *trace.Block) {
-	if m.spec.kind == kindGeneric || m.observer != nil {
+	if m.spec.kind == kindGeneric || m.observer != nil || m.hier != nil || blk.Misses == nil {
 		// Reference fallback: reconstruct events and run the scalar path.
 		var ev trace.Event
 		for i := range blk.Slot {
@@ -233,10 +226,16 @@ func (m *Model) ConsumeBlock(blk *trace.Block) {
 	}
 	bs := m.ensureBatch(blk)
 	d := &bs.d
+	ms := blk.Misses
 	n := len(blk.Slot)
 	for i := 0; i < n; i++ {
 		sw := blk.Slot[i]
 		si := &bs.slots[sw&trace.SlotMask]
+		d.ic, d.dc = 0, 0
+		if len(ms) > 0 && int(ms[0].Row) == blk.Start+i {
+			d.ic, d.dc = int(ms[0].IC), int(ms[0].DC)
+			ms = ms[1:]
+		}
 		d.pc = blk.PC[i]
 		if i+1 < n {
 			d.nextPC = blk.PC[i+1]
@@ -244,9 +243,6 @@ func (m *Model) ConsumeBlock(blk *trace.Block) {
 			d.nextPC = blk.EndNextPC
 		}
 		d.taken = sw&trace.TakenBit != 0
-		if si.flags&sfIsMem != 0 {
-			d.addr = blk.SrcA[i] + si.simm
-		}
 		m.rowCosts(si, trace.PackedSig(blk.Sig[i]), d)
 		m.stepRow(si, d, bs)
 	}
@@ -368,18 +364,14 @@ func (m *Model) stepRow(si *slotInfo, d *rowDyn, bs *batchState) {
 	s := &m.spec
 	n := len(s.stages)
 
-	icStall := m.hier.Fetch(d.pc)
-	d.occ[0] += icStall
+	icStall, dcStall := d.ic, d.dc
 	if icStall > 0 {
+		d.occ[0] += icStall
 		bs.stalls[stICache] += uint64(icStall)
 	}
-	dcStall := 0
-	if si.flags&sfIsMem != 0 {
-		dcStall = m.hier.Data(d.addr, si.flags&sfIsStore != 0)
+	if dcStall > 0 {
 		d.occ[s.memStage] += dcStall
-		if dcStall > 0 {
-			bs.stalls[stDCache] += uint64(dcStall)
-		}
+		bs.stalls[stDCache] += uint64(dcStall)
 	}
 
 	enter := m.enter

@@ -94,12 +94,18 @@ func TestConsumeBlockSplitBlocks(t *testing.T) {
 	var rows int
 	err := cp.ReplayBlocks(ctx, rc, blockFunc(func(b *trace.Block) {
 		n := b.Len()
+		misses := b.Misses
 		for lo := 0; lo < n; {
 			hi := lo + 1 + (lo % 7)
 			if hi > n {
 				hi = n
 			}
+			k := 0
+			for k < len(misses) && int(misses[k].Row) < b.Start+hi {
+				k++
+			}
 			sub := trace.Block{
+				Misses:    misses[:k],
 				Start:     b.Start + lo,
 				Slot:      b.Slot[lo:hi],
 				PC:        b.PC[lo:hi],
@@ -114,6 +120,7 @@ func TestConsumeBlockSplitBlocks(t *testing.T) {
 			if hi < n {
 				sub.EndNextPC = b.PC[hi]
 			}
+			misses = misses[k:]
 			batch.ConsumeBlock(&sub)
 			rows += hi - lo
 			lo = hi

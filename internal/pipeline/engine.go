@@ -143,6 +143,9 @@ func (s *spec) structKind(stage int) StallKind {
 // Model is a pipeline timing simulator consuming one benchmark's trace.
 type Model struct {
 	spec spec
+	// hier is the model's own memory system, allocated by the scalar
+	// Consume path (or SetHierarchy). Batch replay reads the trace's
+	// shared miss stream instead and leaves it nil.
 	hier *mem.Hierarchy
 	pred *predictor // nil in the paper's base machines
 	// observer, when set, receives every scheduled instruction's stage
@@ -163,14 +166,13 @@ type Model struct {
 	stalls map[StallKind]uint64
 
 	enter []uint64       // scratch
-	batch *batchState    // ConsumeBlock scratch, built lazily
+	batch batchState     // ConsumeBlock scratch, filled on the first block
 	fe    *frontendState // byte-fetch scheduler state (frontend models only)
 }
 
 func newModel(s spec) *Model {
 	return &Model{
 		spec:      s,
-		hier:      mem.NewHierarchy(mem.DefaultHierarchyConfig()),
 		stageFree: make([]uint64, len(s.stages)),
 		prevEnter: make([]uint64, len(s.stages)),
 		stalls:    make(map[StallKind]uint64),
@@ -179,7 +181,9 @@ func newModel(s spec) *Model {
 }
 
 // SetHierarchy replaces the model's memory system (for cache-geometry
-// sensitivity studies). It must be called before the first Consume.
+// sensitivity studies). It must be called before the first Consume. The
+// trace's miss stream describes only the default hierarchy, so a model with
+// its own replays batch blocks through the reference Consume path.
 func (m *Model) SetHierarchy(cfg mem.HierarchyConfig) *Model {
 	if m.insts != 0 {
 		panic("pipeline: SetHierarchy after simulation started")
@@ -190,6 +194,15 @@ func (m *Model) SetHierarchy(cfg mem.HierarchyConfig) *Model {
 
 // Name returns the model name.
 func (m *Model) Name() string { return m.spec.name }
+
+// hierarchy returns the model's own memory system, allocating the paper's
+// default one on first use.
+func (m *Model) hierarchy() *mem.Hierarchy {
+	if m.hier == nil {
+		m.hier = mem.NewHierarchy(mem.DefaultHierarchyConfig())
+	}
+	return m.hier
+}
 
 func (m *Model) stall(kind StallKind, cycles uint64) {
 	if cycles > 0 {
@@ -224,12 +237,13 @@ func (m *Model) Consume(e trace.Event) {
 
 	// Cache/TLB stalls. Fetch stalls extend the fetch occupancy; data
 	// stalls extend MEM.
-	icStall := m.hier.Fetch(e.PC)
+	hier := m.hierarchy()
+	icStall := hier.Fetch(e.PC)
 	occ[0] += icStall
 	m.stall(StallICache, uint64(icStall))
 	dcStall := 0
 	if e.MemWidth > 0 {
-		dcStall = m.hier.Data(e.Addr, e.Inst.IsStore())
+		dcStall = hier.Data(e.Addr, e.Inst.IsStore())
 		occ[s.memStage] += dcStall
 		m.stall(StallDCache, uint64(dcStall))
 	}

@@ -134,17 +134,19 @@ type frontendState struct {
 
 // feIn is the per-instruction input of the byte-fetch scheduler, fillable
 // from a scalar Event or from the batch path's slot digest without ever
-// materializing the other form.
+// materializing the other form. ic and dc are the row's cache stalls: the
+// scalar path asks the model's hierarchy, the batch path reads the block's
+// miss stream.
 type feIn struct {
 	size       int
-	pc, addr   uint32
+	ic, dc     int
+	pc         uint32
 	rs, rt     uint8
 	dest       uint8
 	readsA     bool
 	readsB     bool
 	hasDest    bool
 	isMem      bool
-	isStore    bool
 	isLoad     bool
 	writesHILO bool
 	isMFHILO   bool
@@ -176,13 +178,9 @@ func (m *Model) feStep(in *feIn) feSched {
 		size = 4
 	}
 
-	ic := m.hier.Fetch(in.pc)
+	ic, dc := in.ic, in.dc
 	fe.stalls[stICache] += uint64(ic)
-	dc := 0
-	if in.isMem {
-		dc = m.hier.Data(in.addr, in.isStore)
-		fe.stalls[stDCache] += uint64(dc)
-	}
+	fe.stalls[stDCache] += uint64(dc)
 
 	// --- fetch: restart the stream after a control transfer ---
 	if fe.redirect {
@@ -401,7 +399,6 @@ func (m *Model) consumeFrontend(e trace.Event) {
 	in := feIn{
 		size:       e.IFBytes,
 		pc:         e.PC,
-		addr:       e.Addr,
 		rs:         uint8(e.Inst.Rs),
 		rt:         uint8(e.Inst.Rt),
 		dest:       uint8(e.Dest),
@@ -409,7 +406,6 @@ func (m *Model) consumeFrontend(e trace.Event) {
 		readsB:     e.ReadsB,
 		hasDest:    e.HasDest,
 		isMem:      e.MemWidth > 0,
-		isStore:    e.Inst.IsStore(),
 		isLoad:     e.Inst.IsLoad(),
 		writesHILO: e.Inst.WritesHILO(),
 		isBranch:   e.Inst.IsBranch(),
@@ -424,6 +420,11 @@ func (m *Model) consumeFrontend(e trace.Event) {
 		}
 	}
 	in.isJDir = e.Inst.Op == isa.OpJ || e.Inst.Op == isa.OpJAL
+	hier := m.hierarchy()
+	in.ic = hier.Fetch(e.PC)
+	if in.isMem {
+		in.dc = hier.Data(e.Addr, e.Inst.IsStore())
+	}
 	sched := m.feStep(&in)
 	m.flushFEStalls()
 	if m.observer != nil {
@@ -440,6 +441,7 @@ func (m *Model) consumeFrontend(e trace.Event) {
 func (m *Model) consumeFrontendBlock(blk *trace.Block) {
 	bs := m.ensureBatch(blk)
 	var in feIn
+	ms := blk.Misses
 	n := len(blk.Slot)
 	for i := 0; i < n; i++ {
 		sw := blk.Slot[i]
@@ -455,7 +457,6 @@ func (m *Model) consumeFrontendBlock(blk *trace.Block) {
 			readsB:     fl&sfReadsB != 0,
 			hasDest:    fl&sfHasDest != 0,
 			isMem:      fl&sfIsMem != 0,
-			isStore:    fl&sfIsStore != 0,
 			isLoad:     fl&sfIsLoad != 0,
 			writesHILO: fl&sfWritesHILO != 0,
 			isMFHILO:   fl&sfIsMFHILO != 0,
@@ -464,8 +465,9 @@ func (m *Model) consumeFrontendBlock(blk *trace.Block) {
 			isJDir:     fl&sfIsJDir != 0,
 			taken:      sw&trace.TakenBit != 0,
 		}
-		if in.isMem {
-			in.addr = blk.SrcA[i] + si.simm
+		if len(ms) > 0 && int(ms[0].Row) == blk.Start+i {
+			in.ic, in.dc = int(ms[0].IC), int(ms[0].DC)
+			ms = ms[1:]
 		}
 		m.feStep(&in)
 	}

@@ -11,12 +11,11 @@ import (
 
 // BenchmarkSweepReplayVsExecute compares a 3-benchmark × 3-model sweep on
 // the capture/replay path (warm trace cache) against the live path that
-// re-interprets every job, with the replay path measured both through the
-// column-block batch engine (the production path) and the event-at-a-time
-// scalar engine (the reference it must beat). CacheSize 1 defeats the
-// result LRU in all arms so every job really runs; each arm gets one
-// untimed warm-up sweep (which fills the replay arms' trace cache —
-// steady-state serving, the case the engine exists for).
+// re-interprets every job. CacheSize 1 defeats the result LRU in both arms
+// so every job really runs; each arm gets one untimed warm-up sweep (which
+// fills the replay arm's trace cache — steady-state serving, the case the
+// engine exists for). Scalar against batch replay of one model is
+// pipeline.BenchmarkModelReplay.
 func BenchmarkSweepReplayVsExecute(b *testing.B) {
 	benches := []string{"dijkstra", "g711dec", "rawdaudio"}
 	models := []string{pipeline.NameBaseline32, pipeline.NameByteSerial, pipeline.NameParallelCompressed}
@@ -50,17 +49,13 @@ func BenchmarkSweepReplayVsExecute(b *testing.B) {
 	for _, arm := range []struct {
 		name         string
 		traceCacheMB int
-		scalar       bool
 	}{
-		{"execute", -1, false},     // live reference path: interpret every job
-		{"replay-scalar", 0, true}, // replay each job event-at-a-time
-		{"replay", 0, false},       // replay each job over column blocks
+		{"execute", -1}, // live reference path: interpret every job
+		{"replay", 0},   // replay each job over column blocks
 	} {
 		b.Run(fmt.Sprintf("%s/benches=%d/models=%d", arm.name, len(benches), len(models)), func(b *testing.B) {
-			scalarReplayForBench = arm.scalar
-			defer func() { scalarReplayForBench = false }()
 			s := newSvc(b, arm.traceCacheMB)
-			sweep(b, s) // warm-up: recoder profile + (replay arms) trace captures
+			sweep(b, s) // warm-up: recoder profile + (replay arm) trace captures
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

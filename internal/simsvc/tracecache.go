@@ -16,12 +16,6 @@ import (
 	"repro/internal/trace"
 )
 
-// scalarReplayForBench forces the replay path back onto the event-at-a-time
-// engine instead of the column-block batch engine. Benchmark-only knob:
-// BenchmarkSweepReplayVsExecute flips it to measure the scalar arm. Never
-// set in production, and only toggled before any request is in flight.
-var scalarReplayForBench bool
-
 // DefaultTraceCacheMB is the captured-trace budget when Config.TraceCacheMB
 // is zero: enough for the whole served suite (~90 MB at 24 B/instruction)
 // with headroom.
@@ -80,11 +74,7 @@ func (e *traceEntry) activityCounts(ctx context.Context, gran int, rc *icomp.Rec
 		return activity.Counts{}, err
 	}
 	col := activity.NewCollector(gran, rc, mem)
-	replay := e.rep.ReplayBlocksOn
-	if scalarReplayForBench {
-		replay = e.rep.ReplayOn
-	}
-	if err := replay(ctx, mem, rc, col); err != nil {
+	if err := e.rep.ReplayBlocksOn(ctx, mem, rc, col); err != nil {
 		return activity.Counts{}, err
 	}
 	m.counts, m.done = col.Counts(), true
@@ -472,12 +462,7 @@ func (s *Service) replayOnce(ctx context.Context, req Request, rc *icomp.Recoder
 	// per-entry memo (one memory-backed replay per granularity, shared by
 	// every model of a sweep).
 	m := pipeline.New(req.Model)
-	if scalarReplayForBench {
-		err = e.rep.ReplayOn(ctx, nil, rc, m)
-	} else {
-		err = e.rep.ReplayBlocks(ctx, rc, m)
-	}
-	if err != nil {
+	if err := e.rep.ReplayBlocks(ctx, rc, m); err != nil {
 		return nil, err
 	}
 	counts, err := e.activityCounts(ctx, req.Gran, rc)

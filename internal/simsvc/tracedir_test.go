@@ -49,12 +49,20 @@ func TestTraceCacheRefreshUnderRecoderChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The first replay also builds the capture's miss stream; take it
+	// before admission so the growth below is the memos' alone.
+	rcs := churnRecoders(4)
+	if err := cp.ReplayBlocks(ctx, rcs[0], pipeline.NewBaseline32()); err != nil {
+		t.Fatal(err)
+	}
 	e := &traceEntry{rep: cp, bytes: int64(cp.SizeBytes())}
 	base := e.bytes
 
 	var m Metrics
-	// Budget fits the entry plus a little memo growth, not a lot of it.
-	c := newTraceCache(base+1024, &m)
+	// Budget fits the entry plus one more memo (a few hundred bytes for
+	// dijkstra's statics), not three.
+	const headroom = 512
+	c := newTraceCache(base+headroom, &m)
 	if ev, _ := c.add("dijkstra", e); len(ev) != 0 {
 		t.Fatalf("admission evicted %d entries", len(ev))
 	}
@@ -64,10 +72,6 @@ func TestTraceCacheRefreshUnderRecoderChurn(t *testing.T) {
 
 	// One extra profile: the capture grows but still fits. refresh must
 	// re-account without evicting.
-	rcs := churnRecoders(4)
-	if err := cp.ReplayBlocks(ctx, rcs[0], pipeline.NewBaseline32()); err != nil {
-		t.Fatal(err)
-	}
 	if err := cp.ReplayBlocks(ctx, rcs[1], pipeline.NewBaseline32()); err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +94,7 @@ func TestTraceCacheRefreshUnderRecoderChurn(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if int64(cp.SizeBytes()) <= base+1024 {
+	if int64(cp.SizeBytes()) <= base+headroom {
 		t.Skip("memo growth under budget headroom; churn too cheap to force eviction")
 	}
 	ev := c.refresh("dijkstra")

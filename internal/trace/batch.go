@@ -129,6 +129,13 @@ type Block struct {
 	// IFB is the per-statics-slot compressed fetch size (3 or 4) under the
 	// replay's recoder, indexed like Statics.
 	IFB []uint8
+
+	// Misses lists, in row order, the block's rows whose outcome under
+	// the default memory hierarchy is not a plain hit (see misses.go).
+	// Rows not listed hit everywhere. The replay engines never leave it
+	// nil; a nil Misses (a hand-built block) tells consumers to simulate
+	// the hierarchy themselves.
+	Misses []MissEvent
 }
 
 // Len returns the number of rows in the block.
@@ -240,6 +247,7 @@ func (cp *Capture) ReplayBlocksOn(ctx context.Context, m *mem.Memory, rc *icomp.
 	ifb := cp.ifBytes(rc)
 	sinks := gatherSinks(consumers)
 	blk := Block{Statics: cp.statics, IFB: ifb}
+	misses := cp.misses.cursor()
 	n := len(cp.slot)
 	for base := 0; base < n; base += BlockRows {
 		select {
@@ -257,8 +265,10 @@ func (cp *Capture) ReplayBlocksOn(ctx context.Context, m *mem.Memory, rc *icomp.
 		}
 		emitSpans(&blk, m, sinks, base,
 			cp.slot[base:hi], cp.pc[base:hi], cp.srcA[base:hi], cp.srcB[base:hi],
-			cp.result[base:hi], cp.sig[base:hi], endNextPC)
+			cp.result[base:hi], cp.sig[base:hi], endNextPC,
+			misses.next(cp.statics, base, cp.slot[base:hi], cp.pc[base:hi], cp.srcA[base:hi]))
 	}
+	cp.misses.publish(&misses)
 	return nil
 }
 
@@ -288,15 +298,21 @@ func gatherSinks(consumers []Consumer) []BatchConsumer {
 // any later one, exactly like the scalar loop. Both residency tiers
 // (in-memory ReplayBlocksOn and the streaming frame replayer) share this,
 // so their memory ordering cannot diverge. start is the trace-global index
-// of span row 0; endNextPC is the NextPC of the span's final row. blk
-// carries the Statics/IFB annotation tables and is reused across calls.
+// of span row 0; endNextPC is the NextPC of the span's final row; misses
+// are the miss-stream events of the span's rows, sliced per emitted block.
+// blk carries the Statics/IFB annotation tables and is reused across calls.
 func emitSpans(blk *Block, m *mem.Memory, sinks []BatchConsumer, start int,
-	slot, pc, srcA, srcB, result, sig []uint32, endNextPC uint32) {
+	slot, pc, srcA, srcB, result, sig []uint32, endNextPC uint32, misses []MissEvent) {
 	n := len(slot)
 	emit := func(lo, hi int) {
 		if lo >= hi {
 			return
 		}
+		k := 0
+		for k < len(misses) && int(misses[k].Row) < start+hi {
+			k++
+		}
+		blk.Misses, misses = misses[:k:k], misses[k:]
 		blk.Start = start + lo
 		blk.Slot = slot[lo:hi]
 		blk.PC = pc[lo:hi]

@@ -209,7 +209,8 @@ type Capture struct {
 
 	lastNextPC uint32 // NextPC of the final instruction (no successor row)
 
-	memo ifbMemo // per-recoder-profile fetch-size tables
+	memo   ifbMemo  // per-recoder-profile fetch-size tables
+	misses missMemo // hierarchy outcome, built by the first batch replay
 }
 
 // NewCapture returns an empty capture for b, ready to record (via Consume
@@ -379,17 +380,25 @@ func (cp *Capture) Statics() int { return len(cp.statics) }
 // SizeBytes estimates the capture's resident memory: the six dynamic
 // columns (exact), the statics table and its lookup map (estimated per
 // entry), and the per-recoder-profile fetch-size memos replays have built
-// (one byte per statics slot each, plus key/bucket overhead). The memos are
-// included so the byte-budgeted trace cache in internal/simsvc accounts for
-// everything a cached capture actually keeps resident, not just its columns.
+// (one byte per statics slot each, plus key/bucket overhead), and the miss
+// stream once a replay has published it. The memos are included so the
+// byte-budgeted trace cache in internal/simsvc accounts for everything a
+// cached capture actually keeps resident, not just its columns.
 func (cp *Capture) SizeBytes() int {
 	cols := cap(cp.slot) + cap(cp.pc) + cap(cp.srcA) + cap(cp.srcB) + cap(cp.result) + cap(cp.sig)
-	return cols*4 + len(cp.statics)*staticSize + cp.memo.sizeBytes(len(cp.statics))
+	return cols*4 + len(cp.statics)*staticSize + cp.memo.sizeBytes(len(cp.statics)) +
+		cp.misses.sizeBytes()
 }
+
+// MissStream returns the capture's published miss stream (see misses.go),
+// or nil before the first batch replay has completed. Callers must not
+// modify it.
+func (cp *Capture) MissStream() []MissEvent { return cp.misses.stream() }
 
 // ClearMemos drops every memoized per-recoder fetch-size table, releasing
 // the memory SizeBytes attributes to them. Replays rebuild tables on demand;
-// the capture itself is untouched.
+// the capture itself is untouched, and so is its recoder-independent miss
+// stream.
 func (cp *Capture) ClearMemos() { cp.memo.clear() }
 
 // FunctCounts tallies the dynamic R-format function-code frequencies of the

@@ -54,6 +54,8 @@ type MappedCapture struct {
 	data []byte // whole-file mapping; nil on the io.ReaderAt fallback
 	memo ifbMemo
 
+	misses missMemo // hierarchy outcome, built by the first replay
+
 	mu     sync.Mutex
 	refs   int  // in-flight replays
 	closed bool // no new replays; unmap when refs drains to 0
@@ -114,14 +116,20 @@ func (mc *MappedCapture) Mapped() bool { return mc.data != nil }
 func (mc *MappedCapture) FileSizeBytes() int64 { return mc.ix.size }
 
 // SizeBytes estimates the handle's resident memory: footer index, statics
-// table, one replay's decode buffers, and the per-recoder memos. Mapped
-// column pages are deliberately excluded — they are clean, evictable, and
-// shared with every other replayer of the same file — which is what makes
-// this tier near-free for a byte-budgeted cache.
+// table, one replay's decode buffers, the per-recoder memos, and the miss
+// stream once published. Mapped column pages are deliberately excluded —
+// they are clean, evictable, and shared with every other replayer of the
+// same file — which is what makes this tier near-free for a byte-budgeted
+// cache.
 func (mc *MappedCapture) SizeBytes() int {
 	return mc.ix.indexSizeBytes() + frameDecSizeBytes(len(mc.ix.statics)) +
-		mc.memo.sizeBytes(len(mc.ix.statics))
+		mc.memo.sizeBytes(len(mc.ix.statics)) + mc.misses.sizeBytes()
 }
+
+// MissStream returns the handle's published miss stream, or nil before
+// its first replay has completed. The stream lives with the handle: a
+// re-opened file builds it again.
+func (mc *MappedCapture) MissStream() []MissEvent { return mc.misses.stream() }
 
 // ClearMemos drops memoized per-recoder fetch-size tables.
 func (mc *MappedCapture) ClearMemos() { mc.memo.clear() }
@@ -243,6 +251,7 @@ func (mc *MappedCapture) replayFrames(ctx context.Context, m *mem.Memory, rc *ic
 	ifb := mc.memo.tableFor(rc, mc.ix.statics)
 	d := newFrameDec(len(mc.ix.statics))
 	blk := Block{Statics: mc.ix.statics, IFB: ifb}
+	misses := mc.misses.cursor()
 	nStatics := uint64(len(mc.ix.statics))
 	for f := range mc.ix.frames {
 		select {
@@ -265,8 +274,10 @@ func (mc *MappedCapture) replayFrames(ctx context.Context, m *mem.Memory, rc *ic
 		emitSpans(&blk, m, sinks, lo,
 			d.cols[0][:rows], d.cols[1][:rows], d.cols[2][:rows],
 			d.cols[3][:rows], d.cols[4][:rows], d.cols[5][:rows],
-			mc.ix.frameEndNextPC(f))
+			mc.ix.frameEndNextPC(f),
+			misses.next(mc.ix.statics, lo, d.cols[0][:rows], d.cols[1][:rows], d.cols[2][:rows]))
 	}
+	mc.misses.publish(&misses)
 	return nil
 }
 
