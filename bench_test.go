@@ -9,6 +9,7 @@
 package repro
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/activity"
@@ -19,6 +20,22 @@ import (
 	"repro/internal/sigalu"
 	"repro/internal/trace"
 )
+
+// ctx drives every benchmark run; none is cancelled.
+var ctx = context.Background()
+
+// pcStream adapts a per-row (PC, next PC) function to trace.Consumer.
+type pcStream func(pc, nextPC uint32)
+
+func (f pcStream) ConsumeBlock(b *trace.Block) {
+	for i, pc := range b.PC {
+		next := b.EndNextPC
+		if i+1 < len(b.PC) {
+			next = b.PC[i+1]
+		}
+		f(pc, next)
+	}
+}
 
 // suiteRecoder builds the profile-driven recoder once per process (the
 // paper's Table 3 profiling step); its cost is charged to
@@ -45,7 +62,7 @@ func BenchmarkTable1Patterns(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ps := activity.NewPatternStats()
 		for _, bm := range bench.All() {
-			if _, err := trace.Run(bm, rc, ps); err != nil {
+			if err := trace.NewLive(bm).ReplayBlocks(ctx, rc, ps); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -63,12 +80,12 @@ func BenchmarkTable2PCIncrement(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		emp := pcincr.NewEmpirical(8)
 		for _, bm := range bench.All() {
-			consumer := trace.ConsumerFunc(func(e trace.Event) {
-				if e.NextPC == e.PC+4 {
-					emp.Step(e.PC >> 2)
+			consumer := pcStream(func(pc, nextPC uint32) {
+				if nextPC == pc+4 {
+					emp.Step(pc >> 2)
 				}
 			})
-			if _, err := trace.Run(bm, rc, consumer); err != nil {
+			if err := trace.NewLive(bm).ReplayBlocks(ctx, rc, consumer); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -106,12 +123,13 @@ func activityBench(b *testing.B, g int) {
 		var rfSum, aluSum float64
 		suite := bench.All()
 		for _, bm := range suite {
-			c, err := bm.NewCPU()
+			src := trace.NewLive(bm)
+			m, err := src.NewMemory()
 			if err != nil {
 				b.Fatal(err)
 			}
-			col := activity.NewCollector(g, rc, c.Mem)
-			if err := trace.RunOn(c, bm, rc, col); err != nil {
+			col := activity.NewCollector(g, rc, m)
+			if err := src.ReplayBlocksOn(ctx, m, rc, col); err != nil {
 				b.Fatal(err)
 			}
 			rfSum += col.Counts().RFRead.Reduction()
@@ -142,7 +160,7 @@ func cpiBench(b *testing.B, names ...string) {
 				models[j] = pipeline.New(n)
 				consumers[j] = models[j]
 			}
-			if _, err := trace.Run(bm, rc, consumers...); err != nil {
+			if err := trace.NewLive(bm).ReplayBlocks(ctx, rc, consumers...); err != nil {
 				b.Fatal(err)
 			}
 			for j, m := range models {
@@ -187,7 +205,7 @@ func BenchmarkBottleneckStudy(b *testing.B) {
 		var ex, total uint64
 		for _, bm := range bench.All() {
 			m := pipeline.NewByteSerial()
-			if _, err := trace.Run(bm, rc, m); err != nil {
+			if err := trace.NewLive(bm).ReplayBlocks(ctx, rc, m); err != nil {
 				b.Fatal(err)
 			}
 			for k, v := range m.Result().Stalls {
@@ -229,13 +247,14 @@ func BenchmarkAblationScheme(b *testing.B) {
 		var rf3, rf2 float64
 		suite := bench.All()
 		for _, bm := range suite {
-			c, err := bm.NewCPU()
+			src := trace.NewLive(bm)
+			m, err := src.NewMemory()
 			if err != nil {
 				b.Fatal(err)
 			}
-			c3 := activity.NewCollector(1, rc, c.Mem)
-			c2 := activity.NewCollectorScheme(1, activity.Scheme2, rc, c.Mem)
-			if err := trace.RunOn(c, bm, rc, c3, c2); err != nil {
+			c3 := activity.NewCollector(1, rc, m)
+			c2 := activity.NewCollectorScheme(1, activity.Scheme2, rc, m)
+			if err := src.ReplayBlocksOn(ctx, m, rc, c3, c2); err != nil {
 				b.Fatal(err)
 			}
 			rf3 += c3.Counts().RFRead.Reduction()
@@ -256,7 +275,7 @@ func BenchmarkAblationPrediction(b *testing.B) {
 		for _, bm := range suite {
 			m0 := pipeline.NewBaseline32()
 			m1 := pipeline.NewPredicted(pipeline.NameBaseline32)
-			if _, err := trace.Run(bm, rc, m0, m1); err != nil {
+			if err := trace.NewLive(bm).ReplayBlocks(ctx, rc, m0, m1); err != nil {
 				b.Fatal(err)
 			}
 			plain += m0.Result().CPI()
@@ -275,7 +294,7 @@ func BenchmarkAblationPartition(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ps := activity.NewPartitionStats()
 		for _, bm := range bench.All() {
-			if _, err := trace.Run(bm, rc, ps); err != nil {
+			if err := trace.NewLive(bm).ReplayBlocks(ctx, rc, ps); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -49,8 +49,9 @@
 //
 //	-trace-cache-mb N      memory budget for the LRU of captured benchmark
 //	                       traces (capture once, replay for every model;
-//	                       0 = 256 MB default, negative disables replay and
-//	                       re-interprets every request)
+//	                       0 = 256 MB default; negative disables capture and
+//	                       streams each request through the interpreter,
+//	                       one 4096-row block at a time)
 //	-trace-dir DIR         back the trace cache with a capture directory
 //	                       (SIGCAP02; legacy SIGCAP01 files stay readable):
 //	                       new captures persist there, evicted captures
@@ -111,7 +112,7 @@ func main() {
 	breakerThreshold := flag.Int("breaker-threshold", simsvc.DefaultBreakerThreshold,
 		"consecutive failures before a (bench, model) pair is quarantined (0 = disabled)")
 	traceCacheMB := flag.Int("trace-cache-mb", 0,
-		"captured-trace LRU budget in MB (0 = 256 MB default, <0 disables capture/replay)")
+		"captured-trace LRU budget in MB (0 = 256 MB default, <0 streams each request through the interpreter)")
 	traceDir := flag.String("trace-dir", "",
 		"directory for persisted SIGCAP02 captures (spill on evict, reload on miss; empty = in-memory only)")
 	traceMmap := flag.Bool("trace-mmap", true,

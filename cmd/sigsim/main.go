@@ -26,7 +26,6 @@ import (
 	"repro/internal/activity"
 	"repro/internal/bench"
 	"repro/internal/experiments"
-	"repro/internal/mem"
 	"repro/internal/pipeline"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -102,33 +101,24 @@ func main() {
 		os.Exit(1)
 	}
 
-	// With -capture-dir the job replays a persisted capture over column
-	// blocks (interpreting and persisting it on first use); otherwise it
-	// interprets live. Both paths are bit-identical, and so are the
+	// With -capture-dir the job replays a persisted capture (interpreting
+	// and persisting it on first use); otherwise it streams the live
+	// interpretation. All sources are bit-identical, and so are the
 	// streaming (mapped SIGCAP02) and eager replay tiers.
-	var (
-		cp     trace.Replayer
-		runMem *mem.Memory
-	)
-	c, err := b.NewCPU()
+	var src trace.Replayer = trace.NewLive(b)
+	if *captureDir != "" {
+		src, err = loadOrCapture(*captureDir, b, *useMmap)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "sigsim: %v\n", err)
+			os.Exit(1)
+		}
+	}
+	// The collectors read program memory; give them a fresh image the
+	// trace's stores are applied to.
+	runMem, err := src.NewMemory()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sigsim: %v\n", err)
 		os.Exit(1)
-	}
-	runMem = c.Mem
-	if *captureDir != "" {
-		cp, err = loadOrCapture(*captureDir, b, *useMmap)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sigsim: %v\n", err)
-			os.Exit(1)
-		}
-		// The collectors read program memory; give them a fresh image the
-		// replay applies the captured stores to.
-		runMem, err = cp.NewMemory()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sigsim: %v\n", err)
-			os.Exit(1)
-		}
 	}
 	consumers := make([]trace.Consumer, 0, len(models)+2)
 	var timeline *pipeline.Timeline
@@ -151,20 +141,11 @@ func main() {
 		consumers = append(consumers, halfCol)
 	}
 
-	retired := uint64(0)
-	if cp != nil {
-		if err := cp.ReplayBlocksOn(context.Background(), runMem, rc, consumers...); err != nil {
-			fmt.Fprintf(os.Stderr, "sigsim: %v\n", err)
-			os.Exit(1)
-		}
-		retired = uint64(cp.Len())
-	} else {
-		if err := trace.RunOn(c, b, rc, consumers...); err != nil {
-			fmt.Fprintf(os.Stderr, "sigsim: %v\n", err)
-			os.Exit(1)
-		}
-		retired = c.Retired
+	if err := src.ReplayBlocksOn(context.Background(), runMem, rc, consumers...); err != nil {
+		fmt.Fprintf(os.Stderr, "sigsim: %v\n", err)
+		os.Exit(1)
 	}
+	retired := byteCol.Counts().Insts
 
 	if *jsonOut {
 		br := experiments.BenchResult{

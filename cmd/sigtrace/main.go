@@ -4,12 +4,12 @@
 //
 // Usage:
 //
-//	sigtrace -record -bench rawcaudio -o rawcaudio.trc
-//	sigtrace -replay rawcaudio.trc -model byteserial
-//	sigtrace -replay rawcaudio.trc            # all models + activity
-//	sigtrace -replay caps/crc32.sigcap        # persisted captures replay too:
-//	                                          # SIGCAP02 streams from a mapping,
-//	                                          # SIGCAP01 decodes eagerly
+//	sigtrace -record -bench rawcaudio -o caps   # writes caps/rawcaudio.sigcap (SIGCAP02)
+//	sigtrace -replay caps/rawcaudio.sigcap -model byteserial
+//	sigtrace -replay caps/rawcaudio.sigcap      # all models + activity
+//	sigtrace -replay old.trc                    # SIGCAP02 streams from a mapping,
+//	                                            # SIGCAP01 decodes eagerly, legacy
+//	                                            # SIGTRC01 loads into a capture
 package main
 
 import (
@@ -31,7 +31,7 @@ import (
 func main() {
 	record := flag.Bool("record", false, "record a benchmark trace")
 	benchName := flag.String("bench", "", "benchmark to record")
-	out := flag.String("o", "trace.trc", "output file for -record")
+	out := flag.String("o", ".", "output directory for -record (the file is <bench>.sigcap)")
 	replay := flag.String("replay", "", "trace file to replay")
 	modelName := flag.String("model", "", "pipeline model for replay (default: all)")
 	flag.Parse()
@@ -53,31 +53,20 @@ func main() {
 	}
 }
 
-func doRecord(name, out string) error {
+func doRecord(name, dir string) error {
 	b, ok := bench.ByName(name)
 	if !ok {
 		return fmt.Errorf("unknown benchmark %q (have: %v)", name, bench.Names())
 	}
-	rc, _, err := trace.SuiteRecoder(bench.All())
+	cp, err := trace.CaptureRun(context.Background(), b)
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(out)
+	path, err := trace.WriteCaptureFile(dir, cp)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	w, err := trace.NewWriter(f)
-	if err != nil {
-		return err
-	}
-	if _, err := trace.Run(b, rc, w); err != nil {
-		return err
-	}
-	if err := w.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("recorded %d instructions of %s to %s\n", w.Count(), b.Name, out)
+	fmt.Printf("recorded %d instructions of %s to %s\n", cp.Len(), b.Name, path)
 	return nil
 }
 
@@ -107,8 +96,8 @@ func doReplay(path, modelName string) error {
 
 	// Dispatch on the file's magic: SIGCAP02 captures stream frame by frame
 	// out of a read-only mapping (replay memory stays at one frame),
-	// SIGCAP01 captures decode eagerly, and anything else is a SIGTRC01
-	// event trace for the scalar reader.
+	// SIGCAP01 captures decode eagerly, and anything else is a legacy
+	// SIGTRC01 event trace, loaded into a capture.
 	n, how, err := replayFile(ctx, path, rc, consumers)
 	if err != nil {
 		return err
@@ -171,9 +160,14 @@ func replayFile(ctx context.Context, path string, rc *icomp.Recoder, consumers [
 	if err != nil {
 		return 0, "", err
 	}
-	n, err := r.ReplayCtx(ctx, rc, consumers...)
+	// The file names no benchmark, so there is no memory image to rebuild;
+	// the replayed consumers never read program memory.
+	cp, err := r.ReadCapture(bench.Benchmark{})
 	if err != nil {
 		return 0, "", err
 	}
-	return n, "SIGTRC01 event trace", nil
+	if err := cp.ReplayBlocks(ctx, rc, consumers...); err != nil {
+		return 0, "", err
+	}
+	return uint64(cp.Len()), "SIGTRC01 event trace", nil
 }

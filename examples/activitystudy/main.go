@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -30,19 +31,22 @@ func main() {
 		log.Fatal(err)
 	}
 
-	c, err := b.NewCPU()
+	// Interpret the benchmark live; the collectors read cache-line
+	// contents from a fresh image the trace's stores are applied to.
+	src := trace.NewLive(b)
+	image, err := src.NewMemory()
 	if err != nil {
 		log.Fatal(err)
 	}
-	byteCol := activity.NewCollector(1, rc, c.Mem)
-	halfCol := activity.NewCollector(2, rc, c.Mem)
+	byteCol := activity.NewCollector(1, rc, image)
+	halfCol := activity.NewCollector(2, rc, image)
 	patterns := activity.NewPatternStats()
-	if err := trace.RunOn(c, b, rc, byteCol, halfCol, patterns); err != nil {
+	if err := src.ReplayBlocksOn(context.Background(), image, rc, byteCol, halfCol, patterns); err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Printf("%s: %s\n%d dynamic instructions, checksum verified\n\n",
-		b.Name, b.Description, c.Retired)
+		b.Name, b.Description, byteCol.Counts().Insts)
 
 	t := stats.NewTable("Per-stage activity reduction", "stage", "byte (Table 5)", "halfword (Table 6)")
 	bRow, hRow := byteCol.Counts().Row(), halfCol.Counts().Row()

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -66,27 +67,23 @@ func main() {
 	fmt.Printf("dot product = %s (%d instructions)\n\n", c.Output.String(), c.Retired)
 
 	// Now the measurement run: re-execute under the trace harness with a
-	// static recoder (a custom kernel has no suite profile).
+	// static recoder (a custom kernel has no suite profile). The collector
+	// reads its own copy of the initial image, which the trace's stores
+	// are applied to as the blocks go out.
 	rc := icomp.MustNewRecoder(icomp.DefaultTopFuncts())
 	m2 := mem.NewMemory()
 	prog.LoadInto(m2)
 	c2 := cpu.New(m2, prog.Entry, asm.DefaultStackTop)
+	image := mem.NewMemory()
+	prog.LoadInto(image)
 
-	byteCol := activity.NewCollector(1, rc, c2.Mem)
+	byteCol := activity.NewCollector(1, rc, image)
 	base := pipeline.NewBaseline32()
 	serial := pipeline.NewByteSerial()
 	bypass := pipeline.NewParallelSkewedBypass()
 
-	for !c2.Done {
-		e, err := c2.Step()
-		if err != nil {
-			log.Fatal(err)
-		}
-		ev := trace.Annotate(e, rc)
-		byteCol.Consume(ev)
-		base.Consume(ev)
-		serial.Consume(ev)
-		bypass.Consume(ev)
+	if _, err := trace.Interpret(context.Background(), c2, 100_000, image, rc, byteCol, base, serial, bypass); err != nil {
+		log.Fatal(err)
 	}
 
 	fmt.Println("pipeline cost on this kernel:")

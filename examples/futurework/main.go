@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -29,7 +30,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	c, err := b.NewCPU()
+	src := trace.NewLive(b)
+	image, err := src.NewMemory()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -39,15 +41,15 @@ func main() {
 	baseBP := pipeline.NewPredicted(pipeline.NameBaseline32)
 	serial := pipeline.NewByteSerial()
 	serialBP := pipeline.NewPredicted(pipeline.NameByteSerial)
-	s3 := activity.NewCollector(1, rc, c.Mem)
-	s2 := activity.NewCollectorScheme(1, activity.Scheme2, rc, c.Mem)
+	s3 := activity.NewCollector(1, rc, image)
+	s2 := activity.NewCollectorScheme(1, activity.Scheme2, rc, image)
 	parts := activity.NewPartitionStats()
 
-	if err := trace.RunOn(c, b, rc, base, baseBP, serial, serialBP, s3, s2, parts); err != nil {
+	if err := src.ReplayBlocksOn(context.Background(), image, rc, base, baseBP, serial, serialBP, s3, s2, parts); err != nil {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("%s (%d instructions)\n\n", b.Name, c.Retired)
+	fmt.Printf("%s (%d instructions)\n\n", b.Name, base.Result().Insts)
 
 	bp := stats.NewTable("Branch prediction (512-entry bimodal)", "model", "CPI", "with prediction", "accuracy")
 	bp.AddStringRow(base.Name(),

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -42,7 +43,7 @@ func main() {
 		for i, m := range models {
 			consumers[i] = m
 		}
-		if _, err := trace.Run(b, rc, consumers...); err != nil {
+		if err := trace.NewLive(b).ReplayBlocks(context.Background(), rc, consumers...); err != nil {
 			log.Fatal(err)
 		}
 		cells := []string{b.Name}

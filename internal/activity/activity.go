@@ -9,7 +9,6 @@ import (
 	"repro/internal/icomp"
 	"repro/internal/mem"
 	"repro/internal/sig"
-	"repro/internal/trace"
 )
 
 // StageBits accumulates baseline and compressed bit counts for one stage.
@@ -51,19 +50,16 @@ const (
 	baselineLatch = 160 // IF(32) + two operands(64) + EX out(32) + MEM out(32)
 )
 
-// Collector consumes annotated trace events and accumulates Counts. It
-// needs the cache hierarchy's fills and writebacks (for fill and tag
-// accounting) and reads line contents from the running program's memory at
-// fill time, which is when the paper generates extension bits ("new
-// extension bit values are generated only when there is a cache line filled
-// from main memory", §1). The scalar Consume path simulates a private
-// hierarchy; ConsumeBlock reads the same outcomes from the block's miss
-// stream.
+// Collector consumes trace blocks and accumulates Counts. It needs the
+// cache hierarchy's fills and writebacks (for fill and tag accounting),
+// which it reads from the block's miss stream, and reads line contents from
+// the running program's memory at fill time, which is when the paper
+// generates extension bits ("new extension bit values are generated only
+// when there is a cache line filled from main memory", §1).
 type Collector struct {
 	g      int // block size in bytes: 1 or 2
 	scheme Scheme
 	rc     *icomp.Recoder
-	hier   *mem.Hierarchy // scalar path only, allocated on first Consume
 	memory *mem.Memory
 
 	dataTagBits int
@@ -186,103 +182,6 @@ func (c *Collector) pcBlocks(old, new uint32) int {
 	return highest + 1
 }
 
-// Consume implements trace.Consumer.
-func (c *Collector) Consume(e trace.Event) {
-	c.counts.Insts++
-
-	if c.hier == nil {
-		c.hier = mem.NewHierarchy(hierCfg)
-	}
-
-	// Instruction fetch: word read plus the extension bit; fills move the
-	// whole line in both machines.
-	fillsBefore := c.hier.InstFills
-	c.hier.Fetch(e.PC)
-	fetchBase, fetchComp := baselineWord, 8*e.IFBytes+icomp.FetchExtBits
-	if c.hier.InstFills != fillsBefore {
-		fb, fc := c.lineFillBits(e.PC, hierCfg.L1I.LineBytes, true)
-		fetchBase += fb
-		fetchComp += fc
-	}
-	c.counts.Fetch.Add(fetchBase, fetchComp)
-
-	// PC increment.
-	pcBase := baselineWord
-	pcComp := c.blockBits(c.pcBlocks(e.PC, e.NextPC))
-	c.counts.PCIncr.Add(pcBase, pcComp)
-
-	// Register file reads.
-	var readBase, readComp int
-	if e.ReadsA {
-		readBase += baselineWord
-		readComp += c.storedBits(c.srcBlocksA(e))
-	}
-	if e.ReadsB {
-		readBase += baselineWord
-		readComp += c.storedBits(c.srcBlocksB(e))
-	}
-	c.counts.RFRead.Add(readBase, readComp)
-
-	// ALU.
-	aluOps := e.ALUOps
-	if c.g == 2 {
-		aluOps = e.ALUHalfOps
-	}
-	c.counts.ALU.Add(baselineWord, c.blockBits(aluOps))
-
-	// Data cache.
-	if e.MemWidth > 0 {
-		fillsBefore := c.hier.DataFills
-		wbBefore := c.hier.L1D.Writeback
-		c.hier.Data(e.Addr, e.Inst.IsStore())
-
-		memBlocks := c.memBlocks(e)
-		dataBase := baselineWord
-		if e.Inst.IsStore() {
-			dataBase = 8 * e.MemWidth // byte-enables exist in the baseline
-		}
-		dataComp := c.storedBits(memBlocks)
-		if c.hier.DataFills != fillsBefore {
-			fb, fc := c.lineFillBits(e.Addr, hierCfg.L1D.LineBytes, false)
-			dataBase += fb
-			dataComp += fc
-		}
-		if c.hier.L1D.Writeback != wbBefore {
-			// Dirty victim pushed to L2: approximate its contents with the
-			// current memory image (stores have already landed there).
-			fb, fc := c.lineFillBits(e.Addr, hierCfg.L1D.LineBytes, false)
-			dataBase += fb
-			dataComp += fc
-		}
-		c.counts.DCacheData.Add(dataBase, dataComp)
-		// Tags are not compressed: equal activity on both machines.
-		c.counts.DCacheTag.Add(c.dataTagBits, c.dataTagBits)
-	}
-
-	// Register write-back.
-	if e.HasDest {
-		c.counts.RFWrite.Add(baselineWord, c.storedBits(c.wbBlocks(e)))
-	}
-
-	// Pipeline latches: instruction word, both operands, EX output, MEM
-	// output.
-	latchComp := 8*e.IFBytes + icomp.FetchExtBits
-	if e.ReadsA {
-		latchComp += c.storedBits(c.srcBlocksA(e))
-	}
-	if e.ReadsB {
-		latchComp += c.storedBits(c.srcBlocksB(e))
-	}
-	exOut := c.exOutBlocks(e)
-	latchComp += c.storedBits(exOut)
-	memOut := exOut
-	if e.Inst.IsLoad() {
-		memOut = c.memBlocks(e)
-	}
-	latchComp += c.storedBits(memOut)
-	c.counts.Latch.Add(baselineLatch, latchComp)
-}
-
 // storedBlocks selects the stored-block count for a register-file or
 // write-back value under the collector's granularity and scheme: the
 // annotated halfword count at g=2, a fresh byte count of the raw value under
@@ -295,14 +194,6 @@ func (c *Collector) storedBlocks(bytes3, halves int, raw uint32) int {
 		return sig.SigBytes(raw)
 	}
 	return bytes3
-}
-
-func (c *Collector) srcBlocksA(e trace.Event) int {
-	return c.storedBlocks(e.SrcBytesA, e.SrcHalvesA, e.SrcA)
-}
-
-func (c *Collector) srcBlocksB(e trace.Event) int {
-	return c.storedBlocks(e.SrcBytesB, e.SrcHalvesB, e.SrcB)
 }
 
 // memBlocksVal returns the significant units a data access of the given
@@ -319,35 +210,6 @@ func (c *Collector) memBlocksVal(memBytes, memHalves int, v uint32, width int) i
 		return n
 	}
 	return memBytes
-}
-
-// memBlocks returns the significant units the D-cache data access moves
-// under the collector's scheme.
-func (c *Collector) memBlocks(e trace.Event) int {
-	v := e.Loaded
-	if e.Inst.IsStore() {
-		v = e.StoreVal
-	}
-	return c.memBlocksVal(e.MemBytes, e.MemHalves, v, e.MemWidth)
-}
-
-// wbBlocks returns the significant units written back under the collector's
-// scheme.
-func (c *Collector) wbBlocks(e trace.Event) int {
-	return c.storedBlocks(e.WBBytes, e.WBHalves, e.Result)
-}
-
-// exOutBlocks estimates the significant blocks leaving the EX stage: the
-// result for writers, the store value for stores, one block otherwise.
-func (c *Collector) exOutBlocks(e trace.Event) int {
-	switch {
-	case e.HasDest:
-		return c.wbBlocks(e)
-	case e.Inst.IsStore():
-		return c.sigBlocks(e.StoreVal)
-	default:
-		return 1
-	}
 }
 
 // Counts returns the accumulated tallies.

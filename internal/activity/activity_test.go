@@ -1,6 +1,7 @@
 package activity
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/bench"
@@ -28,13 +29,14 @@ func runSuite(t testing.TB) {
 	suiteResults.patterns = NewPatternStats()
 	suiteResults.fetch = &FetchStats{}
 	for _, b := range bench.All() {
-		c, err := b.NewCPU()
+		src := trace.NewLive(b)
+		m, err := src.NewMemory()
 		if err != nil {
 			t.Fatal(err)
 		}
-		byteCol := NewCollector(1, rc, c.Mem)
-		halfCol := NewCollector(2, rc, c.Mem)
-		if err := trace.RunOn(c, b, rc, byteCol, halfCol, suiteResults.patterns, suiteResults.fetch); err != nil {
+		byteCol := NewCollector(1, rc, m)
+		halfCol := NewCollector(2, rc, m)
+		if err := src.ReplayBlocksOn(context.Background(), m, rc, byteCol, halfCol, suiteResults.patterns, suiteResults.fetch); err != nil {
 			t.Fatal(err)
 		}
 		suiteResults.byteCounts[b.Name] = byteCol.Counts()

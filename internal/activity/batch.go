@@ -1,19 +1,16 @@
-// Batch consumption: trace.BatchConsumer implementation for the activity
-// collectors.
+// Block consumption: the activity collector's one kernel.
 //
-// ConsumeBlock mirrors Consume exactly but reads the capture columns
-// directly — significance counts are unpacked from the sig column with
-// branch-free shifts (trace.PackedSig) and no Event is materialized, which
-// removes the two 200-byte struct copies (EventAt plus the Consume argument)
-// the scalar shim pays per instruction. TestCollectorBatchIdentical pins the
-// two paths to bit-identical Counts.
+// ConsumeBlock reads the capture columns directly — significance counts are
+// unpacked from the sig column with branch-free shifts (trace.PackedSig) and
+// no per-instruction Event is built. The event-at-a-time reference it is
+// pinned to lives in oracle_test.go (TestCollectorBatchIdentical).
 //
 // Collectors read cache-line contents from the program memory image at fill
-// time, so they must be replayed with ReplayBlocksOn/BatchReplay over the
-// benchmark's initial image: the engine's store-delimited spans guarantee a
-// row's fill never observes a later row's store. Which rows fill or write
-// back comes from the block's miss stream (trace.Block.Misses), so the batch
-// path runs no cache simulation of its own.
+// time, so they must be fed over the benchmark's initial image
+// (ReplayBlocksOn): the engine's store-delimited spans guarantee a row's
+// fill never observes a later row's store. Which rows fill or write back
+// comes from the block's miss stream (trace.Block.Misses), so the collector
+// runs no cache simulation of its own.
 package activity
 
 import (
@@ -21,19 +18,8 @@ import (
 	"repro/internal/trace"
 )
 
-// ConsumeBlock implements trace.BatchConsumer.
+// ConsumeBlock implements trace.Consumer.
 func (c *Collector) ConsumeBlock(b *trace.Block) {
-	if c.hier != nil || b.Misses == nil {
-		// Reference fallback: a collector that has simulated its own
-		// hierarchy keeps doing so, as must one given a block with no
-		// miss stream.
-		var ev trace.Event
-		for i := range b.Slot {
-			b.EventAt(i, &ev)
-			c.Consume(ev)
-		}
-		return
-	}
 	lineI := hierCfg.L1I.LineBytes
 	lineD := hierCfg.L1D.LineBytes
 	ms := b.Misses

@@ -20,11 +20,11 @@ func newByteCollector() (*Collector, *mem.Memory) {
 // aluEvent is an addu with chosen operand values.
 func aluEvent(pc uint32, a, b uint32) trace.Event {
 	raw := isa.EncodeR(isa.FnADDU, isa.RegT0, isa.RegT1, isa.RegT2, 0)
-	return trace.Annotate(cpu.Exec{
+	return annotate(cpu.Exec{
 		PC: pc, Raw: raw, Inst: isa.Decode(raw),
 		SrcA: a, SrcB: b, ReadsA: true, ReadsB: true,
 		Dest: isa.RegT2, Result: a + b, HasDest: true, NextPC: pc + 4,
-	}, rc)
+	})
 }
 
 func TestCollectorRFReadBits(t *testing.T) {
@@ -103,11 +103,11 @@ func TestCollectorDCacheBits(t *testing.T) {
 	// reads 8 words from memory (all zero: 11 bits each compressed).
 	m.Store32(0x10000000, 0) // contents at fill time
 	raw := isa.EncodeI(isa.OpSW, isa.RegT0, isa.RegT1, 0)
-	ev := trace.Annotate(cpu.Exec{
+	ev := annotate(cpu.Exec{
 		PC: 0x400000, Raw: raw, Inst: isa.Decode(raw),
 		SrcA: 0x10000000, SrcB: 7, ReadsA: true, ReadsB: true,
 		Addr: 0x10000000, MemWidth: 4, StoreVal: 7, NextPC: 0x400004,
-	}, rc)
+	})
 	c.Consume(ev)
 	got := c.Counts().DCacheData
 	// Baseline: 32 (store) + 256 (fill). Compressed: 11 (store of one
@@ -144,11 +144,11 @@ func TestCollectorScheme2StorageBits(t *testing.T) {
 	// Value 0x10000009 ("sees"): 3-bit scheme stores 2 bytes; 2-bit scheme
 	// cannot skip the internal zeros and stores 4.
 	raw := isa.EncodeR(isa.FnADDU, isa.RegT0, isa.RegT1, isa.RegT2, 0)
-	ev := trace.Annotate(cpu.Exec{
+	ev := annotate(cpu.Exec{
 		PC: 0x400000, Raw: raw, Inst: isa.Decode(raw),
 		SrcA: 0x10000009, SrcB: 0, ReadsA: true, ReadsB: true,
 		Dest: isa.RegT2, Result: 0x10000009, HasDest: true, NextPC: 0x400004,
-	}, rc)
+	})
 	c2.Consume(ev)
 	got := c2.Counts().RFRead
 	// Operand A: 4 bytes + 2 ext bits = 34; operand B (zero): 8+2 = 10.

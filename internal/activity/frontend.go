@@ -36,13 +36,7 @@ type FrontendStats struct {
 // NewFrontendStats returns an empty tally.
 func NewFrontendStats() *FrontendStats { return &FrontendStats{} }
 
-// Consume implements trace.Consumer.
-func (f *FrontendStats) Consume(e trace.Event) {
-	f.consume(e.Inst, e.IFBytes, e.ReadsA, e.ReadsB, e.HasDest, e.Dest)
-}
-
-// ConsumeBlock implements trace.BatchConsumer, mirroring Consume from the
-// capture columns without materializing Events.
+// ConsumeBlock implements trace.Consumer.
 func (f *FrontendStats) ConsumeBlock(b *trace.Block) {
 	for i := range b.Slot {
 		st := &b.Statics[b.Slot[i]&trace.SlotMask]

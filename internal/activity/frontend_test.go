@@ -14,21 +14,21 @@ import (
 // loadEvent is a lw with a chosen destination register.
 func loadEvent(pc uint32, dest isa.Reg) trace.Event {
 	raw := isa.EncodeI(isa.OpLW, isa.RegT0, dest, 0)
-	return trace.Annotate(cpu.Exec{
+	return annotate(cpu.Exec{
 		PC: pc, Raw: raw, Inst: isa.Decode(raw),
 		SrcA: 0x10000000, ReadsA: true,
 		Addr: 0x10000000, MemWidth: 4,
 		Dest: dest, Result: 7, HasDest: true, NextPC: pc + 4,
-	}, rc)
+	})
 }
 
 // branchEvent is a not-taken beq.
 func branchEvent(pc uint32) trace.Event {
 	raw := isa.EncodeI(isa.OpBEQ, isa.RegT0, isa.RegT1, 4)
-	return trace.Annotate(cpu.Exec{
+	return annotate(cpu.Exec{
 		PC: pc, Raw: raw, Inst: isa.Decode(raw),
 		SrcA: 1, SrcB: 2, ReadsA: true, ReadsB: true, NextPC: pc + 4,
-	}, rc)
+	})
 }
 
 func sized(e trace.Event, bytes int) trace.Event {
@@ -144,8 +144,8 @@ func TestFrontendStatsMergeAndState(t *testing.T) {
 	}
 }
 
-// TestFrontendStatsBatchIdentical pins ConsumeBlock to the scalar path on
-// real benchmark captures.
+// TestFrontendStatsBatchIdentical pins ConsumeBlock to the oracle on real
+// benchmark captures.
 func TestFrontendStatsBatchIdentical(t *testing.T) {
 	ctx := context.Background()
 	for _, bn := range []string{"dijkstra", "g711dec", "rawdaudio"} {
@@ -158,8 +158,8 @@ func TestFrontendStatsBatchIdentical(t *testing.T) {
 			t.Fatalf("capture %s: %v", bn, err)
 		}
 		scalar, batch := NewFrontendStats(), NewFrontendStats()
-		if err := cp.ReplayOn(ctx, nil, rc, scalar); err != nil {
-			t.Fatalf("%s scalar replay: %v", bn, err)
+		if err := cp.ReplayBlocks(ctx, rc, eventFunc(scalar.Consume)); err != nil {
+			t.Fatalf("%s oracle replay: %v", bn, err)
 		}
 		if err := cp.ReplayBlocks(ctx, rc, batch); err != nil {
 			t.Fatalf("%s batch replay: %v", bn, err)

@@ -35,13 +35,16 @@ func NewPartitionStats() *PartitionStats {
 	return ps
 }
 
-// Consume implements trace.Consumer over register operand values.
-func (ps *PartitionStats) Consume(e trace.Event) {
-	if e.ReadsA {
-		ps.add(e.SrcA)
-	}
-	if e.ReadsB {
-		ps.add(e.SrcB)
+// ConsumeBlock implements trace.Consumer over register operand values.
+func (ps *PartitionStats) ConsumeBlock(b *trace.Block) {
+	for i, sw := range b.Slot {
+		st := &b.Statics[sw&trace.SlotMask]
+		if st.ReadsA {
+			ps.add(b.SrcA[i])
+		}
+		if st.ReadsB {
+			ps.add(b.SrcB[i])
+		}
 	}
 }
 
@@ -107,13 +110,16 @@ type Width64Stats struct {
 // NewWidth64Stats returns an empty tally.
 func NewWidth64Stats() *Width64Stats { return &Width64Stats{} }
 
-// Consume implements trace.Consumer over register operand values.
-func (w *Width64Stats) Consume(e trace.Event) {
-	if e.ReadsA {
-		w.add(e.SrcA)
-	}
-	if e.ReadsB {
-		w.add(e.SrcB)
+// ConsumeBlock implements trace.Consumer over register operand values.
+func (w *Width64Stats) ConsumeBlock(b *trace.Block) {
+	for i, sw := range b.Slot {
+		st := &b.Statics[sw&trace.SlotMask]
+		if st.ReadsA {
+			w.add(b.SrcA[i])
+		}
+		if st.ReadsB {
+			w.add(b.SrcB[i])
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package activity
 import (
 	"sort"
 
+	"repro/internal/isa"
 	"repro/internal/sig"
 	"repro/internal/trace"
 )
@@ -19,14 +20,17 @@ func NewPatternStats() *PatternStats {
 	return &PatternStats{counts: make(map[string]uint64)}
 }
 
-// Consume implements trace.Consumer: every register source operand value is
-// classified.
-func (p *PatternStats) Consume(e trace.Event) {
-	if e.ReadsA {
-		p.add(e.SrcA)
-	}
-	if e.ReadsB {
-		p.add(e.SrcB)
+// ConsumeBlock implements trace.Consumer: every register source operand
+// value is classified.
+func (p *PatternStats) ConsumeBlock(b *trace.Block) {
+	for i, sw := range b.Slot {
+		st := &b.Statics[sw&trace.SlotMask]
+		if st.ReadsA {
+			p.add(b.SrcA[i])
+		}
+		if st.ReadsB {
+			p.add(b.SrcB[i])
+		}
 	}
 }
 
@@ -127,23 +131,27 @@ type FetchStats struct {
 	ImmFits8  uint64 // ... whose immediate compressed away
 }
 
-// Consume implements trace.Consumer.
-func (f *FetchStats) Consume(e trace.Event) {
-	f.Insts++
-	f.Bytes += uint64(e.IFBytes)
-	if e.IFBytes == 3 {
-		f.ThreeByte++
-	}
-	switch e.Inst.Format().String() {
-	case "R":
-		f.RFormat++
-	case "J":
-		f.JFormat++
-	default:
-		f.IFormat++
-		f.ImmUsers++
-		if e.IFBytes == 3 {
-			f.ImmFits8++
+// ConsumeBlock implements trace.Consumer.
+func (f *FetchStats) ConsumeBlock(b *trace.Block) {
+	for _, sw := range b.Slot {
+		slot := sw & trace.SlotMask
+		ifBytes := b.IFB[slot]
+		f.Insts++
+		f.Bytes += uint64(ifBytes)
+		if ifBytes == 3 {
+			f.ThreeByte++
+		}
+		switch b.Statics[slot].Inst.Format() {
+		case isa.FormatR:
+			f.RFormat++
+		case isa.FormatJ:
+			f.JFormat++
+		default:
+			f.IFormat++
+			f.ImmUsers++
+			if ifBytes == 3 {
+				f.ImmFits8++
+			}
 		}
 	}
 }

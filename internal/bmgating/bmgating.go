@@ -44,24 +44,21 @@ type Collector struct {
 // NewCollector returns an empty tally.
 func NewCollector() *Collector { return &Collector{} }
 
-// Consume implements trace.Consumer.
-func (c *Collector) Consume(e trace.Event) {
-	c.totalOps++
-	c.baselineBits += 32
-	// Both register operands (or the single one in use) must be narrow for
-	// the upper half to be gated; immediates are 16-bit by construction.
-	narrow := true
-	if e.ReadsA && !Narrow(e.SrcA) {
-		narrow = false
-	}
-	if e.ReadsB && !Narrow(e.SrcB) {
-		narrow = false
-	}
-	if narrow {
-		c.narrowOps++
-		c.gatedBits += 32 - narrowBits
-	} else {
-		c.gatedBits += 32
+// ConsumeBlock implements trace.Consumer.
+func (c *Collector) ConsumeBlock(b *trace.Block) {
+	for i, sw := range b.Slot {
+		st := &b.Statics[sw&trace.SlotMask]
+		c.totalOps++
+		c.baselineBits += 32
+		// Both register operands (or the single one in use) must be narrow
+		// for the upper half to be gated; immediates are 16-bit by
+		// construction.
+		if (!st.ReadsA || Narrow(b.SrcA[i])) && (!st.ReadsB || Narrow(b.SrcB[i])) {
+			c.narrowOps++
+			c.gatedBits += 32 - narrowBits
+		} else {
+			c.gatedBits += 32
+		}
 	}
 }
 

@@ -1,8 +1,10 @@
 package bmgating
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/cpu"
 	"repro/internal/icomp"
 	"repro/internal/isa"
@@ -29,21 +31,35 @@ func TestNarrowDetector(t *testing.T) {
 	}
 }
 
-func event(a, b uint32) trace.Event {
-	rc := icomp.MustNewRecoder(icomp.DefaultTopFuncts())
+// event is an addu with the given operand values.
+func event(a, b uint32) cpu.Exec {
 	raw := isa.EncodeR(isa.FnADDU, isa.RegT0, isa.RegT1, isa.RegT2, 0)
-	return trace.Annotate(cpu.Exec{
+	return cpu.Exec{
 		PC: 0x400000, Raw: raw, Inst: isa.Decode(raw),
 		SrcA: a, SrcB: b, ReadsA: true, ReadsB: true,
-		Dest: isa.RegT2, Result: a + b, HasDest: true, NextPC: 0x400004,
-	}, rc)
+		Dest: isa.RegT2, Result: a + b, HasDest: true, NextPC: 0x400000,
+	}
+}
+
+// feed replays the instructions through c's block kernel.
+func feed(t *testing.T, c *Collector, execs ...cpu.Exec) {
+	t.Helper()
+	cp := trace.NewCapture(bench.Benchmark{})
+	for _, e := range execs {
+		cp.Record(e)
+	}
+	cp.Finalize()
+	if err := cp.ReplayBlocks(context.Background(), icomp.MustNewRecoder(icomp.DefaultTopFuncts()), c); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestCollectorGating(t *testing.T) {
 	c := NewCollector()
-	c.Consume(event(3, 4))                   // both narrow: gated
-	c.Consume(event(3, 0x12345678))          // one wide: full width
-	c.Consume(event(0xffff8000, 0xffffffff)) // both narrow negatives: gated
+	feed(t, c,
+		event(3, 4),                   // both narrow: gated
+		event(3, 0x12345678),          // one wide: full width
+		event(0xffff8000, 0xffffffff)) // both narrow negatives: gated
 	if c.Ops() != 3 {
 		t.Fatalf("ops: %d", c.Ops())
 	}
@@ -57,22 +73,16 @@ func TestCollectorGating(t *testing.T) {
 }
 
 func TestCollectorMerge(t *testing.T) {
-	events := []trace.Event{
+	events := []cpu.Exec{
 		event(3, 4),
 		event(3, 0x12345678),
 		event(0xffff8000, 0xffffffff),
 		event(0x10000, 2),
 	}
 	whole, a, b := NewCollector(), NewCollector(), NewCollector()
-	for _, e := range events {
-		whole.Consume(e)
-	}
-	for _, e := range events[:2] {
-		a.Consume(e)
-	}
-	for _, e := range events[2:] {
-		b.Consume(e)
-	}
+	feed(t, whole, events...)
+	feed(t, a, events[:2]...)
+	feed(t, b, events[2:]...)
 	a.Merge(b)
 	if *a != *whole {
 		t.Fatalf("merged collector %+v, want %+v", *a, *whole)

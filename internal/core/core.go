@@ -20,6 +20,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/activity"
@@ -110,7 +111,11 @@ func (m *Machine) EvaluateProgram(p *asm.Program) (*Report, error) {
 	memory := mem.NewMemory()
 	p.LoadInto(memory)
 	c := cpu.New(memory, p.Entry, asm.DefaultStackTop)
-	return m.evaluate(c)
+	// The collectors read cache-line contents from their own copy of the
+	// initial image, which the trace's stores are applied to in order.
+	image := mem.NewMemory()
+	p.LoadInto(image)
+	return m.evaluate(c, image)
 }
 
 // EvaluateSource assembles src and runs it.
@@ -122,7 +127,7 @@ func (m *Machine) EvaluateSource(src string) (*Report, error) {
 	return m.EvaluateProgram(p)
 }
 
-func (m *Machine) evaluate(c *cpu.CPU) (*Report, error) {
+func (m *Machine) evaluate(c *cpu.CPU, image *mem.Memory) (*Report, error) {
 	models := make([]*pipeline.Model, 0, len(m.cfg.Models))
 	consumers := make([]trace.Consumer, 0, len(m.cfg.Models)+len(m.cfg.Granularities))
 	for _, n := range m.cfg.Models {
@@ -138,25 +143,16 @@ func (m *Machine) evaluate(c *cpu.CPU) (*Report, error) {
 		if g != 1 && g != 2 {
 			return nil, fmt.Errorf("core: unsupported granularity %d (want 1 or 2)", g)
 		}
-		col := activity.NewCollector(g, m.cfg.Recoder, c.Mem)
+		col := activity.NewCollector(g, m.cfg.Recoder, image)
 		collectors[g] = col
 		consumers = append(consumers, col)
 	}
 
-	var n uint64
-	for !c.Done {
-		if n >= m.cfg.MaxInsts {
-			return nil, fmt.Errorf("core: instruction limit %d exceeded", m.cfg.MaxInsts)
-		}
-		e, err := c.Step()
-		if err != nil {
-			return nil, err
-		}
-		ev := trace.Annotate(e, m.cfg.Recoder)
-		for _, cons := range consumers {
-			cons.Consume(ev)
-		}
-		n++
+	if _, err := trace.Interpret(context.Background(), c, m.cfg.MaxInsts, image, m.cfg.Recoder, consumers...); err != nil {
+		return nil, err
+	}
+	if !c.Done {
+		return nil, fmt.Errorf("core: instruction limit %d exceeded", m.cfg.MaxInsts)
 	}
 
 	rep := &Report{

@@ -1,6 +1,7 @@
 package diffsim
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -257,55 +258,45 @@ func widthMask(w int) uint32 {
 }
 
 // timingResults runs the program through one fresh instance of every
-// pipeline model. When concurrent is true each model consumes the event
-// stream on its own goroutine (through a buffered channel), mirroring the
-// parallel-suite execution; results must not depend on that choice.
+// pipeline model, for at most maxSteps instructions. Sequentially, the
+// models consume the live interpretation together; when concurrent is true
+// the program is recorded once and each model replays the capture on its
+// own goroutine, mirroring the parallel-suite execution. Results must not
+// depend on that choice.
 func timingResults(p *Program, or *Oracle, maxSteps uint64, concurrent bool) (map[string]pipeline.Result, error) {
+	ctx := context.Background()
 	golden, err := p.NewCPU()
 	if err != nil {
 		return nil, err
 	}
 	models := pipeline.NewAll()
-	var (
-		chans []chan trace.Event
-		wg    sync.WaitGroup
-	)
 	if concurrent {
-		chans = make([]chan trace.Event, len(models))
-		for i, m := range models {
-			ch := make(chan trace.Event, 256)
-			chans[i] = ch
-			wg.Add(1)
-			go func(m *pipeline.Model, ch <-chan trace.Event) {
-				defer wg.Done()
-				for e := range ch {
-					m.Consume(e)
-				}
-			}(m, ch)
-		}
-	}
-	var steps uint64
-	for !golden.Done && steps < maxSteps {
-		e, err := golden.Step()
+		cp, err := trace.RecordCPU(ctx, golden, maxSteps)
 		if err != nil {
 			return nil, err
 		}
-		ev := trace.Annotate(e, or.Recoder)
-		if concurrent {
-			for _, ch := range chans {
-				ch <- ev
-			}
-		} else {
-			for _, m := range models {
-				m.Consume(ev)
-			}
+		errs := make([]error, len(models))
+		var wg sync.WaitGroup
+		for i, m := range models {
+			wg.Add(1)
+			go func(i int, m *pipeline.Model) {
+				defer wg.Done()
+				errs[i] = cp.ReplayBlocks(ctx, or.Recoder, m)
+			}(i, m)
 		}
-		steps++
+		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
+			return nil, err
+		}
+	} else {
+		consumers := make([]trace.Consumer, len(models))
+		for i, m := range models {
+			consumers[i] = m
+		}
+		if _, err := trace.Interpret(ctx, golden, maxSteps, nil, or.Recoder, consumers...); err != nil {
+			return nil, err
+		}
 	}
-	for _, ch := range chans {
-		close(ch)
-	}
-	wg.Wait()
 	out := make(map[string]pipeline.Result, len(models))
 	for _, m := range models {
 		out[m.Name()] = m.Result()

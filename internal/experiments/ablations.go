@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/bench"
@@ -133,6 +134,7 @@ func (r *Results) EnergySummary() *stats.Table {
 // with branch resolution only after the last byte slice. It runs its own
 // traces (the alternates are not part of the cached one-pass evaluation).
 func AblationInterpretation() (*stats.Table, error) {
+	ctx := context.Background()
 	suite := bench.All()
 	rc, _, err := trace.SuiteRecoder(suite)
 	if err != nil {
@@ -148,7 +150,7 @@ func AblationInterpretation() (*stats.Table, error) {
 		compOcc := pipeline.NewParallelCompressedOccupancy()
 		skew := pipeline.New(pipeline.NameParallelSkewed)
 		skewLate := pipeline.NewParallelSkewedLateBranch()
-		if _, err := trace.Run(b, rc, base, comp, compOcc, skew, skewLate); err != nil {
+		if err := trace.NewLive(b).ReplayBlocks(ctx, rc, base, comp, compOcc, skew, skewLate); err != nil {
 			return nil, err
 		}
 		baseSum += base.Result().CPI()

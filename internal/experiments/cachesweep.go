@@ -38,8 +38,9 @@ func CacheSweep(sizes []int) (*stats.Table, error) {
 			cfg.L1D.Size = size
 			base := pipeline.NewBaseline32().SetHierarchy(cfg)
 			serial := pipeline.NewByteSerial().SetHierarchy(cfg)
-			// Batch replay with no memory image: timing models never read
+			// Replay with no memory image: timing models never read
 			// program memory, so the stores need not be applied anywhere.
+			// Each model simulates its own geometry over every block.
 			if err := cp.ReplayBlocks(ctx, rc, base, serial); err != nil {
 				return nil, err
 			}

@@ -15,7 +15,6 @@ import (
 	"repro/internal/bmgating"
 	"repro/internal/icomp"
 	"repro/internal/isa"
-	"repro/internal/mem"
 	"repro/internal/pcincr"
 	"repro/internal/pipeline"
 	"repro/internal/stats"
@@ -137,14 +136,24 @@ func (sc *SuiteCollectors) Merge(other *SuiteCollectors) {
 	}
 }
 
-// evalBench builds the full per-benchmark consumer set — every pipeline
-// model (including the branch-prediction ablation variants), every activity
-// collector, and the suite-level collectors when suite is non-nil — hands
-// it to drive (a live run or a capture replay), and assembles the
-// BenchResult. memory is the image the activity collectors read cache-line
-// contents from; the caller fills in Insts.
-func evalBench(name string, rc *icomp.Recoder, memory *mem.Memory, suite *SuiteCollectors,
-	drive func([]trace.Consumer) error) (BenchResult, error) {
+// RunBenchReplay executes one benchmark's trace, from any source (a
+// resident *trace.Capture, a streaming *trace.MappedCapture, or a
+// *trace.Live interpretation), through every pipeline model (including the
+// branch-prediction ablation variants) and every activity collector,
+// honoring ctx cancellation, and returns its BenchResult. When suite is
+// non-nil the suite-level collectors accumulate this benchmark's trace too.
+// The trace is emitted once, over a fresh memory image the collectors read
+// cache-line contents from; one capture serves any number of calls,
+// concurrently if desired, and every source gives the same result by
+// construction and by test. This is the per-benchmark unit of work the
+// full evaluation (sequential or parallel) fans out over and the serving
+// layer (internal/simsvc) reuses instead of recomputing the whole suite.
+func RunBenchReplay(ctx context.Context, rep trace.Replayer, rc *icomp.Recoder, suite *SuiteCollectors) (BenchResult, error) {
+	name := rep.Bench().Name
+	memory, err := rep.NewMemory()
+	if err != nil {
+		return BenchResult{}, err
+	}
 	models := pipeline.NewAll()
 	// Branch-prediction ablation (the paper's §3 future-work item) on
 	// three representative designs.
@@ -165,7 +174,7 @@ func evalBench(name string, rc *icomp.Recoder, memory *mem.Memory, suite *SuiteC
 	for _, m := range models {
 		consumers = append(consumers, m)
 	}
-	if err := drive(consumers); err != nil {
+	if err := rep.ReplayBlocksOn(ctx, memory, rc, consumers...); err != nil {
 		return BenchResult{}, err
 	}
 	// Register the Brooks-Martonosi collector only now: a failed run must
@@ -179,6 +188,7 @@ func evalBench(name string, rc *icomp.Recoder, memory *mem.Memory, suite *SuiteC
 	}
 	br := BenchResult{
 		Name:       name,
+		Insts:      models[0].Result().Insts,
 		CPI:        make(map[string]float64),
 		Stalls:     make(map[string]map[pipeline.StallKind]uint64),
 		ByteAct:    byteCol.Counts(),
@@ -200,51 +210,9 @@ func evalBench(name string, rc *icomp.Recoder, memory *mem.Memory, suite *SuiteC
 	return br, nil
 }
 
-// RunBenchCtx executes one benchmark through every pipeline model (including
-// the branch-prediction ablation variants) and every activity collector,
-// honoring ctx cancellation, and returns its BenchResult. When suite is
-// non-nil the suite-level collectors accumulate this benchmark's trace too.
-// This is the per-benchmark unit of work the full evaluation (sequential or
-// parallel) fans out over and the serving layer (internal/simsvc) reuses
-// instead of recomputing the whole suite.
+// RunBenchCtx is RunBenchReplay over the live interpretation of b.
 func RunBenchCtx(ctx context.Context, b bench.Benchmark, rc *icomp.Recoder, suite *SuiteCollectors) (BenchResult, error) {
-	c, err := b.NewCPU()
-	if err != nil {
-		return BenchResult{}, err
-	}
-	br, err := evalBench(b.Name, rc, c.Mem, suite, func(consumers []trace.Consumer) error {
-		return trace.RunOnCtx(ctx, c, b, rc, consumers...)
-	})
-	if err != nil {
-		return BenchResult{}, err
-	}
-	br.Insts = c.Retired
-	return br, nil
-}
-
-// RunBenchReplay is RunBenchCtx fed from a recorded trace instead of the
-// interpreter: the capture is replayed (bit-identically — see
-// internal/trace) into exactly the same consumer set, over a fresh memory
-// image the replay's stores are applied to. One capture serves any number
-// of RunBenchReplay calls, concurrently if desired. Replay goes through the
-// batch engine: the timing models and activity collectors consume column
-// blocks (trace.BatchConsumer), any other consumer rides the scalar shim.
-// Either replay tier works — a resident *trace.Capture or a streaming
-// *trace.MappedCapture — and the result is the same by construction (the
-// two share the block-emission path) and by test.
-func RunBenchReplay(ctx context.Context, rep trace.Replayer, rc *icomp.Recoder, suite *SuiteCollectors) (BenchResult, error) {
-	m, err := rep.NewMemory()
-	if err != nil {
-		return BenchResult{}, err
-	}
-	br, err := evalBench(rep.Bench().Name, rc, m, suite, func(consumers []trace.Consumer) error {
-		return rep.ReplayBlocksOn(ctx, m, rc, consumers...)
-	})
-	if err != nil {
-		return BenchResult{}, err
-	}
-	br.Insts = uint64(rep.Len())
-	return br, nil
+	return RunBenchReplay(ctx, trace.NewLive(b), rc, suite)
 }
 
 // RunParallel executes the full evaluation with benchmark-level parallelism:
@@ -288,11 +256,11 @@ func RunSuite(ctx context.Context, suite []bench.Benchmark, workers int) (*Resul
 		})
 }
 
-// RunSuiteLive is the pre-capture evaluation path: the recoder is profiled
-// by re-running the suite and every benchmark is re-interpreted for its
-// model/collector pass. It exists as the reference the replay-backed
-// RunSuite is equivalence-tested against (and for callers that must not
-// hold captured traces in memory).
+// RunSuiteLive is the evaluation without captures: the recoder is profiled
+// by stepping the suite and every benchmark streams through the live
+// source for its model/collector pass, holding one block of its trace at a
+// time. It is equivalence-tested against the capture-backed RunSuite and
+// serves callers that must not hold captured traces in memory.
 func RunSuiteLive(ctx context.Context, suite []bench.Benchmark, workers int) (*Results, error) {
 	rc, functs, err := trace.SuiteRecoder(suite)
 	if err != nil {

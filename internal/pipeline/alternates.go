@@ -1,7 +1,5 @@
 package pipeline
 
-import "repro/internal/trace"
-
 // Alternative model interpretations, kept for the modeling-sensitivity
 // ablation (DESIGN.md §5 records which reading we adopted and why; these
 // constructors quantify what the rejected readings would have cost).
@@ -15,32 +13,13 @@ const NameCompressedOccupancy = "compressed-occ"
 // +6% average CPI is unreachable under this reading — the ablation shows
 // it costs several times more.
 func NewParallelCompressedOccupancy() *Model {
-	ifOcc := func(e trace.Event) int {
-		if e.IFBytes > 3 {
-			return 2
-		}
-		return 1
-	}
-	rfOcc := func(e trace.Event) int {
-		if e.MaxSrcBytes() > 1 {
-			return 2
-		}
-		return 1
-	}
-	memOcc := func(e trace.Event) int {
-		if e.Inst.IsLoad() && e.MemBytes > 1 {
-			return 2
-		}
-		return 1
-	}
 	return newModel(spec{
 		name:     NameCompressedOccupancy,
+		kind:     kindCompressedOcc,
 		stages:   []string{"IF", "RF", "EX", "MEM", "WB"},
-		occ:      []occFunc{ifOcc, rfOcc, one, memOcc, one},
 		exStage:  2,
 		memStage: 3,
 		wbStage:  4,
-		pcExtra:  pcExtraByte,
 	})
 }
 
@@ -52,13 +31,7 @@ const NameSkewedLateBranch = "skewed-late-br"
 // (no per-slice comparator early-out). Figure 8's "very close to baseline"
 // is unreachable under this reading.
 func NewParallelSkewedLateBranch() *Model {
-	m := newSkewed(NameParallelSkewed, false)
-	m.spec.name = NameSkewedLateBranch
-	m.spec.branchResolve = func(e trace.Event, exEnter, exEnd uint64) uint64 {
-		return exEnter + 4
-	}
-	// The skewed batch kernel no longer mirrors this spec; take the
-	// (always-correct) scalar fallback under batch replay.
-	m.spec.kind = kindGeneric
+	m := newSkewed(NameSkewedLateBranch, false)
+	m.spec.kind = kindSkewedLate
 	return m
 }

@@ -1,26 +1,18 @@
-// Batch consumption: trace.BatchConsumer implementation for the timing
-// models.
+// Block consumption: the timing models' one kernel.
 //
-// The scalar Consume path is the reference implementation: it materializes
-// occupancy/latency slices per event, evaluates the spec's closures on a
-// by-value Event, and tallies stalls in a map. Those per-event costs are
-// what batch replay exists to remove, so ConsumeBlock runs the same
-// scheduling algorithm against reusable scratch: per-model kernels compute
-// each row's stage costs directly from the capture columns (packed sig word
-// + a per-slot static table), stalls accumulate in a fixed array that is
-// merged into the map once per block, and no Event is ever built on the
-// fast path. The kernels mirror the spec closures in models.go exactly;
-// TestConsumeBlockMatchesConsume pins the two paths cycle-for-cycle across
-// every model and benchmark.
+// ConsumeBlock schedules each row straight from the column block: a
+// per-kind case of rowCosts computes the row's stage costs from the packed
+// sig word and a per-slot static digest, stepRow runs the in-order
+// scheduling recurrences, stalls accumulate in a fixed array merged into
+// the Result map once per block, and no per-instruction Event is built.
+// The event-at-a-time reference scheduler these kernels are pinned to
+// cycle-for-cycle lives in oracle_test.go (TestConsumeBlockMatchesConsume).
 //
 // Cache and TLB stalls come from the block's miss stream (trace.Block.Misses):
 // the hierarchy's outcome is the same for every model, so the trace engine
-// simulates it once per capture and the kernels never touch a cache.
-//
-// Models without a kernel (the ablation alternates in alternates.go, any
-// model with a Timeline observer attached, or one owning a hierarchy of its
-// own through SetHierarchy) fall back to EventAt + Consume, which is always
-// correct. So does a block that carries no miss stream.
+// simulates it once per capture and the kernels never touch a cache. A
+// model given its own geometry (SetHierarchy) builds its own stream per
+// block with a trace.MissBuilder and runs the same kernel.
 package pipeline
 
 import (
@@ -28,11 +20,10 @@ import (
 	"repro/internal/trace"
 )
 
-// Model kinds select the batch kernel; kindGeneric falls back to the scalar
-// path. Set by the constructors in models.go.
+// Model kinds select the stage-cost case of rowCosts. Set by the
+// constructors in models.go, alternates.go and frontend.go.
 const (
-	kindGeneric = iota
-	kindBaseline32
+	kindBaseline32 = iota
 	kindByteSerial
 	kindHalfSerial
 	kindSemiParallel
@@ -40,12 +31,14 @@ const (
 	kindSkewedBypass
 	kindCompressed
 	kindByteFetch
+	kindCompressedOcc // ablation alternate: blocking two-cycle stages
+	kindSkewedLate    // ablation alternate: branches resolve after the last slice
 )
 
 // maxStages bounds the scratch arrays (semiparallel has six stages).
 const maxStages = 6
 
-// Stall-kind indices for array accumulation on the batch path.
+// Stall-kind indices for array accumulation.
 const (
 	stBranch = iota
 	stICache
@@ -67,7 +60,7 @@ var stallKinds = [nStallKinds]StallKind{
 	StallFetchBuf,
 }
 
-// structIdx is the array-index twin of spec.structKind.
+// structIdx maps a stage index to its structural stall bucket.
 func (s *spec) structIdx(stage int) uint8 {
 	switch {
 	case stage == 0:
@@ -99,7 +92,7 @@ const (
 	sfIsJump   // any jump: operands must be complete (operandReady)
 )
 
-// slotInfo is the batch path's per-statics-slot digest of everything the
+// slotInfo is the kernel's per-statics-slot digest of everything the
 // scheduler needs that is static per instruction word, including the
 // recoder-dependent fetch size of the current replay.
 type slotInfo struct {
@@ -124,7 +117,7 @@ type rowDyn struct {
 	taken    bool
 }
 
-// batchState is the Model's reusable batch scratch.
+// batchState is the Model's reusable kernel scratch.
 type batchState struct {
 	staticsID *trace.Static // identity of the table slots was built from
 	ifbID     *uint8
@@ -208,26 +201,20 @@ func (bs *batchState) buildSlots(blk *trace.Block) {
 	}
 }
 
-// ConsumeBlock implements trace.BatchConsumer: schedules every row of the
-// block, bit-identical to feeding the rows through Consume one by one.
+// ConsumeBlock implements trace.Consumer: schedules every row of the block.
 func (m *Model) ConsumeBlock(blk *trace.Block) {
-	if m.spec.kind == kindGeneric || m.observer != nil || m.hier != nil || blk.Misses == nil {
-		// Reference fallback: reconstruct events and run the scalar path.
-		var ev trace.Event
-		for i := range blk.Slot {
-			blk.EventAt(i, &ev)
-			m.Consume(ev)
-		}
-		return
+	ms := blk.Misses
+	if m.misses != nil {
+		ms = m.misses.Block(blk)
 	}
 	if m.spec.frontend != nil {
-		m.consumeFrontendBlock(blk)
+		m.consumeFrontendBlock(blk, ms)
 		return
 	}
 	bs := m.ensureBatch(blk)
 	d := &bs.d
-	ms := blk.Misses
 	n := len(blk.Slot)
+	stages := len(m.spec.stages)
 	for i := 0; i < n; i++ {
 		sw := blk.Slot[i]
 		si := &bs.slots[sw&trace.SlotMask]
@@ -245,6 +232,9 @@ func (m *Model) ConsumeBlock(blk *trace.Block) {
 		d.taken = sw&trace.TakenBit != 0
 		m.rowCosts(si, trace.PackedSig(blk.Sig[i]), d)
 		m.stepRow(si, d, bs)
+		if m.observer != nil {
+			m.observer(blk.Statics[sw&trace.SlotMask].Inst, d.pc, m.enter, d.occ[:stages], d.skipped[:stages])
+		}
 	}
 	// Merge the block's stall tallies into the map once.
 	for i, v := range bs.stalls {
@@ -255,9 +245,10 @@ func (m *Model) ConsumeBlock(blk *trace.Block) {
 	}
 }
 
-// rowCosts fills d's stage costs for one row. Each case mirrors the spec
-// closures of the corresponding constructor in models.go; keep them in
-// lockstep (pinned by TestConsumeBlockMatchesConsume).
+// rowCosts fills d's stage costs for one row, per model kind. The
+// constructors in models.go document what each design's costs model; the
+// oracle in oracle_test.go restates them as closures over an Event
+// (pinned by TestConsumeBlockMatchesConsume).
 func (m *Model) rowCosts(si *slotInfo, sg trace.PackedSig, d *rowDyn) {
 	switch m.spec.kind {
 	case kindBaseline32:
@@ -326,16 +317,18 @@ func (m *Model) rowCosts(si *slotInfo, sg trace.PackedSig, d *rowDyn) {
 		d.exSlices = (alu + 1) / 2
 		d.brDelta = (msb + 1) / 2
 
-	case kindSkewed, kindSkewedBypass:
+	case kindSkewed, kindSkewedBypass, kindSkewedLate:
 		d.occ[0], d.occ[1], d.occ[2], d.occ[3], d.occ[4], d.occ[5] = 1, 1, 1, 1, 1, 1
 		msb := sg.MaxSrcBytes()
 		d.brDelta = msb
-		if m.spec.kind == kindSkewedBypass {
+		d.exSlices = 4
+		switch m.spec.kind {
+		case kindSkewedBypass:
 			alu := sg.ALUOps()
 			d.exSlices = maxInt(1, alu)
 			d.skipped[3] = msb <= 1 && alu <= 1
-		} else {
-			d.exSlices = 4
+		case kindSkewedLate:
+			d.brDelta = 4
 		}
 
 	case kindCompressed:
@@ -353,13 +346,29 @@ func (m *Model) rowCosts(si *slotInfo, sg trace.PackedSig, d *rowDyn) {
 		}
 		d.exSlices = 1
 		d.brDelta = -1
+
+	case kindCompressedOcc:
+		occ0 := 1 + pcCarry(d.pc, d.nextPC, 1)
+		if si.ifb > 3 {
+			occ0++
+		}
+		rf, mo := 1, 1
+		if sg.MaxSrcBytes() > 1 {
+			rf = 2
+		}
+		if si.flags&sfIsLoad != 0 && sg.MemBytes() > 1 {
+			mo = 2
+		}
+		d.occ[0], d.occ[1], d.occ[2], d.occ[3], d.occ[4] = occ0, rf, 1, mo, 1
+		d.exSlices = 1
+		d.brDelta = -1
 	}
 }
 
-// stepRow is the batch twin of Consume's scheduling core, operating on the
-// precomputed row costs and slot digest instead of an Event, with array
-// stall accounting. The algorithm is line-for-line the same; any change
-// here must be made in Consume too (and vice versa).
+// stepRow is the scheduling core: it places one row through the stages
+// given its precomputed costs and slot digest, with array stall
+// accounting. The oracle's Consume (oracle_test.go) runs the same
+// algorithm over an Event; change the two together.
 func (m *Model) stepRow(si *slotInfo, d *rowDyn, bs *batchState) {
 	s := &m.spec
 	n := len(s.stages)
@@ -491,7 +500,8 @@ func (m *Model) stepRow(si *slotInfo, d *rowDyn, bs *batchState) {
 	m.insts++
 }
 
-// operandReadySlot is operandReady over the slot digest.
+// operandReadySlot returns the earliest cycle the EX stage may start given
+// the forwarding discipline and the row's register sources.
 func (m *Model) operandReadySlot(si *slotInfo) uint64 {
 	var ready uint64
 	full := !m.spec.streaming || si.flags&sfIsJump != 0

@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"repro/internal/bench"
@@ -10,9 +9,8 @@ import (
 	"repro/internal/trace"
 )
 
-// BenchmarkModelReplay measures one model consuming one captured benchmark
-// trace, scalar (event-at-a-time Consume) versus batch (ConsumeBlock over
-// column blocks) — the per-job cost of a warm sweep under each path.
+// BenchmarkModelReplay measures one model's kernel consuming one captured
+// benchmark trace — the per-job cost of a warm sweep.
 func BenchmarkModelReplay(b *testing.B) {
 	bm, ok := bench.ByName("dijkstra")
 	if !ok {
@@ -25,25 +23,17 @@ func BenchmarkModelReplay(b *testing.B) {
 	}
 	rc := icomp.MustNewRecoder(icomp.DefaultTopFuncts())
 	for _, model := range []string{NameBaseline32, NameByteSerial, NameParallelCompressed} {
-		for _, path := range []string{"scalar", "batch"} {
-			b.Run(fmt.Sprintf("%s/%s", model, path), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					m := New(model)
-					var err error
-					if path == "batch" {
-						err = cp.ReplayBlocks(ctx, rc, m)
-					} else {
-						err = cp.ReplayOn(ctx, nil, rc, m)
-					}
-					if err != nil {
-						b.Fatal(err)
-					}
-					if m.Result().Cycles == 0 {
-						b.Fatal("no cycles")
-					}
+		b.Run(model, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m := New(model)
+				if err := cp.ReplayBlocks(ctx, rc, m); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if m.Result().Cycles == 0 {
+					b.Fatal("no cycles")
+				}
+			}
+		})
 	}
 }

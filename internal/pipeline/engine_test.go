@@ -6,14 +6,11 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/icomp"
 	"repro/internal/isa"
-	"repro/internal/trace"
 )
 
 // Synthetic event builders for engine unit tests.
 
 var testRecoder = icomp.MustNewRecoder(icomp.DefaultTopFuncts())
-
-func annotate(e cpu.Exec) trace.Event { return trace.Annotate(e, testRecoder) }
 
 // aluExec builds an addu dest, t0, t1 with the given operand values.
 func aluExec(pc uint32, dest isa.Reg, a, b uint32) cpu.Exec {
@@ -68,16 +65,13 @@ func loopStream(n int, gen func(i int, pc uint32) cpu.Exec) []cpu.Exec {
 	return execs
 }
 
-// steadyCPI measures marginal CPI: it feeds the stream once to warm the
-// model's caches, snapshots, feeds it again, and returns the delta rate.
-func steadyCPI(m *Model, execs []cpu.Exec) (float64, Result) {
-	for _, e := range execs {
-		m.Consume(annotate(e))
-	}
-	warm := m.Result()
-	for _, e := range execs {
-		m.Consume(annotate(e))
-	}
+// steadyCPI measures marginal CPI through the block kernel: it feeds the
+// stream twice in one trace, snapshots once the first lap has warmed the
+// caches, and returns the second lap's rate.
+func steadyCPI(t *testing.T, m *Model, execs []cpu.Exec) (float64, Result) {
+	t.Helper()
+	var warm Result
+	kernelFeed(t, m, append(append([]cpu.Exec(nil), execs...), execs...), len(execs), func() { warm = m.Result() })
 	r := m.Result()
 	cpi := float64(r.Cycles-warm.Cycles) / float64(r.Insts-warm.Insts)
 	return cpi, r
@@ -85,7 +79,7 @@ func steadyCPI(m *Model, execs []cpu.Exec) (float64, Result) {
 
 // Independent single-byte ALU operations on the baseline sustain CPI 1.
 func TestBaselineSteadyStateCPI(t *testing.T) {
-	cpi, _ := steadyCPI(NewBaseline32(), loopStream(2000, func(i int, pc uint32) cpu.Exec {
+	cpi, _ := steadyCPI(t, NewBaseline32(), loopStream(2000, func(i int, pc uint32) cpu.Exec {
 		return aluExec(pc, isa.RegT2, 1, 2)
 	}))
 	if cpi > 1.05 {
@@ -96,7 +90,7 @@ func TestBaselineSteadyStateCPI(t *testing.T) {
 // Back-to-back dependent ALU operations are fully forwarded in the
 // baseline: still CPI 1.
 func TestBaselineForwardingNoStall(t *testing.T) {
-	cpi, _ := steadyCPI(NewBaseline32(), loopStream(2000, func(i int, pc uint32) cpu.Exec {
+	cpi, _ := steadyCPI(t, NewBaseline32(), loopStream(2000, func(i int, pc uint32) cpu.Exec {
 		e := aluExec(pc, isa.RegT2, uint32(i), 1)
 		e.Inst.Rs, e.Inst.Rt = isa.RegT2, isa.RegT2 // consume own chain
 		return e
@@ -109,7 +103,7 @@ func TestBaselineForwardingNoStall(t *testing.T) {
 // A branch with no prediction costs two bubbles in the baseline.
 func TestBaselineBranchPenalty(t *testing.T) {
 	run := func(branchEvery int) float64 {
-		cpi, _ := steadyCPI(NewBaseline32(), loopStream(4000, func(i int, pc uint32) cpu.Exec {
+		cpi, _ := steadyCPI(t, NewBaseline32(), loopStream(4000, func(i int, pc uint32) cpu.Exec {
 			if i%branchEvery == branchEvery-1 {
 				return branchExec(pc, 0, 0, false)
 			}
@@ -126,7 +120,7 @@ func TestBaselineBranchPenalty(t *testing.T) {
 
 // Load-use in the baseline costs one bubble.
 func TestBaselineLoadUseBubble(t *testing.T) {
-	cpi, r := steadyCPI(NewBaseline32(), loopStream(2000, func(i int, pc uint32) cpu.Exec {
+	cpi, r := steadyCPI(t, NewBaseline32(), loopStream(2000, func(i int, pc uint32) cpu.Exec {
 		if i%2 == 0 {
 			return loadExec(pc, isa.RegT0, 0x1000_0000, 7)
 		}
@@ -143,10 +137,10 @@ func TestBaselineLoadUseBubble(t *testing.T) {
 // Byte-serial: wide operands serialize the pipeline; ALU work beyond the
 // operand width (Table-4 exception bytes) shows up as EX structural stalls.
 func TestByteSerialWideOperandsSerialize(t *testing.T) {
-	narrow, _ := steadyCPI(NewByteSerial(), loopStream(2000, func(i int, pc uint32) cpu.Exec {
+	narrow, _ := steadyCPI(t, NewByteSerial(), loopStream(2000, func(i int, pc uint32) cpu.Exec {
 		return aluExec(pc, isa.RegT2, 3, 4)
 	}))
-	wide, rw := steadyCPI(NewByteSerial(), loopStream(2000, func(i int, pc uint32) cpu.Exec {
+	wide, rw := steadyCPI(t, NewByteSerial(), loopStream(2000, func(i int, pc uint32) cpu.Exec {
 		return aluExec(pc, isa.RegT2, 0x12345678, 0x01020304)
 	}))
 	if narrow >= wide {
@@ -157,7 +151,7 @@ func TestByteSerialWideOperandsSerialize(t *testing.T) {
 	}
 	// Operands with one significant byte whose sum overflows: RF takes one
 	// cycle but the ALU needs a second byte (exception) -> EX binds.
-	_, rx := steadyCPI(NewByteSerial(), loopStream(2000, func(i int, pc uint32) cpu.Exec {
+	_, rx := steadyCPI(t, NewByteSerial(), loopStream(2000, func(i int, pc uint32) cpu.Exec {
 		return aluExec(pc, isa.RegT2, 0xffffff80, 0xffffff80)
 	}))
 	if rx.Stalls[StallStructEX] == 0 {
@@ -169,7 +163,7 @@ func TestByteSerialWideOperandsSerialize(t *testing.T) {
 // The I-cache is three bytes wide: four-byte instructions occupy fetch for
 // two cycles in the byte-serial design.
 func TestByteSerialFourByteFetch(t *testing.T) {
-	cpi, _ := steadyCPI(NewByteSerial(), loopStream(2000, func(i int, pc uint32) cpu.Exec {
+	cpi, _ := steadyCPI(t, NewByteSerial(), loopStream(2000, func(i int, pc uint32) cpu.Exec {
 		// NOR is outside the default top-8 recode: always 4 bytes.
 		raw := isa.EncodeR(isa.FnNOR, isa.RegT0, isa.RegT1, isa.RegT2, 0)
 		return cpu.Exec{
@@ -187,7 +181,7 @@ func TestByteSerialFourByteFetch(t *testing.T) {
 // The compressed model's banked second cycles add latency, not occupancy:
 // independent wide-operand instructions still sustain CPI ~1.
 func TestCompressedBankedStagesPipeline(t *testing.T) {
-	cpi, _ := steadyCPI(NewParallelCompressed(), loopStream(2000, func(i int, pc uint32) cpu.Exec {
+	cpi, _ := steadyCPI(t, NewParallelCompressed(), loopStream(2000, func(i int, pc uint32) cpu.Exec {
 		e := aluExec(pc, 0, 0x00012345, 2) // wide source, no dest
 		return e
 	}))
@@ -200,7 +194,7 @@ func TestCompressedBankedStagesPipeline(t *testing.T) {
 // wide-operand branches cost more than narrow ones.
 func TestCompressedWideBranchLatency(t *testing.T) {
 	run := func(opval uint32) float64 {
-		cpi, _ := steadyCPI(NewParallelCompressed(), loopStream(4000, func(i int, pc uint32) cpu.Exec {
+		cpi, _ := steadyCPI(t, NewParallelCompressed(), loopStream(4000, func(i int, pc uint32) cpu.Exec {
 			if i%4 == 3 {
 				return branchExec(pc, opval, opval, false)
 			}
@@ -216,7 +210,7 @@ func TestCompressedWideBranchLatency(t *testing.T) {
 // Deterministic scheduling.
 func TestDeterminism(t *testing.T) {
 	build := func() Result {
-		_, r := steadyCPI(NewSemiParallel(), loopStream(1000, func(i int, pc uint32) cpu.Exec {
+		_, r := steadyCPI(t, NewSemiParallel(), loopStream(1000, func(i int, pc uint32) cpu.Exec {
 			return aluExec(pc, isa.RegT2, uint32(i)*3, uint32(i)<<7)
 		}))
 		return r
@@ -253,15 +247,12 @@ func TestResultCPIZeroInsts(t *testing.T) {
 // baseline runs at CPI ~3 (1 + 2-cycle resolution shadow).
 func TestTakenBranchLoop(t *testing.T) {
 	m := NewBaseline32()
-	var warm Result
-	for lap := 0; lap < 2; lap++ {
-		for i := 0; i < 1000; i++ {
-			m.Consume(annotate(branchExec(0x0040_0000, 0, 0, true)))
-		}
-		if lap == 0 {
-			warm = m.Result()
-		}
+	execs := make([]cpu.Exec, 2000)
+	for i := range execs {
+		execs[i] = branchExec(0x0040_0000, 0, 0, true)
 	}
+	var warm Result
+	kernelFeed(t, m, execs, 1000, func() { warm = m.Result() })
 	r := m.Result()
 	cpi := float64(r.Cycles-warm.Cycles) / float64(r.Insts-warm.Insts)
 	if cpi < 2.5 || cpi > 3.5 {
@@ -276,7 +267,7 @@ func TestTakenBranchLoop(t *testing.T) {
 // baseline, but wide-operand branches pay for the extra slices.
 func TestSkewedBranchResolutionByWidth(t *testing.T) {
 	run := func(name string, opval uint32) float64 {
-		cpi, _ := steadyCPI(New(name), loopStream(4000, func(i int, pc uint32) cpu.Exec {
+		cpi, _ := steadyCPI(t, New(name), loopStream(4000, func(i int, pc uint32) cpu.Exec {
 			if i%4 == 3 {
 				return branchExec(pc, opval, opval, false)
 			}
@@ -295,7 +286,7 @@ func TestSetHierarchy(t *testing.T) {
 	cfg := memDefaultConfigSmall()
 	m := NewBaseline32().SetHierarchy(cfg)
 	// Smaller I-cache: the 512 B loop still fits; behaviour unchanged.
-	cpi, _ := steadyCPI(m, loopStream(1000, func(i int, pc uint32) cpu.Exec {
+	cpi, _ := steadyCPI(t, m, loopStream(1000, func(i int, pc uint32) cpu.Exec {
 		return aluExec(pc, isa.RegT2, 1, 2)
 	}))
 	if cpi > 1.05 {

@@ -47,7 +47,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/isa"
 	"repro/internal/trace"
 )
 
@@ -132,11 +131,9 @@ type frontendState struct {
 	stats  FetchUnitStats
 }
 
-// feIn is the per-instruction input of the byte-fetch scheduler, fillable
-// from a scalar Event or from the batch path's slot digest without ever
-// materializing the other form. ic and dc are the row's cache stalls: the
-// scalar path asks the model's hierarchy, the batch path reads the block's
-// miss stream.
+// feIn is the per-instruction input of the byte-fetch scheduler, filled
+// from the kernel's slot digest (or, in the test oracle, from an Event).
+// ic and dc are the row's cache stalls.
 type feIn struct {
 	size       int
 	ic, dc     int
@@ -167,9 +164,7 @@ type feSched struct {
 func ceilDiv(a, b uint64) uint64 { return (a + b - 1) / b }
 
 // feStep schedules one instruction through the byte-budgeted frontend and
-// the 5-stage backend. It is the single scheduling core shared by the
-// scalar Consume path and the batch ConsumeBlock path, which makes the two
-// bit-identical by construction.
+// the 5-stage backend.
 func (m *Model) feStep(in *feIn) feSched {
 	fe := m.fe
 	cfg := m.spec.frontend
@@ -393,55 +388,12 @@ func (m *Model) flushFEStalls() {
 	}
 }
 
-// consumeFrontend is the scalar path of the byte-fetch models: build the
-// scheduler input from the Event and run the shared core.
-func (m *Model) consumeFrontend(e trace.Event) {
-	in := feIn{
-		size:       e.IFBytes,
-		pc:         e.PC,
-		rs:         uint8(e.Inst.Rs),
-		rt:         uint8(e.Inst.Rt),
-		dest:       uint8(e.Dest),
-		readsA:     e.ReadsA,
-		readsB:     e.ReadsB,
-		hasDest:    e.HasDest,
-		isMem:      e.MemWidth > 0,
-		isLoad:     e.Inst.IsLoad(),
-		writesHILO: e.Inst.WritesHILO(),
-		isBranch:   e.Inst.IsBranch(),
-		taken:      e.Taken,
-	}
-	if e.Inst.Op == isa.OpSpecial {
-		switch e.Inst.Funct {
-		case isa.FnJR, isa.FnJALR:
-			in.isJReg = true
-		case isa.FnMFHI, isa.FnMFLO:
-			in.isMFHILO = true
-		}
-	}
-	in.isJDir = e.Inst.Op == isa.OpJ || e.Inst.Op == isa.OpJAL
-	hier := m.hierarchy()
-	in.ic = hier.Fetch(e.PC)
-	if in.isMem {
-		in.dc = hier.Data(e.Addr, e.Inst.IsStore())
-	}
-	sched := m.feStep(&in)
-	m.flushFEStalls()
-	if m.observer != nil {
-		enter := m.enter
-		enter[0], enter[1], enter[2], enter[3], enter[4] =
-			sched.fetch, sched.id, sched.ex, sched.mem, sched.wb
-		occ := []int{1, 1, 1, 1 + sched.dc, 1}
-		m.observer(e, enter, occ, make([]bool, 5))
-	}
-}
-
-// consumeFrontendBlock is the batch path: per row, fill the scheduler input
-// from the slot digest and columns and run the same core as Consume.
-func (m *Model) consumeFrontendBlock(blk *trace.Block) {
+// consumeFrontendBlock is the byte-fetch kernel: per row, fill the
+// scheduler input from the slot digest and columns, with cache stalls from
+// ms (the block's miss events), and run feStep.
+func (m *Model) consumeFrontendBlock(blk *trace.Block, ms []trace.MissEvent) {
 	bs := m.ensureBatch(blk)
 	var in feIn
-	ms := blk.Misses
 	n := len(blk.Slot)
 	for i := 0; i < n; i++ {
 		sw := blk.Slot[i]
@@ -469,7 +421,14 @@ func (m *Model) consumeFrontendBlock(blk *trace.Block) {
 			in.ic, in.dc = int(ms[0].IC), int(ms[0].DC)
 			ms = ms[1:]
 		}
-		m.feStep(&in)
+		sched := m.feStep(&in)
+		if m.observer != nil {
+			enter := m.enter
+			enter[0], enter[1], enter[2], enter[3], enter[4] =
+				sched.fetch, sched.id, sched.ex, sched.mem, sched.wb
+			occ := []int{1, 1, 1, 1 + sched.dc, 1}
+			m.observer(blk.Statics[sw&trace.SlotMask].Inst, in.pc, enter, occ, make([]bool, 5))
+		}
 	}
 	m.flushFEStalls()
 }
@@ -508,7 +467,6 @@ func NewByteFetch(bytes int, dual, raw bool) *Model {
 		name:     name,
 		kind:     kindByteFetch,
 		stages:   []string{"IF", "ID", "EX", "MEM", "WB"},
-		occ:      []occFunc{one, one, one, one, one},
 		exStage:  2,
 		memStage: 3,
 		wbStage:  4,

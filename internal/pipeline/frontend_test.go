@@ -47,24 +47,19 @@ func TestByteFetchRawMatchesBaseline32(t *testing.T) {
 }
 
 // TestByteFetchLiveReplayBatchIdentical pins, for every byte-fetch model,
-// the three execution paths against each other: live interpretation, scalar
-// capture replay, and column-block batch replay must produce the same
-// Result.
+// the kernel over the live source and over a capture against the oracle:
+// all three must produce the same Result.
 func TestByteFetchLiveReplayBatchIdentical(t *testing.T) {
 	ctx := context.Background()
 	b, _ := bench.ByName("g711dec")
 	cp := captureBench(t, "g711dec")
 	for _, name := range byteFetchTestNames {
 		live, scalar, batch := New(name), New(name), New(name)
-		c, err := b.NewCPU()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := trace.RunOn(c, b, testRecoder, live); err != nil {
+		if err := trace.NewLive(b).ReplayBlocks(ctx, testRecoder, live); err != nil {
 			t.Fatalf("%s live: %v", name, err)
 		}
-		if err := cp.ReplayOn(ctx, nil, testRecoder, scalar); err != nil {
-			t.Fatalf("%s scalar replay: %v", name, err)
+		if err := oracleReplay(cp, scalar); err != nil {
+			t.Fatalf("%s oracle replay: %v", name, err)
 		}
 		if err := cp.ReplayBlocks(ctx, testRecoder, batch); err != nil {
 			t.Fatalf("%s batch replay: %v", name, err)

@@ -1,7 +1,5 @@
 package pipeline
 
-import "repro/internal/trace"
-
 // Model name constants.
 const (
 	NameBaseline32           = "baseline32"
@@ -12,17 +10,6 @@ const (
 	NameParallelCompressed   = "compressed"
 	NameParallelSkewedBypass = "skewed+bypass"
 )
-
-// ifOcc3Banks models the three-byte-wide instruction cache shared by all
-// compressed designs: three bytes in one cycle, a second cycle for the
-// fourth byte (§4: "three instruction cache banks ... the instruction
-// remains in this stage for one more cycle").
-func ifOcc3Banks(e trace.Event) int {
-	if e.IFBytes > 3 {
-		return 2
-	}
-	return 1
-}
 
 // pcCarry returns the extra serial PC-increment cycles at block size g
 // bytes: the increment processes low blocks until the carry dies (Table 2).
@@ -44,35 +31,6 @@ func pcCarry(pc, nextPC uint32, g int) int {
 	return extra
 }
 
-// pcCarryBlocks is pcCarry over an annotated event.
-func pcCarryBlocks(e trace.Event, g int) int { return pcCarry(e.PC, e.NextPC, g) }
-
-func pcExtraByte(e trace.Event) int { return pcCarryBlocks(e, 1) }
-func pcExtraHalf(e trace.Event) int { return pcCarryBlocks(e, 2) }
-
-func maxSrcBytes(e trace.Event) int  { return e.MaxSrcBytes() }
-func maxSrcHalves(e trace.Event) int { return e.MaxSrcHalves() }
-
-func aluCyclesByte(e trace.Event) int { return maxInt(1, e.ALUOps) }
-func aluCyclesHalf(e trace.Event) int { return maxInt(1, e.ALUHalfOps) }
-
-func memOccByte(e trace.Event) int {
-	if e.MemWidth > 0 {
-		return maxInt(1, e.MemBytes)
-	}
-	return 1
-}
-
-func memOccHalf(e trace.Event) int {
-	if e.MemWidth > 0 {
-		return maxInt(1, e.MemHalves)
-	}
-	return 1
-}
-
-func wbOccByte(e trace.Event) int { return maxInt(1, e.WBBytes) }
-func wbOccHalf(e trace.Event) int { return maxInt(1, e.WBHalves) }
-
 func maxInt(a, b int) int {
 	if a > b {
 		return a
@@ -87,7 +45,6 @@ func NewBaseline32() *Model {
 		name:     NameBaseline32,
 		kind:     kindBaseline32,
 		stages:   []string{"IF", "ID", "EX", "MEM", "WB"},
-		occ:      []occFunc{one, one, one, one, one},
 		exStage:  2,
 		memStage: 3,
 		wbStage:  4,
@@ -106,20 +63,22 @@ func NewBaseline32() *Model {
 // paper's bottleneck attribution ("72% of the stalls were caused by
 // structural hazards in the EX stage", §5) — and its remedy, which widens
 // the register file and the ALU together.
+//
+// The three-byte instruction cache (shared by every compressed design)
+// delivers three bytes in one cycle and needs a second cycle for the
+// fourth byte (§4: "three instruction cache banks ... the instruction
+// remains in this stage for one more cycle"); the serial PC increment adds
+// a cycle per carried block (pcCarry); MEM and WB take one cycle per
+// significant byte moved.
 func NewByteSerial() *Model {
-	exOcc := func(e trace.Event) int {
-		return maxInt(maxSrcBytes(e), aluCyclesByte(e))
-	}
 	return newModel(spec{
 		name:      NameByteSerial,
 		kind:      kindByteSerial,
 		stages:    []string{"IF", "ID", "EX", "MEM", "WB"},
-		occ:       []occFunc{ifOcc3Banks, one, exOcc, memOccByte, wbOccByte},
 		exStage:   2,
 		memStage:  3,
 		wbStage:   4,
 		streaming: true,
-		pcExtra:   pcExtraByte,
 	})
 }
 
@@ -127,19 +86,14 @@ func NewByteSerial() *Model {
 // "widened to 16-bits" design). The three-byte instruction cache is kept:
 // instruction compression is independent of the data granularity.
 func NewHalfwordSerial() *Model {
-	exOcc := func(e trace.Event) int {
-		return maxInt(maxSrcHalves(e), aluCyclesHalf(e))
-	}
 	return newModel(spec{
 		name:      NameHalfwordSerial,
 		kind:      kindHalfSerial,
 		stages:    []string{"IF", "ID", "EX", "MEM", "WB"},
-		occ:       []occFunc{ifOcc3Banks, one, exOcc, memOccHalf, wbOccHalf},
 		exStage:   2,
 		memStage:  3,
 		wbStage:   4,
 		streaming: true,
-		pcExtra:   pcExtraHalf,
 	})
 }
 
@@ -151,35 +105,20 @@ func NewHalfwordSerial() *Model {
 // of 4") while the ALU begins on the low byte; the second ALU stage runs
 // for as many cycles as the register stage (§5). Write-back stores the low
 // byte plus one more in its first cycle, two per cycle after that.
+//
+// The second ALU stage runs for max(extra source pairs, extra ALU pairs)
+// cycles; the result is complete after all ALU bytes stream through EX0/EX1
+// at two bytes per cycle; and the byte-serial comparator resolves a branch
+// once the last significant operand byte pair has been examined.
 func NewSemiParallel() *Model {
-	// ceil((n-1)/2) with a floor of one cycle: the additional bytes beyond
-	// the low byte, two per cycle.
-	extra := func(n int) int { return maxInt(1, n/2) }
-	rfExtra := func(e trace.Event) int { return extra(e.MaxSrcBytes()) }
-	exExtra := func(e trace.Event) int {
-		// "used for as many cycles as the previous stage", bounded below
-		// by the ALU's own serial demand at two bytes per cycle.
-		return maxInt(extra(e.MaxSrcBytes()), extra(maxInt(1, e.ALUOps)))
-	}
-	wbOcc := func(e trace.Event) int { return maxInt(1, (e.WBBytes+1)/2) }
 	return newModel(spec{
 		name:      NameSemiParallel,
 		kind:      kindSemiParallel,
 		stages:    []string{"IF", "RF0", "RF1/EX0", "EX1", "MEM", "WB"},
-		occ:       []occFunc{ifOcc3Banks, one, rfExtra, exExtra, memOccByte, wbOcc},
 		exStage:   2,
 		memStage:  4,
 		wbStage:   5,
 		streaming: true,
-		pcExtra:   pcExtraByte,
-		// Result complete after all ALU bytes stream through EX0/EX1 at
-		// two bytes per cycle.
-		exSlices: func(e trace.Event) int { return (maxInt(1, e.ALUOps) + 1) / 2 },
-		// The byte-serial comparator resolves a branch once the last
-		// significant operand byte pair has been examined.
-		branchResolve: func(e trace.Event, exEnter, exEnd uint64) uint64 {
-			return exEnter + uint64((maxInt(e.MaxSrcBytes(), 1)+1)/2)
-		},
 	})
 }
 
@@ -197,50 +136,25 @@ func NewSemiParallel() *Model {
 // outcome is collected from the slice that finishes the comparison; without
 // them the control unit picks the outcome up one slice later and full
 // results exist only after the last slice.
+//
+// The byte-sliced comparator resolves a branch in the slice holding the
+// last significant operand byte (intrinsic to the skewed datapath). With
+// bypasses, short operations (one significant source byte, one ALU byte)
+// skip the second slice stage entirely.
 func newSkewed(name string, bypasses bool) *Model {
-	s := spec{
-		name: name,
-		stages: []string{
-			"IF", "RF0", "EX0", "EX1", "MEM", "WB",
-		},
-		occ: []occFunc{
-			one, one, one, one, one, one,
-		},
+	kind := kindSkewed
+	if bypasses {
+		kind = kindSkewedBypass
+	}
+	return newModel(spec{
+		name:      name,
+		kind:      kind,
+		stages:    []string{"IF", "RF0", "EX0", "EX1", "MEM", "WB"},
 		exStage:   2,
 		memStage:  4,
 		wbStage:   5,
 		streaming: true,
-	}
-	if bypasses {
-		s.kind = kindSkewedBypass
-	} else {
-		s.kind = kindSkewed
-	}
-	// The byte-sliced comparator resolves a branch in the slice holding the
-	// last significant operand byte (intrinsic to the skewed datapath).
-	s.branchResolve = func(e trace.Event, exEnter, exEnd uint64) uint64 {
-		return exEnter + uint64(maxInt(e.MaxSrcBytes(), 1))
-	}
-	if bypasses {
-		s.exSlices = aluCyclesByte
-		// Short operations skip the second slice stage entirely.
-		shortOp := func(e trace.Event) bool {
-			return e.MaxSrcBytes() <= 1 && e.ALUOps <= 1
-		}
-		s.skip = []func(trace.Event) bool{nil, nil, nil, shortOp, nil, nil}
-	} else {
-		// Without the extra forwarding paths the full value exists only
-		// after the last slice.
-		s.exSlices = func(trace.Event) int { return 4 }
-	}
-	return newModel(s)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	})
 }
 
 // NewParallelSkewed builds the plain byte-parallel skewed pipeline.
@@ -260,34 +174,13 @@ func NewParallelSkewedBypass() *Model { return newSkewed(NameParallelSkewedBypas
 // instruction without holding the stage — that pipelining is the only
 // reading consistent with the paper's 6% average CPI cost.
 func NewParallelCompressed() *Model {
-	ifLat := func(e trace.Event) int {
-		if e.IFBytes > 3 {
-			return 1
-		}
-		return 0
-	}
-	rfLat := func(e trace.Event) int {
-		if e.MaxSrcBytes() > 1 {
-			return 1
-		}
-		return 0
-	}
-	memLat := func(e trace.Event) int {
-		if e.Inst.IsLoad() && e.MemBytes > 1 {
-			return 1
-		}
-		return 0
-	}
 	return newModel(spec{
 		name:     NameParallelCompressed,
 		kind:     kindCompressed,
 		stages:   []string{"IF", "RF", "EX", "MEM", "WB"},
-		occ:      []occFunc{one, one, one, one, one},
-		lat:      []occFunc{ifLat, rfLat, nil, memLat, nil},
 		exStage:  2,
 		memStage: 3,
 		wbStage:  4,
-		pcExtra:  pcExtraByte,
 	})
 }
 

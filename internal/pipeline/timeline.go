@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/trace"
+	"repro/internal/isa"
 )
 
 // Timeline records per-instruction stage entry times and renders the
@@ -13,7 +13,7 @@ import (
 //
 //	m := pipeline.NewByteSerial()
 //	tl := pipeline.NewTimeline(m, 40)
-//	... feed events ...
+//	... replay the trace into m ...
 //	fmt.Print(tl.Render())
 type Timeline struct {
 	model *Model
@@ -35,12 +35,12 @@ func NewTimeline(m *Model, limit int) *Timeline {
 	return tl
 }
 
-func (tl *Timeline) observe(e trace.Event, enter []uint64, occ []int, skip []bool) {
+func (tl *Timeline) observe(in isa.Inst, pc uint32, enter []uint64, occ []int, skip []bool) {
 	if len(tl.rows) >= tl.limit {
 		return
 	}
 	row := timelineRow{
-		disasm: e.Inst.Disassemble(e.PC),
+		disasm: in.Disassemble(pc),
 		enter:  append([]uint64(nil), enter...),
 		occ:    append([]int(nil), occ...),
 		skip:   append([]bool(nil), skip...),

@@ -17,7 +17,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/activity"
 	"repro/internal/bench"
 	"repro/internal/experiments"
 	"repro/internal/faultinject"
@@ -79,8 +78,9 @@ type Config struct {
 	// TraceCacheMB budgets the in-memory LRU of captured benchmark traces
 	// (the capture-once/replay-many engine, internal/trace). 0 selects
 	// DefaultTraceCacheMB; negative disables capture/replay entirely, so
-	// every request re-interprets (the reference path, bit-identical by
-	// construction and by test).
+	// every request streams its benchmark through the interpreter
+	// (trace.Live: one interpretation per request, holding one block of
+	// the trace at a time; bit-identical by construction and by test).
 	TraceCacheMB int
 	// TraceDir, when set, backs the trace cache with a capture directory
 	// (SIGCAP02 files; pre-migration SIGCAP01 spills stay readable): newly
@@ -553,58 +553,12 @@ func (s *Service) execute(ctx context.Context, req Request) (*Response, error) {
 	s.metrics.executions.Add(1)
 	start := time.Now()
 
-	if s.tracesEnabled() {
-		resp, err := s.executeReplay(ctx, req, rc, b)
-		if err != nil {
-			return nil, err
-		}
-		elapsed := time.Since(start)
-		s.metrics.observeLatency(elapsed)
-		resp.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
-		return resp, nil
-	}
-
-	if req.Model == "" {
-		br, err := experiments.RunBenchCtx(ctx, b, rc, nil)
-		if err != nil {
-			return nil, err
-		}
-		full := experiments.EncodeBench(br)
-		elapsed := time.Since(start)
-		s.metrics.observeLatency(elapsed)
-		return &Response{
-			Bench:     b.Name,
-			Insts:     br.Insts,
-			Full:      &full,
-			ElapsedMS: float64(elapsed) / float64(time.Millisecond),
-		}, nil
-	}
-
-	c, err := b.NewCPU()
+	resp, err := s.executeReplay(ctx, req, rc, b)
 	if err != nil {
 		return nil, err
 	}
-	m := pipeline.New(req.Model)
-	col := activity.NewCollector(req.Gran, rc, c.Mem)
-	if err := trace.RunOnCtx(ctx, c, b, rc, m, col); err != nil {
-		return nil, err
-	}
-	r := m.Result()
-	stalls := make(map[string]uint64, len(r.Stalls))
-	for k, v := range r.Stalls {
-		stalls[string(k)] = v
-	}
 	elapsed := time.Since(start)
 	s.metrics.observeLatency(elapsed)
-	return &Response{
-		Bench:       b.Name,
-		Model:       req.Model,
-		Granularity: req.Gran,
-		Insts:       r.Insts,
-		Cycles:      r.Cycles,
-		CPI:         r.CPI(),
-		Stalls:      stalls,
-		Activity:    experiments.SavingMap(col.Counts()),
-		ElapsedMS:   float64(elapsed) / float64(time.Millisecond),
-	}, nil
+	resp.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
+	return resp, nil
 }

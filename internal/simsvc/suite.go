@@ -146,27 +146,24 @@ func (s *Service) evalBenches(ctx context.Context, rc *icomp.Recoder, benches []
 						br       experiments.BenchResult
 						benchErr error
 					)
-					if s.tracesEnabled() {
-						// Replay the shared capture (one interpreter run per
-						// benchmark, whoever asked first); bit-identical to
-						// the live path by construction and by test. A mapped
-						// entry evicted (and closed) between the cache hit and
-						// the replay fails before consuming any event, so one
-						// retry — which misses and re-maps — is safe and
-						// sufficient.
-						replay := func() (experiments.BenchResult, error) {
-							e, err := s.captureFor(ctx, b)
-							if err != nil {
-								return experiments.BenchResult{}, err
-							}
-							return experiments.RunBenchReplay(ctx, e.rep, rc, cols)
+					// Replay the benchmark's trace source: the shared capture
+					// (one interpreter run per benchmark, whoever asked
+					// first), or the live interpreter with the trace cache
+					// off; bit-identical either way by construction and by
+					// test. A mapped entry evicted (and closed) between the
+					// cache hit and the replay fails before consuming any
+					// row, so one retry — which misses and re-maps — is safe
+					// and sufficient.
+					replay := func() (experiments.BenchResult, error) {
+						e, err := s.captureFor(ctx, b)
+						if err != nil {
+							return experiments.BenchResult{}, err
 						}
+						return experiments.RunBenchReplay(ctx, e.rep, rc, cols)
+					}
+					br, benchErr = replay()
+					if benchErr != nil && errors.Is(benchErr, trace.ErrMappedClosed) {
 						br, benchErr = replay()
-						if benchErr != nil && errors.Is(benchErr, trace.ErrMappedClosed) {
-							br, benchErr = replay()
-						}
-					} else {
-						br, benchErr = experiments.RunBenchCtx(ctx, b, rc, cols)
 					}
 					if benchErr != nil {
 						runErr = benchErr

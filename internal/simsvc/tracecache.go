@@ -255,9 +255,6 @@ func (g *captureFlight) do(ctx context.Context, key string, fn func() (*traceEnt
 	return c.entry, false, c.err
 }
 
-// tracesEnabled reports whether the capture/replay path is on.
-func (s *Service) tracesEnabled() bool { return s.traces != nil }
-
 // TraceCacheLen returns the number of cached captures (0 when disabled).
 func (s *Service) TraceCacheLen() int {
 	if s.traces == nil {
@@ -284,7 +281,8 @@ func (s *Service) TraceMappedEntries() int {
 }
 
 // captureFor returns b's captured trace, from the trace cache when
-// possible; concurrent misses for the same benchmark share one interpreter
+// possible. With the trace cache disabled it returns a transient entry
+// over the live interpreter instead, cached nowhere; concurrent misses for the same benchmark share one interpreter
 // run via the capture singleflight. With a trace dir configured, a miss
 // tries the persisted capture before re-interpreting, and a fresh capture
 // is persisted for future shards/restarts. The result-cache fault points
@@ -292,6 +290,9 @@ func (s *Service) TraceMappedEntries() int {
 // injected get failure degrades to a miss (re-capture), an injected put
 // failure skips caching — neither fails the request.
 func (s *Service) captureFor(ctx context.Context, b bench.Benchmark) (*traceEntry, error) {
+	if s.traces == nil {
+		return &traceEntry{rep: trace.NewLive(b)}, nil
+	}
 	if e, ok := s.traceGet(ctx, b.Name); ok {
 		s.metrics.traceCacheHits.Add(1)
 		return e, nil
@@ -422,10 +423,10 @@ func (s *Service) tracePut(ctx context.Context, key string, e *traceEntry) {
 	s.spillEvicted(evicted)
 }
 
-// executeReplay is the capture-backed twin of the live half of execute: it
-// resolves the benchmark's capture (sharing it across concurrent requests
-// and models) and replays it instead of re-interpreting. Responses are
-// bit-identical to the live path regardless of residency tier. A mapped
+// executeReplay runs one request: it resolves the benchmark's trace source
+// (a cached capture shared across concurrent requests and models, or the
+// live interpreter when the trace cache is off) and replays it. Responses
+// are bit-identical whatever the source. A mapped
 // entry can be evicted — and its handle closed — between our cache hit and
 // the replay; that loses nothing but the mapping, so it is retried exactly
 // once: the retry's captureFor misses and re-maps (or re-captures) fresh.
@@ -457,17 +458,31 @@ func (s *Service) replayOnce(ctx context.Context, req Request, rc *icomp.Recoder
 		}, nil
 	}
 
-	// Pipeline models never read program memory, so the model replay skips
-	// the shadow image entirely; the activity counts come from the
-	// per-entry memo (one memory-backed replay per granularity, shared by
-	// every model of a sweep).
 	m := pipeline.New(req.Model)
-	if err := e.rep.ReplayBlocks(ctx, rc, m); err != nil {
-		return nil, err
-	}
-	counts, err := e.activityCounts(ctx, req.Gran, rc)
-	if err != nil {
-		return nil, err
+	var counts activity.Counts
+	if _, live := e.rep.(*trace.Live); live {
+		// Nothing is kept between live passes, so interpret once with the
+		// model and the collector riding the same pass.
+		mem, err := e.rep.NewMemory()
+		if err != nil {
+			return nil, err
+		}
+		col := activity.NewCollector(req.Gran, rc, mem)
+		if err := e.rep.ReplayBlocksOn(ctx, mem, rc, m, col); err != nil {
+			return nil, err
+		}
+		counts = col.Counts()
+	} else {
+		// Pipeline models never read program memory, so the model replay
+		// skips the shadow image entirely; the activity counts come from
+		// the per-entry memo (one memory-backed replay per granularity,
+		// shared by every model of a sweep).
+		if err := e.rep.ReplayBlocks(ctx, rc, m); err != nil {
+			return nil, err
+		}
+		if counts, err = e.activityCounts(ctx, req.Gran, rc); err != nil {
+			return nil, err
+		}
 	}
 	// Replaying under a new recoder profile grows the capture's memo; keep
 	// the byte-budgeted LRU's ledger honest.

@@ -184,7 +184,7 @@ func TestSuiteByteIdenticalReplayVsLive(t *testing.T) {
 	benches := []string{"dijkstra", "g711dec", "rawdaudio"}
 	replaySvc := testService(t, Config{Workers: 4}, benches...)
 	liveSvc := testService(t, Config{Workers: 4, TraceCacheMB: -1}, benches...)
-	if !replaySvc.tracesEnabled() || liveSvc.tracesEnabled() {
+	if replaySvc.traces == nil || liveSvc.traces != nil {
 		t.Fatal("trace-cache enablement wiring is wrong")
 	}
 	ctx := context.Background()

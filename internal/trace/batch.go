@@ -1,28 +1,22 @@
-// Batch replay: column-block fan-out of a Capture.
+// Block replay: column-block fan-out of a trace.
 //
-// Scalar replay (ReplayOn) materializes one Event per instruction and calls
-// every consumer once per event — clean, but the per-event costs (a 200-byte
-// Event copy into each Consume call, plus whatever per-event bookkeeping the
-// consumer does) dominate replay time. Batch replay instead hands consumers
-// *column blocks*: contiguous slices of the six u32 capture columns plus the
-// per-block statics annotation table, so a batch-aware consumer can run
-// branch-free kernels over whole columns and amortize its per-instruction
-// overheads to (near) zero. Consumers that do not implement BatchConsumer
-// are driven through a scalar-compatibility shim that reconstructs events
-// exactly as ReplayOn does, so the two paths are bit-identical by
-// construction for scalar consumers and by test for batch ones.
+// Consumers receive a trace as column blocks: contiguous slices of the six
+// u32 capture columns plus the per-block statics annotation table, so a
+// consumer runs branch-free kernels over whole columns and amortizes its
+// per-instruction overheads to (near) zero. No per-instruction Event is
+// ever built on this path; Block.EventAt reconstructs one on demand for
+// reference oracles and tests.
 //
-// Memory ordering. The scalar path applies each captured store just before
-// fanning out its event, and memory-reading consumers (the activity
-// collectors read cache-line contents at fill time) depend on that order. A
-// block of rows spanning a store cannot simply be fanned out after applying
-// all its stores — a consumer filling a cache line at row i must not observe
-// a store from row j > i. ReplayBlocksOn therefore splits each block at
-// store rows: rows [lo, i) are emitted, store i is applied, and the next
-// span starts at i (the store row itself is emitted in the following span,
-// after its own store has landed — the same state-then-consume order as the
-// live loop and ReplayOn). With a nil memory image no splitting is needed
-// and blocks are emitted whole.
+// Memory ordering. Memory-reading consumers (the activity collectors read
+// cache-line contents at fill time) must observe each row's store before
+// the row itself and no later store. A block of rows spanning a store
+// cannot simply be fanned out after applying all its stores — a consumer
+// filling a cache line at row i must not observe a store from row j > i.
+// emitSpans therefore splits each block at store rows: rows [lo, i) are
+// emitted, store i is applied, and the next span starts at i (the store
+// row itself is emitted in the following span, after its own store has
+// landed — the state-then-consume order of stepping the interpreter). With
+// a nil memory image no splitting is needed and blocks are emitted whole.
 package trace
 
 import (
@@ -33,7 +27,7 @@ import (
 	"repro/internal/mem"
 )
 
-// BlockRows is the batch replay span size: large enough to amortize
+// BlockRows is the block span size: large enough to amortize
 // per-block overhead, small enough that a block's columns stay cache
 // resident while consumers sweep them.
 const BlockRows = 4096
@@ -98,8 +92,8 @@ func (s PackedSig) MaxSrcHalves() int {
 	return a
 }
 
-// Block is one contiguous span of a capture's columns, handed to
-// BatchConsumers during batch replay. The column slices alias the capture's
+// Block is one contiguous span of a trace's columns, handed to every
+// Consumer. The column slices alias the capture's
 // storage and are valid only for the duration of the ConsumeBlock call;
 // consumers must not retain or mutate them.
 //
@@ -132,18 +126,18 @@ type Block struct {
 
 	// Misses lists, in row order, the block's rows whose outcome under
 	// the default memory hierarchy is not a plain hit (see misses.go).
-	// Rows not listed hit everywhere. The replay engines never leave it
-	// nil; a nil Misses (a hand-built block) tells consumers to simulate
-	// the hierarchy themselves.
+	// Rows not listed hit everywhere. Every source fills it (an empty,
+	// non-nil slice when all rows hit).
 	Misses []MissEvent
 }
 
 // Len returns the number of rows in the block.
 func (b *Block) Len() int { return len(b.Slot) }
 
-// EventAt reconstructs row i of the block into *ev, exactly as the scalar
-// replay path would have built it. The reused *ev pattern (instead of
-// returning an Event) keeps the 200-byte struct out of per-row copies.
+// EventAt reconstructs row i of the block into *ev: the instruction as the
+// interpreter retired it plus its annotation under the block's recoder. The
+// reused *ev pattern (instead of returning an Event) keeps the 200-byte
+// struct out of per-row copies.
 func (b *Block) EventAt(i int, ev *Event) {
 	sw := b.Slot[i]
 	st := &b.Statics[sw&SlotMask]
@@ -186,66 +180,22 @@ func (b *Block) EventAt(i int, ev *Event) {
 	ev.WBHalves = s.WBHalves()
 }
 
-// BatchConsumer is a Consumer that can additionally ingest whole column
-// blocks. Batch replay feeds ConsumeBlock; the embedded scalar Consume keeps
-// the type usable with live runs and scalar replay unchanged.
-type BatchConsumer interface {
-	Consumer
-	ConsumeBlock(b *Block)
-}
-
-// scalarShim adapts plain Consumers to the block interface by materializing
-// events row by row — the compatibility path that keeps every existing
-// consumer working under batch replay with unchanged semantics.
-type scalarShim struct {
-	consumers []Consumer
-	ev        Event
-}
-
-func (s *scalarShim) Consume(e Event) {
-	for _, c := range s.consumers {
-		c.Consume(e)
-	}
-}
-
-func (s *scalarShim) ConsumeBlock(b *Block) {
-	for i := range b.Slot {
-		b.EventAt(i, &s.ev)
-		for _, c := range s.consumers {
-			c.Consume(s.ev)
-		}
-	}
-}
-
-// ReplayBlocks is batch replay without a memory image: the recorded stores
-// are not applied anywhere, which is sufficient for consumers that never
-// read program memory (the pipeline timing models). Consumers that read
-// memory (activity collectors) need ReplayBlocksOn with the benchmark's
-// initial image (NewMemory), or the top-level BatchReplay.
+// ReplayBlocks emits the capture without a memory image: the recorded
+// stores are not applied anywhere, which is sufficient for consumers that
+// never read program memory (the pipeline timing models). Consumers that
+// read memory (activity collectors) need ReplayBlocksOn with the
+// benchmark's initial image (NewMemory).
 func (cp *Capture) ReplayBlocks(ctx context.Context, rc *icomp.Recoder, consumers ...Consumer) error {
 	return cp.ReplayBlocksOn(ctx, nil, rc, consumers...)
 }
 
-// BatchReplay is the batch twin of Replay: it rebuilds the benchmark's
-// memory image and fans the trace out in column blocks, bit-identical to a
-// live run for every consumer (batch-aware or not).
-func (cp *Capture) BatchReplay(ctx context.Context, rc *icomp.Recoder, consumers ...Consumer) error {
-	m, err := cp.NewMemory()
-	if err != nil {
-		return err
-	}
-	return cp.ReplayBlocksOn(ctx, m, rc, consumers...)
-}
-
-// ReplayBlocksOn is the batch twin of ReplayOn: it fans the capture out to
-// the consumers in column blocks of up to BlockRows rows. BatchConsumers
-// receive blocks directly; plain Consumers are driven through the scalar
-// shim. With a non-nil memory image the blocks are additionally split at
-// store rows so every consumer observes memory exactly as the live run did
-// (see the package comment on memory ordering).
+// ReplayBlocksOn fans the capture out to the consumers in column blocks of
+// up to BlockRows rows. With a non-nil memory image (the benchmark's
+// initial image, NewMemory) the blocks are additionally split at store rows
+// so every consumer observes memory exactly as the interpreter left it (see
+// the package comment on memory ordering).
 func (cp *Capture) ReplayBlocksOn(ctx context.Context, m *mem.Memory, rc *icomp.Recoder, consumers ...Consumer) error {
 	ifb := cp.ifBytes(rc)
-	sinks := gatherSinks(consumers)
 	blk := Block{Statics: cp.statics, IFB: ifb}
 	misses := cp.misses.cursor()
 	n := len(cp.slot)
@@ -263,7 +213,7 @@ func (cp *Capture) ReplayBlocksOn(ctx context.Context, m *mem.Memory, rc *icomp.
 		if hi < n {
 			endNextPC = cp.pc[hi]
 		}
-		emitSpans(&blk, m, sinks, base,
+		emitSpans(&blk, m, consumers, base,
 			cp.slot[base:hi], cp.pc[base:hi], cp.srcA[base:hi], cp.srcB[base:hi],
 			cp.result[base:hi], cp.sig[base:hi], endNextPC,
 			misses.next(cp.statics, base, cp.slot[base:hi], cp.pc[base:hi], cp.srcA[base:hi]))
@@ -272,36 +222,16 @@ func (cp *Capture) ReplayBlocksOn(ctx context.Context, m *mem.Memory, rc *icomp.
 	return nil
 }
 
-// gatherSinks partitions consumers into the block fan-out set: batch-aware
-// consumers receive blocks directly, everything else rides one shared
-// scalar-compatibility shim.
-func gatherSinks(consumers []Consumer) []BatchConsumer {
-	var sinks []BatchConsumer
-	var scalars []Consumer
-	for _, c := range consumers {
-		if bc, ok := c.(BatchConsumer); ok {
-			sinks = append(sinks, bc)
-		} else {
-			scalars = append(scalars, c)
-		}
-	}
-	if len(scalars) > 0 {
-		sinks = append(sinks, &scalarShim{consumers: scalars})
-	}
-	return sinks
-}
-
-// emitSpans fans one contiguous decoded column span out to the sinks,
+// emitSpans fans one contiguous decoded column span out to the consumers,
 // splitting at store rows when a memory image is present: rows [lo, i) are
 // emitted, store i is applied, and the next span starts at i — the store
-// row's own event is observed only after its store has landed, and before
-// any later one, exactly like the scalar loop. Both residency tiers
-// (in-memory ReplayBlocksOn and the streaming frame replayer) share this,
-// so their memory ordering cannot diverge. start is the trace-global index
+// row is observed only after its store has landed, and before any later
+// one. All three sources (ReplayBlocksOn, the streaming frame replayer and
+// the live window) share this, so their memory ordering cannot diverge. start is the trace-global index
 // of span row 0; endNextPC is the NextPC of the span's final row; misses
 // are the miss-stream events of the span's rows, sliced per emitted block.
 // blk carries the Statics/IFB annotation tables and is reused across calls.
-func emitSpans(blk *Block, m *mem.Memory, sinks []BatchConsumer, start int,
+func emitSpans(blk *Block, m *mem.Memory, consumers []Consumer, start int,
 	slot, pc, srcA, srcB, result, sig []uint32, endNextPC uint32, misses []MissEvent) {
 	n := len(slot)
 	emit := func(lo, hi int) {
@@ -325,8 +255,8 @@ func emitSpans(blk *Block, m *mem.Memory, sinks []BatchConsumer, start int,
 		} else {
 			blk.EndNextPC = endNextPC
 		}
-		for _, bc := range sinks {
-			bc.ConsumeBlock(blk)
+		for _, c := range consumers {
+			c.ConsumeBlock(blk)
 		}
 	}
 	if m == nil {

@@ -8,39 +8,7 @@ import (
 	"repro/internal/trace"
 )
 
-// TestBatchReplayShimIdentical verifies the scalar-compatibility shim: a
-// plain Consumer fed through batch replay must observe exactly the event
-// stream the scalar replay path produces, including the memory-dependent
-// fields (store ordering), for every benchmark in the capture test set.
-func TestBatchReplayShimIdentical(t *testing.T) {
-	ctx := context.Background()
-	rc := icomp.MustNewRecoder(icomp.DefaultTopFuncts())
-	for _, name := range captureTestBenches {
-		b := mustBench(t, name)
-		cp, err := trace.CaptureRun(ctx, b)
-		if err != nil {
-			t.Fatalf("capture %s: %v", name, err)
-		}
-		var scalar, batch eventRecorder
-		if err := cp.Replay(ctx, rc, &scalar); err != nil {
-			t.Fatalf("%s scalar replay: %v", name, err)
-		}
-		if err := cp.BatchReplay(ctx, rc, &batch); err != nil {
-			t.Fatalf("%s batch replay: %v", name, err)
-		}
-		if len(scalar.events) != len(batch.events) {
-			t.Fatalf("%s: scalar replay %d events, batch %d", name, len(scalar.events), len(batch.events))
-		}
-		for i := range scalar.events {
-			if scalar.events[i] != batch.events[i] {
-				t.Fatalf("%s: event %d diverges\nscalar: %+v\nbatch:  %+v",
-					name, i, scalar.events[i], batch.events[i])
-			}
-		}
-	}
-}
-
-// TestBatchReplayBlockShape checks the block invariants a BatchConsumer may
+// TestBatchReplayBlockShape checks the block invariants a Consumer may
 // rely on: rows partition the trace in order, Start is the global index,
 // EndNextPC chains to the next block's first PC, and the statics/IFB tables
 // are shared across blocks.
@@ -80,11 +48,6 @@ func TestBatchReplayBlockShape(t *testing.T) {
 	}
 }
 
-type blockCollector func(*trace.Block)
-
-func (f blockCollector) Consume(trace.Event)         { panic("scalar path not expected") }
-func (f blockCollector) ConsumeBlock(b *trace.Block) { f(b) }
-
 // TestBatchReplayCancel mirrors TestCaptureReplayCancel for the batch path.
 func TestBatchReplayCancel(t *testing.T) {
 	cp, err := trace.CaptureRun(context.Background(), mustBench(t, captureTestBenches[0]))
@@ -94,7 +57,7 @@ func TestBatchReplayCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	rc := icomp.MustNewRecoder(icomp.DefaultTopFuncts())
-	if err := cp.ReplayBlocks(ctx, rc, trace.ConsumerFunc(func(trace.Event) {})); err == nil {
+	if err := cp.ReplayBlocks(ctx, rc, nopConsumer); err == nil {
 		t.Fatal("batch replay with cancelled context succeeded")
 	}
 }

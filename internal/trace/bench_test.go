@@ -17,16 +17,16 @@ func benchRecoder(b *testing.B) *icomp.Recoder {
 	return rc
 }
 
-// BenchmarkStepAnnotate measures the live path: interpret the benchmark and
-// annotate every retired instruction (the per-raw IFBytes memo included).
+// BenchmarkStepAnnotate measures the live source: interpret the benchmark,
+// annotate every retired instruction into the reused window, and emit its
+// blocks (miss events included) to a discarding consumer.
 func BenchmarkStepAnnotate(b *testing.B) {
 	bm := mustBench(b, "dijkstra")
 	rc := benchRecoder(b)
-	sink := trace.ConsumerFunc(func(trace.Event) {})
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := trace.RunCtx(ctx, bm, rc, sink); err != nil {
+		if err := trace.NewLive(bm).ReplayBlocks(ctx, rc, nopConsumer); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -45,33 +45,6 @@ func BenchmarkCapture(b *testing.B) {
 	}
 }
 
-// BenchmarkReplay measures re-annotating a captured trace without the
-// interpreter — the hot loop of every warm sweep.
-func BenchmarkReplay(b *testing.B) {
-	bm := mustBench(b, "dijkstra")
-	rc := benchRecoder(b)
-	ctx := context.Background()
-	cp, err := trace.CaptureRun(ctx, bm)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sink := trace.ConsumerFunc(func(trace.Event) {})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := cp.Replay(ctx, rc, sink); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// batchSink is a BatchConsumer that discards blocks: benchmarks of the
-// replay engines themselves, with no consumer work attached.
-type batchSink struct{}
-
-func (batchSink) Consume(trace.Event)       {}
-func (batchSink) ConsumeBlock(*trace.Block) {}
-
 // BenchmarkReplayBlocks measures the column-block batch path over a fully
 // resident capture — the hot loop of a warm sweep once the trace is decoded.
 func BenchmarkReplayBlocks(b *testing.B) {
@@ -85,7 +58,7 @@ func BenchmarkReplayBlocks(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := cp.ReplayBlocks(ctx, rc, batchSink{}); err != nil {
+		if err := cp.ReplayBlocks(ctx, rc, nopConsumer); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -115,7 +88,7 @@ func BenchmarkReplayStreamed(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := mc.ReplayBlocks(ctx, rc, batchSink{}); err != nil {
+		if err := mc.ReplayBlocks(ctx, rc, nopConsumer); err != nil {
 			b.Fatal(err)
 		}
 	}

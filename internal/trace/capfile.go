@@ -106,7 +106,7 @@ func (cw *crcWriter) Write(p []byte) (int, error) {
 }
 
 // WriteTo serializes the capture as SIGCAP01, implementing io.WriterTo.
-// The capture must be complete (CaptureRun, or ride-along + Finalize);
+// The capture must be complete (CaptureRun, or Record + Finalize);
 // concurrent Replays are fine, concurrent recording is not.
 func (cp *Capture) WriteTo(w io.Writer) (int64, error) {
 	cw := &crcWriter{w: w, crc: crc32.NewIEEE()}

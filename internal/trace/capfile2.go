@@ -56,8 +56,8 @@ import (
 const cap2Magic = "SIGCAP02"
 
 // FrameRows is the SIGCAP02 frame granule. It deliberately equals BlockRows:
-// one decoded frame feeds BatchConsumers as exactly one block, so streaming
-// replay fans out the same block boundaries as in-memory batch replay.
+// one decoded frame feeds consumers as exactly one block, so streaming
+// replay fans out the same block boundaries as in-memory replay.
 const FrameRows = BlockRows
 
 const (

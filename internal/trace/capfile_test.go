@@ -19,7 +19,7 @@ var updateGolden = flag.Bool("update", false, "regenerate testdata golden captur
 func replayEvents(t *testing.T, cp *trace.Capture) []trace.Event {
 	t.Helper()
 	rec := &eventRecorder{}
-	if err := cp.Replay(context.Background(), defaultRecoder(t), rec); err != nil {
+	if err := fullReplay(context.Background(), cp, defaultRecoder(t), rec); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
 	return rec.events
@@ -218,44 +218,33 @@ func TestCaptureFileGolden(t *testing.T) {
 	}
 }
 
-// TestFileReplayCtxCancel pins the SIGTRC01 reader's cancellation path: a
-// cancelled context must abort the replay with its error instead of
-// running the trace to exhaustion.
+// TestFileReplayCtxCancel pins the SIGTRC01 path's cancellation: a legacy
+// trace loads into a capture, whose replay under a cancelled context must
+// abort with its error instead of running the trace to exhaustion.
 func TestFileReplayCtxCancel(t *testing.T) {
 	b := mustBench(t, captureTestBenches[0])
 	rc := defaultRecoder(t)
-	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf)
-	if err != nil {
-		t.Fatalf("NewWriter: %v", err)
-	}
-	if _, err := trace.Run(b, rc, w); err != nil {
-		t.Fatalf("recording: %v", err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	r, err := trace.NewReader(bytes.NewReader(buf.Bytes()))
+	data, execs := encodeTRC(t, b)
+	r, err := trace.NewReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("NewReader: %v", err)
 	}
+	cp, err := r.ReadCapture(b)
+	if err != nil {
+		t.Fatalf("ReadCapture: %v", err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := r.ReplayCtx(ctx, rc, trace.ConsumerFunc(func(trace.Event) {})); err == nil {
+	if err := cp.ReplayBlocks(ctx, rc, nopConsumer); err == nil {
 		t.Error("cancelled file replay succeeded")
 	}
 
 	// The uncancelled path still replays the whole trace.
-	r2, err := trace.NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("NewReader: %v", err)
+	n := 0
+	if err := cp.ReplayBlocks(context.Background(), rc, blockCollector(func(b *trace.Block) { n += b.Len() })); err != nil {
+		t.Fatalf("replay: %v", err)
 	}
-	n, err := r2.ReplayCtx(context.Background(), rc, trace.ConsumerFunc(func(trace.Event) {}))
-	if err != nil {
-		t.Fatalf("ReplayCtx: %v", err)
-	}
-	if n != w.Count() {
-		t.Errorf("replayed %d records, recorded %d", n, w.Count())
+	if n != len(execs) {
+		t.Errorf("replayed %d records, recorded %d", n, len(execs))
 	}
 }

@@ -24,7 +24,7 @@
 // StoreVal = SrcB, NextPC = next instruction's PC (the interpreter retires
 // in program order), destination register/flags from the statics. The
 // recoder-dependent IFBytes is deliberately NOT captured: it is a pure
-// function of the raw word and the recoder, so Replay resolves it through a
+// function of the raw word and the recoder, so replay resolves it through a
 // per-statics-slot table built once per (Capture, Recoder) pair — the same
 // trace replays under any instruction recoding.
 //
@@ -32,17 +32,17 @@
 // collectors read cache-line contents at fill time), and only stores mutate
 // memory during a run (syscalls write the CPU's output buffer, never
 // memory). Replay therefore rebuilds the initial image and applies each
-// captured store just before fanning out its event — the same
-// state-then-consume order as the live loop — making replay bit-identical
-// to live execution, which the equivalence tests assert.
+// captured store before any consumer sees its row, and no later store
+// before it (see emitSpans) — making replay bit-identical to live
+// interpretation, which the equivalence tests assert.
 package trace
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"repro/internal/bench"
+	"repro/internal/cpu"
 	"repro/internal/icomp"
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -54,7 +54,7 @@ import (
 const MaxBytesPerInst = 40
 
 // TakenBit stores the branch outcome in the slot column's top bit; the low
-// 31 bits (SlotMask) index the statics table. Exported so BatchConsumers can
+// 31 bits (SlotMask) index the statics table. Exported so consumers can
 // decode the raw slot column.
 const (
 	TakenBit = 1 << 31
@@ -79,7 +79,7 @@ const (
 )
 
 // Static is everything about an instruction word that never changes between
-// dynamic instances. The statics table is exposed to BatchConsumers as the
+// dynamic instances. The statics table is exposed to consumers as the
 // per-block annotation table (Block.Statics), so its fields are exported.
 type Static struct {
 	Inst     isa.Inst
@@ -109,17 +109,16 @@ const ifbMemoOverhead = 144
 // letting the map retain every recoding ever replayed.
 const maxIFBMemos = 4
 
-// Replayer is the read side of a recorded trace: everything the serving and
-// evaluation layers need to fan a captured benchmark out to consumers. It is
-// satisfied by both residency tiers of a capture — the fully decoded
-// in-memory Capture and the mmap-backed MappedCapture (stream.go), whose
-// replay memory is O(frame) instead of O(trace). The two are byte-identical
-// by test, so callers choose a tier purely on memory/latency grounds.
+// Replayer is the read side of a trace: everything the serving and
+// evaluation layers need to fan a benchmark out to consumers. It is
+// satisfied by the three block sources — the fully decoded in-memory
+// Capture, the mmap-backed MappedCapture (stream.go), whose replay memory is
+// O(frame) instead of O(trace), and Live interpretation (live.go), which
+// holds no trace at all. All three are byte-identical by test, so callers
+// choose one purely on memory/latency grounds.
 type Replayer interface {
-	// Bench returns the benchmark the trace recorded.
+	// Bench returns the benchmark the trace belongs to.
 	Bench() bench.Benchmark
-	// Len returns the number of recorded instructions.
-	Len() int
 	// SizeBytes estimates the replayer's resident memory (what a
 	// byte-budgeted cache should charge for holding it).
 	SizeBytes() int
@@ -128,12 +127,9 @@ type Replayer interface {
 	NewMemory() (*mem.Memory, error)
 	// ClearMemos drops memoized per-recoder fetch-size tables.
 	ClearMemos()
-	// ReplayOn is the scalar (event-at-a-time) replay over a caller
-	// memory image; see Capture.ReplayOn for the contract.
-	ReplayOn(ctx context.Context, m *mem.Memory, rc *icomp.Recoder, consumers ...Consumer) error
-	// ReplayBlocks is batch replay without a memory image.
+	// ReplayBlocks emits the trace without a memory image.
 	ReplayBlocks(ctx context.Context, rc *icomp.Recoder, consumers ...Consumer) error
-	// ReplayBlocksOn is batch replay over a caller memory image; see
+	// ReplayBlocksOn emits the trace over a caller memory image; see
 	// Capture.ReplayBlocksOn for the memory-ordering contract.
 	ReplayBlocksOn(ctx context.Context, m *mem.Memory, rc *icomp.Recoder, consumers ...Consumer) error
 }
@@ -193,8 +189,8 @@ func (mm *ifbMemo) sizeBytes(nStatics int) int {
 }
 
 // Capture is one benchmark's recorded trace. Record it by running the
-// benchmark to completion (CaptureRun, or Consume riding along any live
-// run); once complete it is immutable and safe for concurrent Replays.
+// benchmark to completion (CaptureRun); once complete it is immutable and
+// safe for concurrent replays.
 type Capture struct {
 	bench   bench.Benchmark
 	statics []Static
@@ -210,11 +206,10 @@ type Capture struct {
 	lastNextPC uint32 // NextPC of the final instruction (no successor row)
 
 	memo   ifbMemo  // per-recoder-profile fetch-size tables
-	misses missMemo // hierarchy outcome, built by the first batch replay
+	misses missMemo // hierarchy outcome, built by the first replay
 }
 
-// NewCapture returns an empty capture for b, ready to record (via Consume
-// as a run consumer, or internally via CaptureRun).
+// NewCapture returns an empty capture for b, ready to Record into.
 func NewCapture(b bench.Benchmark) *Capture {
 	return &Capture{
 		bench:  b,
@@ -222,10 +217,9 @@ func NewCapture(b bench.Benchmark) *Capture {
 	}
 }
 
-// CaptureRun executes b to completion and records its trace. It is the
-// recoder-free twin of RunCtx: significance annotation is computed (and
-// stored) for every event, but no instruction recoding is consulted — that
-// binding happens at Replay time.
+// CaptureRun executes b to completion and records its trace. Significance
+// annotation is computed (and stored) for every instruction, but no
+// instruction recoding is consulted — that binding happens at replay time.
 func CaptureRun(ctx context.Context, b bench.Benchmark) (*Capture, error) {
 	c, err := b.NewCPU()
 	if err != nil {
@@ -233,29 +227,11 @@ func CaptureRun(ctx context.Context, b bench.Benchmark) (*Capture, error) {
 	}
 	cp := NewCapture(b)
 	cp.grow(int(b.MaxInsts))
-	var n uint64
-	for !c.Done {
-		if n&ctxCheckMask == 0 {
-			select {
-			case <-ctx.Done():
-				return nil, fmt.Errorf("trace: capturing %s aborted after %d instructions: %w", b.Name, n, ctx.Err())
-			default:
-			}
-		}
-		if n >= b.MaxInsts {
-			return nil, fmt.Errorf("trace: %s exceeded %d instructions", b.Name, b.MaxInsts)
-		}
-		e, err := c.Step()
-		if err != nil {
-			return nil, fmt.Errorf("trace: capturing %s: %w", b.Name, err)
-		}
-		ev := Event{Exec: e}
-		annotateSig(&ev)
-		cp.record(ev)
-		n++
+	if _, err := interpret(ctx, c, "capturing "+b.Name, b.MaxInsts, cp.Record); err != nil {
+		return nil, err
 	}
-	if got := c.Regs[bench.ChecksumReg]; got != b.Checksum {
-		return nil, fmt.Errorf("trace: %s checksum %#08x, want %#08x", b.Name, got, b.Checksum)
+	if err := benchDone(c, b); err != nil {
+		return nil, err
 	}
 	cp.Finalize()
 	return cp, nil
@@ -282,10 +258,10 @@ func (cp *Capture) grow(hint int) {
 
 // Finalize trims append slack so SizeBytes reflects exactly the recorded
 // trace. Call it once recording is finished: CaptureRun does, and any
-// capture recorded by riding along a live run (Consume) must be finalized
-// by the ride-along site before the capture is sized or cached — append
-// growth otherwise leaves up to ~2x slack in the dynamic columns. Safe to
-// call more than once; a finalized capture with no slack is left untouched.
+// capture filled through Record must be finalized before it is sized or
+// cached — append growth otherwise leaves up to ~2x slack in the dynamic
+// columns. Safe to call more than once; a finalized capture with no slack
+// is left untouched.
 func (cp *Capture) Finalize() {
 	trim := func(s []uint32) []uint32 {
 		if cap(s) == len(s) {
@@ -303,12 +279,19 @@ func (cp *Capture) Finalize() {
 	cp.sig = trim(cp.sig)
 }
 
-// Consume implements Consumer, so a Capture can ride along any live run
-// (Run/RunOnCtx) and record the stream while other consumers observe it.
-func (cp *Capture) Consume(ev Event) { cp.record(ev) }
+// truncate empties the dynamic columns, keeping their storage and the
+// statics table: the live source's window reuse.
+func (cp *Capture) truncate() {
+	cp.slot = cp.slot[:0]
+	cp.pc = cp.pc[:0]
+	cp.srcA = cp.srcA[:0]
+	cp.srcB = cp.srcB[:0]
+	cp.result = cp.result[:0]
+	cp.sig = cp.sig[:0]
+}
 
 // staticFor derives the statics-table entry for one decoded instruction.
-// record and the SIGCAP01 reader (capfile.go) share it, so a capture decoded
+// Record and the SIGCAP01 reader (capfile.go) share it, so a capture decoded
 // from disk rebuilds exactly the table the original recording held.
 func staticFor(in isa.Inst) Static {
 	dest, hasDest := in.DestReg()
@@ -327,7 +310,11 @@ func staticFor(in isa.Inst) Static {
 	return st
 }
 
-func (cp *Capture) record(ev Event) {
+// Record appends one retired instruction, annotating its significance.
+// Instructions must arrive in retirement order.
+func (cp *Capture) Record(e cpu.Exec) {
+	ev := Event{Exec: e}
+	annotateSig(&ev)
 	idx, ok := cp.slotOf[ev.Raw]
 	if !ok {
 		st := staticFor(ev.Inst)
@@ -391,7 +378,7 @@ func (cp *Capture) SizeBytes() int {
 }
 
 // MissStream returns the capture's published miss stream (see misses.go),
-// or nil before the first batch replay has completed. Callers must not
+// or nil before the first replay has completed. Callers must not
 // modify it.
 func (cp *Capture) MissStream() []MissEvent { return cp.misses.stream() }
 
@@ -418,8 +405,8 @@ func (cp *Capture) FunctCounts() map[isa.Funct]uint64 {
 	return counts
 }
 
-// NewMemory builds the benchmark's initial memory image, for ReplayOn
-// consumers that read program memory (the activity collectors).
+// NewMemory builds the benchmark's initial memory image, for consumers
+// that read program memory during replay (the activity collectors).
 func (cp *Capture) NewMemory() (*mem.Memory, error) {
 	c, err := cp.bench.NewCPU()
 	if err != nil {
@@ -435,90 +422,4 @@ func (cp *Capture) NewMemory() (*mem.Memory, error) {
 // against it over its cached lifetime.
 func (cp *Capture) ifBytes(rc *icomp.Recoder) []uint8 {
 	return cp.memo.tableFor(rc, cp.statics)
-}
-
-// Replay re-annotates the recorded trace under rc and fans every event out
-// to the consumers, bit-identical to a live run but without the
-// interpreter. It rebuilds the benchmark's memory image so consumers that
-// read program memory observe exactly the live-run contents; replays of one
-// Capture are independent and may run concurrently.
-func (cp *Capture) Replay(ctx context.Context, rc *icomp.Recoder, consumers ...Consumer) error {
-	m, err := cp.NewMemory()
-	if err != nil {
-		return err
-	}
-	return cp.ReplayOn(ctx, m, rc, consumers...)
-}
-
-// ReplayOn is Replay over a caller-supplied memory image, the hook for
-// consumers built around a shared *mem.Memory (activity collectors read
-// cache-line contents at fill time). m must be the benchmark's initial
-// image (NewMemory); ReplayOn applies the trace's stores to it in program
-// order, each just before its event is fanned out, mirroring the live
-// step-then-consume sequence.
-func (cp *Capture) ReplayOn(ctx context.Context, m *mem.Memory, rc *icomp.Recoder, consumers ...Consumer) error {
-	ifb := cp.ifBytes(rc)
-	n := len(cp.slot)
-	for i := 0; i < n; i++ {
-		if i&ctxCheckMask == 0 {
-			select {
-			case <-ctx.Done():
-				return fmt.Errorf("trace: replaying %s aborted after %d instructions: %w", cp.bench.Name, i, ctx.Err())
-			default:
-			}
-		}
-		sw := cp.slot[i]
-		st := &cp.statics[sw&SlotMask]
-		var ev Event
-		e := &ev.Exec
-		e.PC = cp.pc[i]
-		e.Raw = st.Inst.Raw
-		e.Inst = st.Inst
-		e.SrcA, e.ReadsA = cp.srcA[i], st.ReadsA
-		e.SrcB, e.ReadsB = cp.srcB[i], st.ReadsB
-		if st.HasDest {
-			e.Dest, e.Result, e.HasDest = st.Dest, cp.result[i], true
-		}
-		e.Taken = sw&TakenBit != 0
-		if i+1 < n {
-			e.NextPC = cp.pc[i+1]
-		} else {
-			e.NextPC = cp.lastNextPC
-		}
-		if st.MemWidth > 0 {
-			e.Addr = e.SrcA + st.Simm
-			e.MemWidth = int(st.MemWidth)
-			if st.IsStore {
-				e.StoreVal = e.SrcB
-				if m != nil {
-					switch st.MemWidth {
-					case 1:
-						m.Store8(e.Addr, byte(e.SrcB))
-					case 2:
-						m.Store16(e.Addr, uint16(e.SrcB))
-					default:
-						m.Store32(e.Addr, e.SrcB)
-					}
-				}
-			} else {
-				e.Loaded = cp.result[i]
-			}
-		}
-		s := cp.sig[i]
-		ev.IFBytes = int(ifb[sw&SlotMask])
-		ev.SrcBytesA = int(s >> sigSrcBytesAShift & 7)
-		ev.SrcBytesB = int(s >> sigSrcBytesBShift & 7)
-		ev.SrcHalvesA = int(s >> sigSrcHalvesAShift & 3)
-		ev.SrcHalvesB = int(s >> sigSrcHalvesBShift & 3)
-		ev.ALUOps = int(s >> sigALUOpsShift & 15)
-		ev.ALUHalfOps = int(s >> sigALUHalfShift & 7)
-		ev.MemBytes = int(s >> sigMemBytesShift & 7)
-		ev.MemHalves = int(s >> sigMemHalvesShift & 3)
-		ev.WBBytes = int(s >> sigWBBytesShift & 7)
-		ev.WBHalves = int(s >> sigWBHalvesShift & 3)
-		for _, cons := range consumers {
-			cons.Consume(ev)
-		}
-	}
-	return nil
 }

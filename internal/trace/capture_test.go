@@ -29,23 +29,63 @@ func defaultRecoder(t *testing.T) *icomp.Recoder {
 	return icomp.MustNewRecoder(icomp.DefaultTopFuncts())
 }
 
+// eventRecorder materializes every row it is handed as an Event.
 type eventRecorder struct{ events []trace.Event }
 
-func (r *eventRecorder) Consume(e trace.Event) { r.events = append(r.events, e) }
+func (r *eventRecorder) ConsumeBlock(b *trace.Block) {
+	var ev trace.Event
+	for i := range b.Slot {
+		b.EventAt(i, &ev)
+		r.events = append(r.events, ev)
+	}
+}
 
-// TestReplayBitIdentical replays a captured trace and demands exact Event
-// equality — every cpu.Exec field and every significance quantity — with
-// the live run, for a capture built by CaptureRun and for one recorded by
-// riding along the live run as a Consumer.
+// blockCollector adapts a function to trace.Consumer.
+type blockCollector func(*trace.Block)
+
+func (f blockCollector) ConsumeBlock(b *trace.Block) { f(b) }
+
+// fullReplay replays rep over a fresh memory image of its benchmark.
+func fullReplay(ctx context.Context, rep trace.Replayer, rc *icomp.Recoder, consumers ...trace.Consumer) error {
+	m, err := rep.NewMemory()
+	if err != nil {
+		return err
+	}
+	return rep.ReplayBlocksOn(ctx, m, rc, consumers...)
+}
+
+// nopConsumer discards every block.
+var nopConsumer = blockCollector(func(*trace.Block) {})
+
+// TestReplayBitIdentical demands exact Event equality — every cpu.Exec
+// field and every significance quantity — between the live source and
+// replays of a capture built by CaptureRun and of one recorded by hand
+// through Capture.Record; and checks the Exec fields against the
+// interpreter stepped directly.
 func TestReplayBitIdentical(t *testing.T) {
 	rc := defaultRecoder(t)
 	for _, name := range captureTestBenches {
 		b := mustBench(t, name)
 		live := &eventRecorder{}
-		rideAlong := trace.NewCapture(b)
-		if _, err := trace.Run(b, rc, live, rideAlong); err != nil {
+		if err := trace.NewLive(b).ReplayBlocks(context.Background(), rc, live); err != nil {
 			t.Fatalf("%s: live run: %v", name, err)
 		}
+		c, err := b.NewCPU()
+		if err != nil {
+			t.Fatal(err)
+		}
+		byHand := trace.NewCapture(b)
+		for i := 0; !c.Done; i++ {
+			e, err := c.Step()
+			if err != nil {
+				t.Fatalf("%s: step: %v", name, err)
+			}
+			if i >= len(live.events) || !reflect.DeepEqual(live.events[i].Exec, e) {
+				t.Fatalf("%s: live row %d differs from the interpreter's %+v", name, i, e)
+			}
+			byHand.Record(e)
+		}
+		byHand.Finalize()
 
 		captured, err := trace.CaptureRun(context.Background(), b)
 		if err != nil {
@@ -55,9 +95,9 @@ func TestReplayBitIdentical(t *testing.T) {
 			t.Fatalf("%s: capture has %d events, live run %d", name, captured.Len(), len(live.events))
 		}
 
-		for whose, cp := range map[string]*trace.Capture{"CaptureRun": captured, "ride-along": rideAlong} {
+		for whose, cp := range map[string]*trace.Capture{"CaptureRun": captured, "Record": byHand} {
 			replayed := &eventRecorder{}
-			if err := cp.Replay(context.Background(), rc, replayed); err != nil {
+			if err := cp.ReplayBlocks(context.Background(), rc, replayed); err != nil {
 				t.Fatalf("%s: replay (%s): %v", name, whose, err)
 			}
 			if len(replayed.events) != len(live.events) {
@@ -75,19 +115,20 @@ func TestReplayBitIdentical(t *testing.T) {
 }
 
 // TestReplayActivityIdentical runs the activity collector (which reads
-// program memory at cache-fill time) live and over a replayed shadow
-// memory, and demands identical counts at both granularities.
+// program memory at cache-fill time) over the live source and over a
+// replayed capture, and demands identical counts at both granularities.
 func TestReplayActivityIdentical(t *testing.T) {
 	rc := defaultRecoder(t)
 	for _, name := range captureTestBenches {
 		b := mustBench(t, name)
 		for _, gran := range []int{1, 2} {
-			c, err := b.NewCPU()
+			live := trace.NewLive(b)
+			lm, err := live.NewMemory()
 			if err != nil {
-				t.Fatalf("%s: NewCPU: %v", name, err)
+				t.Fatalf("%s: NewMemory: %v", name, err)
 			}
-			liveCol := activity.NewCollector(gran, rc, c.Mem)
-			if err := trace.RunOn(c, b, rc, liveCol); err != nil {
+			liveCol := activity.NewCollector(gran, rc, lm)
+			if err := live.ReplayBlocksOn(context.Background(), lm, rc, liveCol); err != nil {
 				t.Fatalf("%s: live run: %v", name, err)
 			}
 
@@ -100,7 +141,7 @@ func TestReplayActivityIdentical(t *testing.T) {
 				t.Fatalf("%s: NewMemory: %v", name, err)
 			}
 			replayCol := activity.NewCollector(gran, rc, m)
-			if err := cp.ReplayOn(context.Background(), m, rc, replayCol); err != nil {
+			if err := cp.ReplayBlocksOn(context.Background(), m, rc, replayCol); err != nil {
 				t.Fatalf("%s: replay: %v", name, err)
 			}
 			if got, want := replayCol.Counts(), liveCol.Counts(); !reflect.DeepEqual(got, want) {
@@ -150,7 +191,7 @@ func TestCaptureFunctCounts(t *testing.T) {
 }
 
 // TestReplaySecondRecoder replays one capture under a different recoding
-// and checks the re-derived IFBytes against the pure Annotate path.
+// and checks the re-derived IFBytes against the recoder directly.
 func TestReplaySecondRecoder(t *testing.T) {
 	b := mustBench(t, captureTestBenches[0])
 	cp, err := trace.CaptureRun(context.Background(), b)
@@ -162,11 +203,15 @@ func TestReplaySecondRecoder(t *testing.T) {
 		t.Fatalf("SuiteRecoder: %v", err)
 	}
 	checked := 0
-	err = cp.Replay(context.Background(), rc2, trace.ConsumerFunc(func(e trace.Event) {
-		if want := rc2.FetchBytes(e.Raw); e.IFBytes != want {
-			t.Fatalf("event %d: IFBytes %d, want %d", checked, e.IFBytes, want)
+	var e trace.Event
+	err = cp.ReplayBlocks(context.Background(), rc2, blockCollector(func(b *trace.Block) {
+		for i := range b.Slot {
+			b.EventAt(i, &e)
+			if want := rc2.FetchBytes(e.Raw); e.IFBytes != want {
+				t.Fatalf("event %d: IFBytes %d, want %d", checked, e.IFBytes, want)
+			}
+			checked++
 		}
-		checked++
 	}))
 	if err != nil {
 		t.Fatalf("replay: %v", err)
@@ -189,7 +234,7 @@ func TestCaptureReplayCancel(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CaptureRun: %v", err)
 	}
-	if err := cp.Replay(ctx, defaultRecoder(t)); err == nil {
-		t.Error("Replay under cancelled context succeeded")
+	if err := cp.ReplayBlocks(ctx, defaultRecoder(t)); err == nil {
+		t.Error("replay under cancelled context succeeded")
 	}
 }

@@ -2,25 +2,21 @@ package trace
 
 import (
 	"bufio"
-	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
 
+	"repro/internal/bench"
 	"repro/internal/cpu"
-	"repro/internal/icomp"
 	"repro/internal/isa"
 )
 
-// Binary trace record/replay. A recorded trace captures the raw Exec
-// stream, so timing and activity studies can be re-run (or run elsewhere)
-// without re-executing the program — the classic trace-driven-simulation
-// workflow the paper's methodology is built on.
-//
-// Format: an 8-byte magic/version header, then one fixed-size
-// little-endian record per instruction. Annotation (significance
-// quantities) is recomputed at replay time, so traces stay recoder-
-// independent.
+// SIGTRC01, the legacy interchange format: an 8-byte magic/version header,
+// then one fixed-size little-endian record per retired instruction (the raw
+// Exec fields). Nothing writes it any more — recordings are SIGCAP02
+// (WriteCaptureFile) — but existing files still load: Reader.ReadCapture
+// rebuilds a Capture whose replay recomputes the annotation, so the traces
+// stay recoder-independent.
 
 const traceMagic = "SIGTRC01"
 
@@ -35,82 +31,13 @@ const (
 	flagTaken
 )
 
-// Writer streams Exec records to an io.Writer.
-type Writer struct {
-	w     *bufio.Writer
-	count uint64
-	err   error
-}
-
-// NewWriter starts a trace, writing the header immediately.
-func NewWriter(w io.Writer) (*Writer, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.WriteString(traceMagic); err != nil {
-		return nil, err
-	}
-	return &Writer{w: bw}, nil
-}
-
-// Consume implements Consumer so a Writer can sit in a trace.Run fan-out.
-func (t *Writer) Consume(e Event) { t.Write(e.Exec) }
-
-// Write appends one record.
-func (t *Writer) Write(e cpu.Exec) {
-	if t.err != nil {
-		return
-	}
-	var buf [recordSize]byte
-	le := binary.LittleEndian
-	le.PutUint32(buf[0:], e.PC)
-	le.PutUint32(buf[4:], e.Raw)
-	le.PutUint32(buf[8:], e.SrcA)
-	le.PutUint32(buf[12:], e.SrcB)
-	le.PutUint32(buf[16:], e.Result)
-	le.PutUint32(buf[20:], e.Addr)
-	le.PutUint32(buf[24:], e.StoreVal)
-	le.PutUint32(buf[28:], e.Loaded)
-	var flags uint8
-	if e.ReadsA {
-		flags |= flagReadsA
-	}
-	if e.ReadsB {
-		flags |= flagReadsB
-	}
-	if e.HasDest {
-		flags |= flagHasDest
-	}
-	if e.Taken {
-		flags |= flagTaken
-	}
-	buf[32] = flags
-	buf[33] = uint8(e.Dest)
-	buf[34] = uint8(e.MemWidth)
-	le.PutUint32(buf[35:], e.NextPC)
-	if _, err := t.w.Write(buf[:]); err != nil {
-		t.err = err
-		return
-	}
-	t.count++
-}
-
-// Close flushes the stream and reports any deferred write error.
-func (t *Writer) Close() error {
-	if t.err != nil {
-		return t.err
-	}
-	return t.w.Flush()
-}
-
-// Count returns the records written so far.
-func (t *Writer) Count() uint64 { return t.count }
-
-// Reader replays a recorded trace.
+// Reader decodes a SIGTRC01 trace.
 type Reader struct {
 	r     *bufio.Reader
 	count uint64
 }
 
-// NewReader validates the header and prepares for replay.
+// NewReader validates the header.
 func NewReader(r io.Reader) (*Reader, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	magic := make([]byte, len(traceMagic))
@@ -156,38 +83,22 @@ func (t *Reader) Next() (cpu.Exec, error) {
 	return e, nil
 }
 
-// Replay annotates every record with rc and fans it out to the consumers,
-// returning the number of instructions replayed. It cannot be cancelled;
-// use ReplayCtx when the caller may need to abort a long trace.
-func (t *Reader) Replay(rc *icomp.Recoder, consumers ...Consumer) (uint64, error) {
-	return t.ReplayCtx(context.Background(), rc, consumers...)
-}
-
-// ReplayCtx is Replay with cancellation: the context is polled every
-// (ctxCheckMask+1) records — the same cadence as the live-run and
-// capture-replay loops — so aborting a request stops a file replay within
-// a few thousand instructions instead of running the trace to exhaustion.
-func (t *Reader) ReplayCtx(ctx context.Context, rc *icomp.Recoder, consumers ...Consumer) (uint64, error) {
-	var n uint64
+// ReadCapture loads every remaining record into a finalized Capture of b,
+// so a SIGTRC01 trace replays through the same block path as any other
+// source. The file does not name its benchmark: b is the caller's, and
+// only NewMemory depends on it (pass the zero Benchmark and replay with
+// ReplayBlocks when the program is unknown).
+func (t *Reader) ReadCapture(b bench.Benchmark) (*Capture, error) {
+	cp := NewCapture(b)
 	for {
-		if n&ctxCheckMask == 0 {
-			select {
-			case <-ctx.Done():
-				return n, fmt.Errorf("trace: file replay aborted after %d records: %w", n, ctx.Err())
-			default:
-			}
-		}
 		e, err := t.Next()
 		if err == io.EOF {
-			return n, nil
+			cp.Finalize()
+			return cp, nil
 		}
 		if err != nil {
-			return n, err
+			return nil, err
 		}
-		ev := Annotate(e, rc)
-		for _, c := range consumers {
-			c.Consume(ev)
-		}
-		n++
+		cp.Record(e)
 	}
 }

@@ -2,10 +2,14 @@ package trace_test
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
 	"io"
+	"reflect"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/cpu"
 	"repro/internal/icomp"
 	"repro/internal/pipeline"
 	"repro/internal/trace"
@@ -13,41 +17,71 @@ import (
 
 var rc = icomp.MustNewRecoder(icomp.DefaultTopFuncts())
 
-// Recording a benchmark and replaying it must reproduce the exact pipeline
-// result of the live run.
-func TestRecordReplayEquivalence(t *testing.T) {
-	b, _ := bench.ByName("g711dec")
-
-	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf)
+// encodeTRC runs b to completion and encodes its Exec stream as a SIGTRC01
+// file (nothing in the program writes the legacy format any more), returning
+// the bytes and the retired instructions.
+func encodeTRC(t *testing.T, b bench.Benchmark) ([]byte, []cpu.Exec) {
+	t.Helper()
+	c, err := b.NewCPU()
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := pipeline.NewByteSerial()
-	if _, err := trace.Run(b, rc, w, live); err != nil {
-		t.Fatal(err)
+	buf := bytes.NewBufferString("SIGTRC01")
+	var execs []cpu.Exec
+	for !c.Done {
+		e, err := c.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		execs = append(execs, e)
+		var rec [4*8 + 3 + 4]byte
+		le := binary.LittleEndian
+		for i, v := range []uint32{e.PC, e.Raw, e.SrcA, e.SrcB, e.Result, e.Addr, e.StoreVal, e.Loaded} {
+			le.PutUint32(rec[4*i:], v)
+		}
+		var flags uint8
+		for i, set := range []bool{e.ReadsA, e.ReadsB, e.HasDest, e.Taken} {
+			if set {
+				flags |= 1 << i
+			}
+		}
+		rec[32], rec[33], rec[34] = flags, uint8(e.Dest), uint8(e.MemWidth)
+		le.PutUint32(rec[35:], e.NextPC)
+		buf.Write(rec[:])
 	}
-	if err := w.Close(); err != nil {
+	return buf.Bytes(), execs
+}
+
+// A legacy SIGTRC01 trace loaded into a capture must reproduce the exact
+// pipeline result of the live run.
+func TestRecordReplayEquivalence(t *testing.T) {
+	ctx := context.Background()
+	b, _ := bench.ByName("g711dec")
+	data, execs := encodeTRC(t, b)
+
+	live := pipeline.NewByteSerial()
+	if err := trace.NewLive(b).ReplayBlocks(ctx, rc, live); err != nil {
 		t.Fatal(err)
 	}
 	liveRes := live.Result()
-	if w.Count() != liveRes.Insts {
-		t.Fatalf("wrote %d records, live saw %d", w.Count(), liveRes.Insts)
+	if uint64(len(execs)) != liveRes.Insts {
+		t.Fatalf("wrote %d records, live saw %d", len(execs), liveRes.Insts)
 	}
 
-	r, err := trace.NewReader(bytes.NewReader(buf.Bytes()))
+	r, err := trace.NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := r.ReadCapture(bench.Benchmark{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	replayed := pipeline.NewByteSerial()
-	n, err := r.Replay(rc, replayed)
-	if err != nil {
+	if err := cp.ReplayBlocks(ctx, rc, replayed); err != nil {
 		t.Fatal(err)
 	}
-	repRes := replayed.Result()
-	if n != liveRes.Insts || repRes.Cycles != liveRes.Cycles {
-		t.Fatalf("replay: %d insts %d cycles; live: %d insts %d cycles",
-			n, repRes.Cycles, liveRes.Insts, liveRes.Cycles)
+	if repRes := replayed.Result(); !reflect.DeepEqual(repRes, liveRes) {
+		t.Fatalf("replay: %+v\nlive:   %+v", repRes, liveRes)
 	}
 }
 
@@ -61,61 +95,32 @@ func TestReaderRejectsBadMagic(t *testing.T) {
 }
 
 func TestReaderDetectsTruncation(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	b, _ := bench.ByName("g711dec")
-	if _, err := trace.Run(b, rc, w); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()[:buf.Len()-5] // chop mid-record
+	data, _ := encodeTRC(t, b)
+	data = data[:len(data)-5] // chop mid-record
 	r, err := trace.NewReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for {
-		_, err := r.Next()
-		if err == io.EOF {
-			t.Fatal("truncation not detected")
-		}
-		if err != nil {
-			return // truncated-record error surfaced
-		}
+	if _, err := r.ReadCapture(b); err == nil || err == io.EOF {
+		t.Fatalf("truncation not detected: %v", err)
 	}
 }
 
 func TestRecordRoundTripFields(t *testing.T) {
 	b, _ := bench.ByName("rawcaudio")
-	var buf bytes.Buffer
-	w, _ := trace.NewWriter(&buf)
-	var originals []trace.Event
-	collect := trace.ConsumerFunc(func(e trace.Event) {
-		if len(originals) < 500 {
-			originals = append(originals, e)
-		}
-	})
-	if _, err := trace.Run(b, rc, w, collect); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := trace.NewReader(bytes.NewReader(buf.Bytes()))
+	data, execs := encodeTRC(t, b)
+	r, err := trace.NewReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, want := range originals {
+	for i, want := range execs[:500] {
 		got, err := r.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want.Exec {
-			t.Fatalf("record %d mismatch:\n got %+v\nwant %+v", i, got, want.Exec)
+		if got != want {
+			t.Fatalf("record %d mismatch:\n got %+v\nwant %+v", i, got, want)
 		}
 	}
 }

@@ -26,9 +26,8 @@ import (
 //
 // Wall-clock gates are too noisy for every developer run, so like the
 // simsvc replay smoke this only arms under SIGPERF_SMOKE=1. When
-// BENCH_REPLAY_OUT names a file, the measured totals for all three engines
-// (batch, scalar, streaming) are written there as JSON for the CI artifact
-// trail.
+// BENCH_REPLAY_OUT names a file, the measured totals for both tiers
+// (batch, streaming) are written there as JSON for the CI artifact trail.
 func TestStreamingReplayPerfSmoke(t *testing.T) {
 	if os.Getenv("SIGPERF_SMOKE") == "" {
 		t.Skip("set SIGPERF_SMOKE=1 to run the wall-clock replay smoke (CI does)")
@@ -65,7 +64,7 @@ func TestStreamingReplayPerfSmoke(t *testing.T) {
 
 	// One replay drives every model plus a byte-granularity activity
 	// collector — the suite evaluation's consumer set.
-	replay := func(rep trace.Replayer, scalar bool) error {
+	replay := func(rep trace.Replayer) error {
 		m, err := rep.NewMemory()
 		if err != nil {
 			return err
@@ -76,18 +75,15 @@ func TestStreamingReplayPerfSmoke(t *testing.T) {
 			consumers = append(consumers, pm)
 		}
 		consumers = append(consumers, activity.NewCollector(1, rc, m))
-		if scalar {
-			return rep.ReplayOn(ctx, m, rc, consumers...)
-		}
 		return rep.ReplayBlocksOn(ctx, m, rc, consumers...)
 	}
 
 	const rounds = 3
-	measure := func(arms []arm, scalar bool) time.Duration {
+	measure := func(arms []arm) time.Duration {
 		t.Helper()
 		// Warm-up pass: page in the mapping, fill the recoder memos.
 		for _, a := range arms {
-			if err := replay(a.rep, scalar); err != nil {
+			if err := replay(a.rep); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -95,7 +91,7 @@ func TestStreamingReplayPerfSmoke(t *testing.T) {
 		for r := 0; r < rounds; r++ {
 			start := time.Now()
 			for _, a := range arms {
-				if err := replay(a.rep, scalar); err != nil {
+				if err := replay(a.rep); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -106,11 +102,10 @@ func TestStreamingReplayPerfSmoke(t *testing.T) {
 		return best
 	}
 
-	batch := measure(resident, false)
-	scalar := measure(resident, true)
-	streaming := measure(streamed, false)
-	t.Logf("suite replay best-of-%d: batch %v, scalar %v, streaming %v (%.2fx of batch); decoded %d B, mapped resident %d B (%.1f%%)",
-		rounds, batch, scalar, streaming, float64(streaming)/float64(batch),
+	batch := measure(resident)
+	streaming := measure(streamed)
+	t.Logf("suite replay best-of-%d: batch %v, streaming %v (%.2fx of batch); decoded %d B, mapped resident %d B (%.1f%%)",
+		rounds, batch, streaming, float64(streaming)/float64(batch),
 		decodedBytes, mappedBytes, 100*float64(mappedBytes)/float64(decodedBytes))
 
 	if streaming*10 >= batch*13 {
@@ -126,7 +121,6 @@ func TestStreamingReplayPerfSmoke(t *testing.T) {
 			"benches":             benches,
 			"rounds":              rounds,
 			"batchNs":             batch.Nanoseconds(),
-			"scalarNs":            scalar.Nanoseconds(),
 			"streamingNs":         streaming.Nanoseconds(),
 			"streamingVsBatch":    float64(streaming) / float64(batch),
 			"decodedColumnBytes":  decodedBytes,

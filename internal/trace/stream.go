@@ -6,7 +6,7 @@ package trace
 // one costs the footer index and statics table (O(statics + frames) bytes),
 // and replay decodes one frame at a time into a small per-replay buffer —
 // O(FrameRows), not O(trace) — feeding consumers exactly the block
-// boundaries and store-ordering that in-memory batch replay produces
+// boundaries and store-ordering that in-memory replay produces
 // (emitSpans is shared, so the two tiers cannot diverge; the equivalence
 // tests assert byte-identical results). The file itself is mapped read-only
 // and MAP_SHARED, so N concurrent replays, N sweeping models, or N
@@ -239,11 +239,11 @@ func (mc *MappedCapture) framePayload(f int, d *frameDec) ([]byte, error) {
 	return b, nil
 }
 
-// replayFrames is the single replay engine behind every MappedCapture
-// replay flavor: decode frame, CRC-checked, into the replay's buffers,
+// replayFrames is the replay engine behind both MappedCapture replays:
+// decode each frame, CRC-checked, into the replay's buffers,
 // then fan it out through the shared emitSpans — one frame is exactly one
 // block, so consumers see the same boundaries as Capture.ReplayBlocksOn.
-func (mc *MappedCapture) replayFrames(ctx context.Context, m *mem.Memory, rc *icomp.Recoder, sinks []BatchConsumer) error {
+func (mc *MappedCapture) replayFrames(ctx context.Context, m *mem.Memory, rc *icomp.Recoder, consumers []Consumer) error {
 	if err := mc.acquire(); err != nil {
 		return err
 	}
@@ -271,7 +271,7 @@ func (mc *MappedCapture) replayFrames(ctx context.Context, m *mem.Memory, rc *ic
 			d.cols[3][:rows], d.cols[4][:rows], d.cols[5][:rows], d.sc); err != nil {
 			return fmt.Errorf("trace: replaying %s: %w", mc.ix.b.Name, err)
 		}
-		emitSpans(&blk, m, sinks, lo,
+		emitSpans(&blk, m, consumers, lo,
 			d.cols[0][:rows], d.cols[1][:rows], d.cols[2][:rows],
 			d.cols[3][:rows], d.cols[4][:rows], d.cols[5][:rows],
 			mc.ix.frameEndNextPC(f),
@@ -281,42 +281,15 @@ func (mc *MappedCapture) replayFrames(ctx context.Context, m *mem.Memory, rc *ic
 	return nil
 }
 
-// Replay streams the capture to the consumers under rc, rebuilding the
-// benchmark's memory image first; see Capture.Replay for the contract.
-func (mc *MappedCapture) Replay(ctx context.Context, rc *icomp.Recoder, consumers ...Consumer) error {
-	m, err := mc.NewMemory()
-	if err != nil {
-		return err
-	}
-	return mc.ReplayOn(ctx, m, rc, consumers...)
-}
-
-// ReplayOn is scalar (event-at-a-time) streaming replay over a caller
-// memory image: every consumer is driven through the scalar shim, exactly
-// like Capture.ReplayOn drives them directly.
-func (mc *MappedCapture) ReplayOn(ctx context.Context, m *mem.Memory, rc *icomp.Recoder, consumers ...Consumer) error {
-	return mc.replayFrames(ctx, m, rc, []BatchConsumer{&scalarShim{consumers: consumers}})
-}
-
-// BatchReplay is batch streaming replay over a freshly rebuilt memory
-// image; see Capture.BatchReplay for the contract.
-func (mc *MappedCapture) BatchReplay(ctx context.Context, rc *icomp.Recoder, consumers ...Consumer) error {
-	m, err := mc.NewMemory()
-	if err != nil {
-		return err
-	}
-	return mc.ReplayBlocksOn(ctx, m, rc, consumers...)
-}
-
-// ReplayBlocks is batch streaming replay without a memory image.
+// ReplayBlocks is streaming replay without a memory image.
 func (mc *MappedCapture) ReplayBlocks(ctx context.Context, rc *icomp.Recoder, consumers ...Consumer) error {
-	return mc.replayFrames(ctx, nil, rc, gatherSinks(consumers))
+	return mc.replayFrames(ctx, nil, rc, consumers)
 }
 
-// ReplayBlocksOn is batch streaming replay over a caller memory image; see
+// ReplayBlocksOn is streaming replay over a caller memory image; see
 // Capture.ReplayBlocksOn for the memory-ordering contract.
 func (mc *MappedCapture) ReplayBlocksOn(ctx context.Context, m *mem.Memory, rc *icomp.Recoder, consumers ...Consumer) error {
-	return mc.replayFrames(ctx, m, rc, gatherSinks(consumers))
+	return mc.replayFrames(ctx, m, rc, consumers)
 }
 
 // Materialize eagerly decodes the whole capture into a resident *Capture,
@@ -343,8 +316,9 @@ func (mc *MappedCapture) Materialize() (*Capture, error) {
 	})
 }
 
-// Interface conformance for both residency tiers.
+// Interface conformance for the three block sources.
 var (
 	_ Replayer = (*Capture)(nil)
 	_ Replayer = (*MappedCapture)(nil)
+	_ Replayer = (*Live)(nil)
 )

@@ -32,9 +32,9 @@ func mappedForTest(t *testing.T, name string) (*trace.Capture, *trace.MappedCapt
 	return cp, mc
 }
 
-// TestStreamReplayIdentical is the tentpole equivalence gate: streaming
-// replay off the mapped file must produce exactly the event stream the
-// fully resident capture produces — scalar and batch flavors both —
+// TestStreamReplayIdentical is the equivalence gate of the three sources:
+// streaming replay off the mapped file and the live interpreter must
+// produce exactly the event stream the fully resident capture produces,
 // including the memory-dependent fields whose store ordering crosses frame
 // boundaries (the suite's traces span many 4096-row frames, so store spans
 // straddling a frame edge are exercised by construction).
@@ -51,10 +51,10 @@ func TestStreamReplayIdentical(t *testing.T) {
 			t.Fatalf("%s: %d frames, want %d", name, mc.Frames(), want)
 		}
 		var resident, streamed eventRecorder
-		if err := cp.BatchReplay(ctx, rc, &resident); err != nil {
+		if err := fullReplay(ctx, cp, rc, &resident); err != nil {
 			t.Fatalf("%s resident batch replay: %v", name, err)
 		}
-		if err := mc.BatchReplay(ctx, rc, &streamed); err != nil {
+		if err := fullReplay(ctx, mc, rc, &streamed); err != nil {
 			t.Fatalf("%s streamed batch replay: %v", name, err)
 		}
 		if len(resident.events) != len(streamed.events) {
@@ -67,13 +67,16 @@ func TestStreamReplayIdentical(t *testing.T) {
 					resident.events[i], streamed.events[i])
 			}
 		}
-		var scalar eventRecorder
-		if err := mc.Replay(ctx, rc, &scalar); err != nil {
-			t.Fatalf("%s streamed scalar replay: %v", name, err)
+		var live eventRecorder
+		if err := fullReplay(ctx, trace.NewLive(cp.Bench()), rc, &live); err != nil {
+			t.Fatalf("%s live replay: %v", name, err)
+		}
+		if len(live.events) != len(resident.events) {
+			t.Fatalf("%s: live %d events, resident %d", name, len(live.events), len(resident.events))
 		}
 		for i := range resident.events {
-			if resident.events[i] != scalar.events[i] {
-				t.Fatalf("%s: scalar event %d diverges", name, i)
+			if resident.events[i] != live.events[i] {
+				t.Fatalf("%s: live event %d diverges", name, i)
 			}
 		}
 	}
@@ -121,10 +124,10 @@ func TestStreamMaterialize(t *testing.T) {
 		t.Fatalf("Materialize: %v", err)
 	}
 	var want, got eventRecorder
-	if err := cp.BatchReplay(ctx, rc, &want); err != nil {
+	if err := fullReplay(ctx, cp, rc, &want); err != nil {
 		t.Fatalf("resident replay: %v", err)
 	}
-	if err := dense.BatchReplay(ctx, rc, &got); err != nil {
+	if err := fullReplay(ctx, dense, rc, &got); err != nil {
 		t.Fatalf("materialized replay: %v", err)
 	}
 	if len(want.events) != len(got.events) {
@@ -151,9 +154,9 @@ func TestStreamReplayCancelMidFrame(t *testing.T) {
 	defer cancel()
 	seen := 0
 	stop := trace.FrameRows/2 + 1 // mid-first-frame
-	err := mc.ReplayBlocks(ctx, rc, trace.ConsumerFunc(func(trace.Event) {
-		seen++
-		if seen == stop {
+	err := mc.ReplayBlocks(ctx, rc, blockCollector(func(b *trace.Block) {
+		seen += b.Len()
+		if seen >= stop {
 			cancel()
 		}
 	}))
@@ -185,7 +188,7 @@ func TestStreamConcurrentReplays(t *testing.T) {
 	want := make([]*eventRecorder, len(rcs))
 	for i, rc := range rcs {
 		want[i] = &eventRecorder{}
-		if err := cp.BatchReplay(ctx, rc, want[i]); err != nil {
+		if err := fullReplay(ctx, cp, rc, want[i]); err != nil {
 			t.Fatalf("resident replay %d: %v", i, err)
 		}
 	}
@@ -197,7 +200,7 @@ func TestStreamConcurrentReplays(t *testing.T) {
 		got[i] = &eventRecorder{}
 		go func(i int, rc *icomp.Recoder) {
 			defer wg.Done()
-			errs[i] = mc.BatchReplay(ctx, rc, got[i])
+			errs[i] = fullReplay(ctx, mc, rc, got[i])
 		}(i, rc)
 	}
 	wg.Wait()
@@ -236,7 +239,7 @@ func TestStreamCloseDuringReplay(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			var once sync.Once
-			errs[i] = mc.ReplayBlocks(ctx, rc, trace.ConsumerFunc(func(trace.Event) {
+			errs[i] = mc.ReplayBlocks(ctx, rc, blockCollector(func(*trace.Block) {
 				once.Do(started.Done)
 			}))
 		}(i)
@@ -251,7 +254,7 @@ func TestStreamCloseDuringReplay(t *testing.T) {
 			t.Fatalf("in-flight replay %d failed after Close: %v", i, err)
 		}
 	}
-	err := mc.ReplayBlocks(ctx, rc, trace.ConsumerFunc(func(trace.Event) {}))
+	err := mc.ReplayBlocks(ctx, rc, nopConsumer)
 	if !errors.Is(err, trace.ErrMappedClosed) {
 		t.Fatalf("replay after Close: %v, want ErrMappedClosed", err)
 	}
@@ -306,7 +309,7 @@ func TestStreamCorruptFrame(t *testing.T) {
 	}
 	defer mc.Close()
 	rc := icomp.MustNewRecoder(icomp.DefaultTopFuncts())
-	err = mc.ReplayBlocks(context.Background(), rc, trace.ConsumerFunc(func(trace.Event) {}))
+	err = mc.ReplayBlocks(context.Background(), rc, nopConsumer)
 	var ce *trace.CorruptError
 	if !errors.As(err, &ce) {
 		t.Fatalf("replay of corrupt frame: %v, want CorruptError", err)

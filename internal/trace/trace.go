@@ -6,7 +6,9 @@
 //
 // A benchmark's trace is produced once and fanned out to any number of
 // consumers, exactly as the paper feeds one Mediabench trace to its
-// trace-driven studies.
+// trace-driven studies. Consumers see it only as column blocks (Block),
+// from one of three sources behind Replayer: a resident Capture, a
+// MappedCapture streaming SIGCAP02 frames, or Live interpretation.
 package trace
 
 import (
@@ -182,19 +184,11 @@ func aluActivity(e cpu.Exec, g int) int {
 	return 1
 }
 
-// Annotate derives the significance quantities of one Exec record. The
-// recoder supplies the instruction-compression view.
-func Annotate(e cpu.Exec, rc *icomp.Recoder) Event {
-	ev := Event{Exec: e, IFBytes: rc.FetchBytes(e.Raw)}
-	annotateSig(&ev)
-	return ev
-}
-
-// annotateSig fills in the recoder-independent annotation: every quantity
-// except IFBytes depends only on the Exec record (instruction shape and the
-// dynamic values that flowed through it), never on the instruction recoding.
-// This split is what lets a Capture store the significance columns once and
-// replay them under any recoder.
+// annotateSig fills in the significance annotation: every quantity except
+// IFBytes depends only on the Exec record (instruction shape and the
+// dynamic values that flowed through it), never on the instruction
+// recoding. This split is what lets a Capture store the significance
+// columns once and replay them under any recoder.
 func annotateSig(ev *Event) {
 	e := ev.Exec
 	if e.ReadsA {
@@ -221,102 +215,49 @@ func annotateSig(ev *Event) {
 	}
 }
 
-// annotator is Annotate with a per-raw-word memo of the recoder-dependent
-// fetch size. FetchBytes is a pure function of the raw instruction word and
-// the recoder, and a benchmark retires each static instruction many times,
-// so the run loop resolves it through a small map instead of re-encoding on
-// every retirement. Keyed by raw value (not PC), it is immune to aliasing
-// and self-modifying code.
-type annotator struct {
-	rc  *icomp.Recoder
-	ifb map[uint32]int8
-}
-
-func newAnnotator(rc *icomp.Recoder) *annotator {
-	return &annotator{rc: rc, ifb: make(map[uint32]int8, 256)}
-}
-
-func (a *annotator) annotate(e cpu.Exec) Event {
-	n, ok := a.ifb[e.Raw]
-	if !ok {
-		n = int8(a.rc.FetchBytes(e.Raw))
-		a.ifb[e.Raw] = n
-	}
-	ev := Event{Exec: e, IFBytes: int(n)}
-	annotateSig(&ev)
-	return ev
-}
-
-// Consumer receives annotated events.
+// Consumer receives a trace as column blocks (see Block), from whichever
+// source produced it: a resident Capture, a MappedCapture streaming frames,
+// or a Live interpretation. Every timing model and activity collector
+// implements exactly this one method.
 type Consumer interface {
-	Consume(Event)
+	ConsumeBlock(b *Block)
 }
 
-// ConsumerFunc adapts a function to the Consumer interface.
-type ConsumerFunc func(Event)
-
-// Consume implements Consumer.
-func (f ConsumerFunc) Consume(e Event) { f(e) }
-
-// Run executes b to completion, annotating with rc and fanning every event
-// out to the consumers. It returns the finished CPU (checksum-verified).
-// Consumers that need the program's memory image during consumption (the
-// activity collectors read cache-line contents at fill time) should build
-// the CPU first with b.NewCPU and use RunOn.
-func Run(b bench.Benchmark, rc *icomp.Recoder, consumers ...Consumer) (*cpu.CPU, error) {
-	return RunCtx(context.Background(), b, rc, consumers...)
-}
-
-// RunCtx is Run with request-scoped cancellation: it stops (returning
-// ctx.Err) as soon as the context is cancelled or its deadline passes.
-func RunCtx(ctx context.Context, b bench.Benchmark, rc *icomp.Recoder, consumers ...Consumer) (*cpu.CPU, error) {
-	c, err := b.NewCPU()
-	if err != nil {
-		return nil, err
-	}
-	if err := RunOnCtx(ctx, c, b, rc, consumers...); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// RunOn drives a pre-built CPU (from b.NewCPU) to completion, fanning
-// annotated events out to the consumers and verifying the checksum.
-func RunOn(c *cpu.CPU, b bench.Benchmark, rc *icomp.Recoder, consumers ...Consumer) error {
-	return RunOnCtx(context.Background(), c, b, rc, consumers...)
-}
-
-// ctxCheckMask sets how often the run loop polls the context: every
-// (ctxCheckMask+1) instructions, cheap enough to be invisible in profiles
-// while keeping cancellation latency well under a millisecond.
+// ctxCheckMask sets how often the interpreter loop polls the context:
+// every (ctxCheckMask+1) instructions, cheap enough to be invisible in
+// profiles while keeping cancellation latency well under a millisecond.
 const ctxCheckMask = 0xFFF
 
-// RunOnCtx is RunOn with request-scoped cancellation, the hook the serving
-// layer (internal/simsvc) uses to abandon simulations whose client went
-// away or whose deadline expired.
-func RunOnCtx(ctx context.Context, c *cpu.CPU, b bench.Benchmark, rc *icomp.Recoder, consumers ...Consumer) error {
-	an := newAnnotator(rc)
+// interpret is the one interpreter loop. It steps c until the program halts
+// or limit instructions have retired, handing every retired instruction to
+// retire, and returns the number retired. It fails only on cancellation and
+// on a faulting instruction; what names the run in those errors. Reaching
+// limit is not an error here: callers decide (benchDone, Interpret).
+func interpret(ctx context.Context, c *cpu.CPU, what string, limit uint64, retire func(cpu.Exec)) (uint64, error) {
 	var n uint64
-	for !c.Done {
+	for !c.Done && n < limit {
 		if n&ctxCheckMask == 0 {
 			select {
 			case <-ctx.Done():
-				return fmt.Errorf("trace: %s aborted after %d instructions: %w", b.Name, n, ctx.Err())
+				return n, fmt.Errorf("trace: %s aborted after %d instructions: %w", what, n, ctx.Err())
 			default:
 			}
 		}
-		if n >= b.MaxInsts {
-			return fmt.Errorf("trace: %s exceeded %d instructions", b.Name, b.MaxInsts)
-		}
 		e, err := c.Step()
 		if err != nil {
-			return fmt.Errorf("trace: %s: %w", b.Name, err)
+			return n, fmt.Errorf("trace: %s: %w", what, err)
 		}
-		ev := an.annotate(e)
-		for _, cons := range consumers {
-			cons.Consume(ev)
-		}
+		retire(e)
 		n++
+	}
+	return n, nil
+}
+
+// benchDone checks a benchmark run that interpret returned from cleanly:
+// the program must have halted within b.MaxInsts with b's checksum.
+func benchDone(c *cpu.CPU, b bench.Benchmark) error {
+	if !c.Done {
+		return fmt.Errorf("trace: %s exceeded %d instructions", b.Name, b.MaxInsts)
 	}
 	if got := c.Regs[bench.ChecksumReg]; got != b.Checksum {
 		return fmt.Errorf("trace: %s checksum %#08x, want %#08x", b.Name, got, b.Checksum)
@@ -324,33 +265,30 @@ func RunOnCtx(ctx context.Context, c *cpu.CPU, b bench.Benchmark, rc *icomp.Reco
 	return nil
 }
 
-// FunctCounter is a Consumer that tallies dynamic R-format function-code
-// frequencies — the input to the paper's Table 3 recoding.
-type FunctCounter map[isa.Funct]uint64
-
-// Consume implements Consumer.
-func (fc FunctCounter) Consume(e Event) {
-	if e.Inst.Op == isa.OpSpecial {
-		fc[e.Inst.Funct]++
-	}
-}
-
 // FunctProfile tallies dynamic R-format function-code frequencies over the
-// whole suite — the input to the paper's Table 3 recoding. Profiling runs
-// over the same (memoized, checksum-verified) path as every other consumer.
+// whole suite — the input to the paper's Table 3 recoding. It needs only
+// the decoded instructions, so it steps each benchmark (checksum-verified)
+// without annotating or recording anything.
 func FunctProfile(benchmarks []bench.Benchmark) (map[isa.Funct]uint64, error) {
 	return FunctProfileCtx(context.Background(), benchmarks)
 }
 
 // FunctProfileCtx is FunctProfile with request-scoped cancellation.
 func FunctProfileCtx(ctx context.Context, benchmarks []bench.Benchmark) (map[isa.Funct]uint64, error) {
-	// Profiling precedes recoder construction, so annotate under the
-	// paper's default recoding; the funct tally only reads decoded
-	// instructions and is recoder-independent.
-	rc := icomp.MustNewRecoder(icomp.DefaultTopFuncts())
-	counts := make(FunctCounter)
+	counts := make(map[isa.Funct]uint64)
+	count := func(e cpu.Exec) {
+		if e.Inst.Op == isa.OpSpecial {
+			counts[e.Inst.Funct]++
+		}
+	}
 	for _, b := range benchmarks {
-		if _, err := RunCtx(ctx, b, rc, counts); err != nil {
+		c, err := b.NewCPU()
+		if err == nil {
+			if _, err = interpret(ctx, c, b.Name, b.MaxInsts, count); err == nil {
+				err = benchDone(c, b)
+			}
+		}
+		if err != nil {
 			return nil, fmt.Errorf("trace: profiling: %w", err)
 		}
 	}

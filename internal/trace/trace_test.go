@@ -20,7 +20,7 @@ func TestAnnotateALUEvent(t *testing.T) {
 		SrcA: 0x12345678, SrcB: 0x3, ReadsA: true, ReadsB: true,
 		Dest: isa.RegT2, Result: 0x1234567b, HasDest: true, NextPC: 0x400004,
 	}
-	ev := Annotate(e, rc)
+	ev := annotate(e)
 	if ev.IFBytes != 3 { // addu is in the default top-8
 		t.Errorf("IFBytes = %d", ev.IFBytes)
 	}
@@ -51,7 +51,7 @@ func TestAnnotateLoadStore(t *testing.T) {
 		Addr: 0x10000000, MemWidth: 1, Loaded: 0xfffffff0,
 		NextPC: 0x400004,
 	}
-	ev := Annotate(e, rc)
+	ev := annotate(e)
 	if ev.MemBytes != 1 || ev.MemHalves != 1 {
 		t.Errorf("lb moved %d bytes / %d halves", ev.MemBytes, ev.MemHalves)
 	}
@@ -67,7 +67,7 @@ func TestAnnotateLoadStore(t *testing.T) {
 		Addr: 0x10000000, MemWidth: 4, StoreVal: 7,
 		NextPC: 0x400004,
 	}
-	ev = Annotate(e, rc)
+	ev = annotate(e)
 	if ev.MemBytes != 1 {
 		t.Errorf("sw of 7 moved %d bytes", ev.MemBytes)
 	}
@@ -79,7 +79,7 @@ func TestAnnotateLoadStore(t *testing.T) {
 func TestAnnotateNoSources(t *testing.T) {
 	raw := isa.EncodeJ(isa.OpJ, 0x100)
 	e := cpu.Exec{PC: 0x400000, Raw: raw, Inst: isa.Decode(raw), Taken: true, NextPC: 0x400400}
-	ev := Annotate(e, rc)
+	ev := annotate(e)
 	if ev.SrcBytesA != 0 || ev.SrcBytesB != 0 {
 		t.Errorf("jump reads: %d/%d", ev.SrcBytesA, ev.SrcBytesB)
 	}
@@ -91,29 +91,54 @@ func TestAnnotateNoSources(t *testing.T) {
 	}
 }
 
+// annotate returns the Event a replay under rc reconstructs for e: the
+// annotation every consumer sees.
+func annotate(e cpu.Exec) Event {
+	cp := NewCapture(bench.Benchmark{})
+	cp.Record(e)
+	cp.Finalize()
+	var ev Event
+	if err := cp.ReplayBlocks(context.Background(), rc, blockFunc(func(b *Block) { b.EventAt(0, &ev) })); err != nil {
+		panic(err)
+	}
+	return ev
+}
+
+// blockFunc adapts a function to Consumer.
+type blockFunc func(*Block)
+
+func (f blockFunc) ConsumeBlock(b *Block) { f(b) }
+
 func TestRunVerifiesChecksum(t *testing.T) {
+	ctx := context.Background()
 	b, _ := bench.ByName("rawcaudio")
 	bad := b
 	bad.Checksum++ // corrupt the expectation
-	if _, err := Run(bad, rc); err == nil {
-		t.Fatal("Run must fail on checksum mismatch")
+	if err := NewLive(bad).ReplayBlocks(ctx, rc); err == nil {
+		t.Fatal("live replay must fail on checksum mismatch")
 	}
-	if _, err := Run(b, rc); err != nil {
-		t.Fatalf("Run failed on valid benchmark: %v", err)
+	if err := NewLive(b).ReplayBlocks(ctx, rc); err != nil {
+		t.Fatalf("live replay failed on valid benchmark: %v", err)
 	}
 }
 
+// TestRunFanOut checks every consumer of a live replay sees every retired
+// instruction.
 func TestRunFanOut(t *testing.T) {
+	ctx := context.Background()
 	b, _ := bench.ByName("g711dec")
-	var n1, n2 uint64
-	c1 := ConsumerFunc(func(Event) { n1++ })
-	c2 := ConsumerFunc(func(Event) { n2++ })
-	c, err := Run(b, rc, c1, c2)
+	var n1, n2 int
+	c1 := blockFunc(func(blk *Block) { n1 += blk.Len() })
+	c2 := blockFunc(func(blk *Block) { n2 += blk.Len() })
+	if err := NewLive(b).ReplayBlocks(ctx, rc, c1, c2); err != nil {
+		t.Fatal(err)
+	}
+	c, err := b.RunVerified()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n1 != c.Retired || n2 != c.Retired {
-		t.Fatalf("consumers saw %d/%d events, cpu retired %d", n1, n2, c.Retired)
+	if uint64(n1) != c.Retired || uint64(n2) != c.Retired {
+		t.Fatalf("consumers saw %d/%d rows, cpu retired %d", n1, n2, c.Retired)
 	}
 }
 
@@ -121,35 +146,38 @@ func TestRunCtxCancelled(t *testing.T) {
 	b, _ := bench.ByName("crc32")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already cancelled: the run must abort at the first poll
-	if _, err := RunCtx(ctx, b, rc); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunCtx on cancelled context: err = %v, want context.Canceled", err)
+	if err := NewLive(b).ReplayBlocks(ctx, rc); !errors.Is(err, context.Canceled) {
+		t.Fatalf("live replay on cancelled context: err = %v, want context.Canceled", err)
 	}
 }
 
 func TestRunCtxMidRunCancel(t *testing.T) {
 	b, _ := bench.ByName("crc32")
 	ctx, cancel := context.WithCancel(context.Background())
-	var n uint64
-	stop := ConsumerFunc(func(Event) {
-		n++
-		if n == 10_000 { // cancel mid-trace; crc32 retires ~200k instructions
+	var n int
+	stop := blockFunc(func(blk *Block) {
+		n += blk.Len()
+		if n >= 10_000 { // cancel mid-trace; crc32 retires ~200k instructions
 			cancel()
 		}
 	})
-	_, err := RunCtx(ctx, b, rc, stop)
+	err := NewLive(b).ReplayBlocks(ctx, rc, stop)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-run cancel: err = %v, want context.Canceled", err)
 	}
 	if n >= 100_000 {
-		t.Fatalf("run consumed %d events after cancellation", n)
+		t.Fatalf("run consumed %d rows after cancellation", n)
 	}
 }
 
 func TestRunInstructionLimit(t *testing.T) {
 	b, _ := bench.ByName("crc32")
 	b.MaxInsts = 100
-	if _, err := Run(b, rc); err == nil {
+	if err := NewLive(b).ReplayBlocks(context.Background(), rc); err == nil {
 		t.Fatal("expected instruction-limit error")
+	}
+	if _, err := CaptureRun(context.Background(), b); err == nil {
+		t.Fatal("expected instruction-limit error from CaptureRun")
 	}
 }
 
@@ -182,11 +210,11 @@ func TestALUActivityBranches(t *testing.T) {
 		PC: 0x400000, Raw: raw, Inst: isa.Decode(raw),
 		SrcA: 5, SrcB: 5, ReadsA: true, ReadsB: true, NextPC: 0x400004,
 	}
-	if got := Annotate(e, rc).ALUOps; got != 1 {
+	if got := annotate(e).ALUOps; got != 1 {
 		t.Errorf("narrow beq ALU ops = %d", got)
 	}
 	e.SrcA, e.SrcB = 0x12345678, 0x12345678
-	if got := Annotate(e, rc).ALUOps; got != 4 {
+	if got := annotate(e).ALUOps; got != 4 {
 		t.Errorf("wide beq ALU ops = %d", got)
 	}
 	// Sign test: extension bits plus top block only.
@@ -195,7 +223,7 @@ func TestALUActivityBranches(t *testing.T) {
 		PC: 0x400000, Raw: raw, Inst: isa.Decode(raw),
 		SrcA: 0x12345678, ReadsA: true, NextPC: 0x400004,
 	}
-	if got := Annotate(e, rc).ALUOps; got != 1 {
+	if got := annotate(e).ALUOps; got != 1 {
 		t.Errorf("blez ALU ops = %d", got)
 	}
 }
@@ -207,7 +235,7 @@ func TestALUActivityShiftAndLui(t *testing.T) {
 		Dest: isa.RegT0, Result: 0x10000000, HasDest: true, NextPC: 0x400004,
 	}
 	// 0x10000000 = pattern "sees": 2 significant bytes.
-	if got := Annotate(e, rc).ALUOps; got != 2 {
+	if got := annotate(e).ALUOps; got != 2 {
 		t.Errorf("lui ALU ops = %d", got)
 	}
 }
