@@ -47,6 +47,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/isa"
 	"repro/internal/trace"
 )
 
@@ -153,8 +154,9 @@ type feIn struct {
 	taken      bool
 }
 
-// feSched reports one instruction's scheduled stage-entry cycles (for the
-// Timeline observer and tests).
+// feSched reports one instruction's scheduled stage-entry cycles. The
+// kernel ignores it (observeFE reads the same cycles off the scheduler
+// state); the test oracle reports it, which checks observeFE.
 type feSched struct {
 	fetch, id, ex, mem, wb uint64
 	dc                     int
@@ -388,6 +390,18 @@ func (m *Model) flushFEStalls() {
 	}
 }
 
+// observeFE reports the instruction feStep just scheduled to the Timeline
+// observer: its stage entries are the scheduler's last-entry horizons
+// (a paired instruction shares them), and dc its D-cache stall.
+func (m *Model) observeFE(in isa.Inst, pc uint32, dc int) {
+	fe := m.fe
+	enter := m.enter
+	enter[0], enter[1], enter[2], enter[3], enter[4] =
+		fe.lastFetch, fe.lastID, fe.lastEX, fe.lastMEM, fe.lastWB
+	occ := []int{1, 1, 1, 1 + dc, 1}
+	m.observer(in, pc, enter, occ, make([]bool, 5))
+}
+
 // consumeFrontendBlock is the byte-fetch kernel: per row, fill the
 // scheduler input from the slot digest and columns, with cache stalls from
 // ms (the block's miss events), and run feStep.
@@ -421,13 +435,9 @@ func (m *Model) consumeFrontendBlock(blk *trace.Block, ms []trace.MissEvent) {
 			in.ic, in.dc = int(ms[0].IC), int(ms[0].DC)
 			ms = ms[1:]
 		}
-		sched := m.feStep(&in)
+		m.feStep(&in)
 		if m.observer != nil {
-			enter := m.enter
-			enter[0], enter[1], enter[2], enter[3], enter[4] =
-				sched.fetch, sched.id, sched.ex, sched.mem, sched.wb
-			occ := []int{1, 1, 1, 1 + sched.dc, 1}
-			m.observer(blk.Statics[sw&trace.SlotMask].Inst, in.pc, enter, occ, make([]bool, 5))
+			m.observeFE(blk.Statics[sw&trace.SlotMask].Inst, in.pc, in.dc)
 		}
 	}
 	m.flushFEStalls()
