@@ -23,7 +23,9 @@ import (
 	"repro/internal/sigalu"
 )
 
-// Event is one retired instruction with its significance annotation.
+// Event is one retired instruction with its significance annotation: the
+// row-at-a-time view of a Block, built on demand by Block.EventAt for
+// reference oracles and tests. Consumers read the block's columns instead.
 type Event struct {
 	cpu.Exec
 
