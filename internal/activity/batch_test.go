@@ -91,7 +91,11 @@ func TestCollectorBatchIdentical(t *testing.T) {
 
 // TestSuiteCollectorsBatchIdentical pins the suite-level collectors'
 // kernels (patterns, fetch mix, partitions, 64-bit projection, frontend
-// opportunity) to their oracles on real benchmark captures.
+// opportunity) to their oracles on real benchmark captures. The pattern,
+// partition and 64-bit oracles tally with the reference formulas
+// (sig.PatternOf, the slice-based segment compare, sig.StoredBits64 of
+// sig.Extend64), not the kernels' arithmetic, and are compared through the
+// wire State.
 func TestSuiteCollectorsBatchIdentical(t *testing.T) {
 	ctx := context.Background()
 	rc := icomp.MustNewRecoder(icomp.DefaultTopFuncts())
@@ -104,17 +108,17 @@ func TestSuiteCollectorsBatchIdentical(t *testing.T) {
 			got    func() any
 			want   func() any
 		}
-		pk, po := NewPatternStats(), NewPatternStats()
+		pk, po := NewPatternStats(), newRefPatterns()
 		fk, fo := &FetchStats{}, &FetchStats{}
-		sk, so := NewPartitionStats(), NewPartitionStats()
-		wk, wo := NewWidth64Stats(), NewWidth64Stats()
+		sk, so := NewPartitionStats(), newRefPartitions()
+		wk, wo := NewWidth64Stats(), &refWidth64{}
 		ek, eo := NewFrontendStats(), NewFrontendStats()
 		pairs := map[string]pair{
-			"patterns":   {pk, po.Consume, func() any { return pk }, func() any { return po }},
-			"fetch":      {fk, fo.Consume, func() any { return fk }, func() any { return fo }},
-			"partitions": {sk, so.Consume, func() any { return sk }, func() any { return so }},
-			"width64":    {wk, wo.Consume, func() any { return wk }, func() any { return wo }},
-			"frontend":   {ek, eo.Consume, func() any { return ek }, func() any { return eo }},
+			"patterns":   {pk, po.Consume, func() any { return pk.State() }, func() any { return po.State() }},
+			"fetch":      {fk, fo.Consume, func() any { return *fk }, func() any { return *fo }},
+			"partitions": {sk, so.Consume, func() any { return sk.State() }, func() any { return so.State() }},
+			"width64":    {wk, wo.Consume, func() any { return wk.State() }, func() any { return wo.State() }},
+			"frontend":   {ek, eo.Consume, func() any { return ek.State() }, func() any { return eo.State() }},
 		}
 		var consumers []trace.Consumer
 		for _, p := range pairs {

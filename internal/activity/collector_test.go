@@ -17,15 +17,18 @@ func newByteCollector() (*Collector, *mem.Memory) {
 	return NewCollector(1, rc, m), m
 }
 
-// aluEvent is an addu with chosen operand values.
-func aluEvent(pc uint32, a, b uint32) trace.Event {
+// aluExec is an addu with chosen operand values.
+func aluExec(pc uint32, a, b uint32) cpu.Exec {
 	raw := isa.EncodeR(isa.FnADDU, isa.RegT0, isa.RegT1, isa.RegT2, 0)
-	return annotate(cpu.Exec{
+	return cpu.Exec{
 		PC: pc, Raw: raw, Inst: isa.Decode(raw),
 		SrcA: a, SrcB: b, ReadsA: true, ReadsB: true,
 		Dest: isa.RegT2, Result: a + b, HasDest: true, NextPC: pc + 4,
-	})
+	}
 }
+
+// aluEvent is aluExec as the Event a replay reconstructs.
+func aluEvent(pc uint32, a, b uint32) trace.Event { return annotate(aluExec(pc, a, b)) }
 
 func TestCollectorRFReadBits(t *testing.T) {
 	c, _ := newByteCollector()

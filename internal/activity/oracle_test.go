@@ -9,12 +9,14 @@ package activity
 
 import (
 	"context"
+	"sort"
 	"sync"
 
 	"repro/internal/bench"
 	"repro/internal/cpu"
 	"repro/internal/icomp"
 	"repro/internal/mem"
+	"repro/internal/sig"
 	"repro/internal/trace"
 )
 
@@ -186,15 +188,38 @@ func (c *Collector) exOutBlocks(e trace.Event) int {
 	}
 }
 
-// Consume is the reference PatternStats: every register source operand
-// value is classified.
-func (p *PatternStats) Consume(e trace.Event) {
+// refPatterns is the reference PatternStats: Table 1 tallied by pattern
+// string, independent of the kernel's per-field counters.
+type refPatterns struct {
+	counts map[string]uint64
+	total  uint64
+}
+
+func newRefPatterns() *refPatterns { return &refPatterns{counts: make(map[string]uint64)} }
+
+// Consume classifies every register source operand value.
+func (p *refPatterns) Consume(e trace.Event) {
+	for _, v := range srcValues(e) {
+		p.counts[sig.PatternOf(v)]++
+		p.total++
+	}
+}
+
+// State is the wire form the kernel's PatternStats.State must equal.
+func (p *refPatterns) State() PatternState {
+	return PatternState{Counts: p.counts, Total: p.total}
+}
+
+// srcValues returns e's register source operand values, A before B.
+func srcValues(e trace.Event) []uint32 {
+	var vs []uint32
 	if e.ReadsA {
-		p.add(e.SrcA)
+		vs = append(vs, e.SrcA)
 	}
 	if e.ReadsB {
-		p.add(e.SrcB)
+		vs = append(vs, e.SrcB)
 	}
+	return vs
 }
 
 // Consume is the reference FetchStats.
@@ -218,25 +243,82 @@ func (f *FetchStats) Consume(e trace.Event) {
 	}
 }
 
-// Consume is the reference PartitionStats.
-func (ps *PartitionStats) Consume(e trace.Event) {
-	if e.ReadsA {
-		ps.add(e.SrcA)
+// refPartitions is the reference PartitionStats: every candidate's stored
+// bits computed per value by the slice-based segment compare.
+type refPartitions struct {
+	names  []string
+	parts  []sig.Partition
+	bits   []uint64
+	values uint64
+}
+
+func newRefPartitions() *refPartitions {
+	cands := sig.CandidatePartitions()
+	r := &refPartitions{}
+	for n := range cands {
+		r.names = append(r.names, n)
 	}
-	if e.ReadsB {
-		ps.add(e.SrcB)
+	sort.Strings(r.names)
+	for _, n := range r.names {
+		r.parts = append(r.parts, cands[n])
+	}
+	r.bits = make([]uint64, len(r.parts))
+	return r
+}
+
+// Consume tallies every register source operand value.
+func (r *refPartitions) Consume(e trace.Event) {
+	for _, v := range srcValues(e) {
+		r.values++
+		for i, p := range r.parts {
+			r.bits[i] += uint64(refStoredBits(p, v))
+		}
 	}
 }
 
-// Consume is the reference Width64Stats.
-func (w *Width64Stats) Consume(e trace.Event) {
-	if e.ReadsA {
-		w.add(e.SrcA)
+// State is the wire form the kernel's PartitionStats.State must equal.
+func (r *refPartitions) State() PartitionState {
+	return PartitionState{Names: r.names, Bits: r.bits, Values: r.values}
+}
+
+// refStoredBits is v's held bits under p: the low segment, every upper
+// segment that differs from the sign fill of the segment below it, and one
+// extension bit per upper segment.
+func refStoredBits(p sig.Partition, v uint32) int {
+	segs := make([]uint32, len(p))
+	shift := 0
+	for i, w := range p {
+		segs[i] = (v >> uint(shift)) & (uint32(1)<<uint(w) - 1)
+		shift += w
 	}
-	if e.ReadsB {
-		w.add(e.SrcB)
+	bits := p[0]
+	for i := 1; i < len(p); i++ {
+		var fill uint32
+		if segs[i-1]>>uint(p[i-1]-1)&1 == 1 {
+			fill = uint32(1)<<uint(p[i]) - 1
+		}
+		if segs[i] != fill {
+			bits += p[i]
+		}
+	}
+	return bits + p.ExtBits()
+}
+
+// refWidth64 is the reference Width64Stats: the 64-bit side classifies the
+// sign-extended doubleword byte by byte.
+type refWidth64 struct{ st Width64State }
+
+// Consume tallies every register source operand value.
+func (w *refWidth64) Consume(e trace.Event) {
+	for _, v := range srcValues(e) {
+		w.st.Values++
+		w.st.Bits32 += uint64(sig.StoredBits3(v))
+		w.st.Bits64 += uint64(sig.StoredBits64(sig.Extend64(v)))
 	}
 }
+
+// State is the wire form the kernel's Width64Stats.State must equal.
+func (w *refWidth64) State() Width64State { return w.st }
 
 // Consume is the reference FrontendStats.
 func (f *FrontendStats) Consume(e trace.Event) {

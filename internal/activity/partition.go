@@ -12,12 +12,28 @@ import (
 // stored bits? It accumulates, per candidate partition, the total bits held
 // for every register operand value, including each partition's extension
 // overhead.
+//
+// The kernel never evaluates a candidate per value. A value's stored bits
+// under a partition are its low segment, its extension bits and the width
+// of every upper segment that is not an extension, and whether a segment
+// is an extension depends only on the segment, not on the candidate it
+// belongs to. So the kernel counts, per distinct upper segment (its
+// sig.ExtMask), how many values had to store it, and folds those counts
+// into each candidate's bits once per block.
 type PartitionStats struct {
 	names  []string
 	parts  []sig.Partition
 	bits   []uint64
 	values uint64
+
+	masks  []uint32     // distinct upper-segment sig.ExtMask words
+	stored []uint64     // per mask: values of the current block storing it
+	terms  [][]partTerm // per candidate: its upper segments
 }
+
+// partTerm is one upper segment of a candidate: the index of its mask in
+// PartitionStats.masks and its width in bits.
+type partTerm struct{ mask, width int }
 
 // NewPartitionStats builds the tally over sig.CandidatePartitions.
 func NewPartitionStats() *PartitionStats {
@@ -28,30 +44,65 @@ func NewPartitionStats() *PartitionStats {
 	}
 	sort.Strings(names)
 	ps := &PartitionStats{names: names}
+	index := make(map[uint32]int)
 	for _, n := range names {
-		ps.parts = append(ps.parts, cands[n])
+		p := cands[n]
+		ps.parts = append(ps.parts, p)
+		var terms []partTerm
+		s := p[0]
+		for _, w := range p[1:] {
+			m := sig.ExtMask(s, w)
+			k, ok := index[m]
+			if !ok {
+				k = len(ps.masks)
+				index[m] = k
+				ps.masks = append(ps.masks, m)
+			}
+			terms = append(terms, partTerm{k, w})
+			s += w
+		}
+		ps.terms = append(ps.terms, terms)
 	}
 	ps.bits = make([]uint64, len(ps.parts))
+	ps.stored = make([]uint64, len(ps.masks))
 	return ps
 }
 
 // ConsumeBlock implements trace.Consumer over register operand values.
 func (ps *PartitionStats) ConsumeBlock(b *trace.Block) {
+	masks := ps.masks
+	stored := ps.stored[:len(masks)]
+	var n uint64
 	for i, sw := range b.Slot {
 		st := &b.Statics[sw&trace.SlotMask]
 		if st.ReadsA {
-			ps.add(b.SrcA[i])
+			countStored(stored, masks, b.SrcA[i])
+			n++
 		}
 		if st.ReadsB {
-			ps.add(b.SrcB[i])
+			countStored(stored, masks, b.SrcB[i])
+			n++
 		}
 	}
+	ps.values += n
+	for c, p := range ps.parts {
+		bits := n * uint64(p[0]+p.ExtBits())
+		for _, t := range ps.terms[c] {
+			bits += uint64(t.width) * stored[t.mask]
+		}
+		ps.bits[c] += bits
+	}
+	clear(stored)
 }
 
-func (ps *PartitionStats) add(v uint32) {
-	ps.values++
-	for i, p := range ps.parts {
-		ps.bits[i] += uint64(p.StoredBits(v))
+// countStored adds 1 to stored[k] for every mask whose segment v must
+// store. The segment is an extension iff sig.EqBits(v) covers the mask, so
+// it is stored iff the complement, v ^ v>>1, meets it; adding 2^32-1 to
+// that 32-bit intersection carries into bit 32 exactly when it is nonzero.
+func countStored(stored []uint64, masks []uint32, v uint32) {
+	d := uint64(v ^ v>>1)
+	for k, m := range masks {
+		stored[k] += (d&uint64(m) + 0xffffffff) >> 32
 	}
 }
 
@@ -111,22 +162,27 @@ type Width64Stats struct {
 func NewWidth64Stats() *Width64Stats { return &Width64Stats{} }
 
 // ConsumeBlock implements trace.Consumer over register operand values.
+//
+// The 64-bit side needs no second classification: in sig.Extend64(v) bytes
+// 4–7 all equal bit 31, the top bit of byte 3, so they are always
+// extensions, and bytes 1–3 mark exactly as on the 32-bit machine. Both
+// widths therefore store the same bytes and differ only in extension bits.
 func (w *Width64Stats) ConsumeBlock(b *trace.Block) {
+	var n, bytes uint64
 	for i, sw := range b.Slot {
 		st := &b.Statics[sw&trace.SlotMask]
 		if st.ReadsA {
-			w.add(b.SrcA[i])
+			bytes += uint64(sig.Ext3Of(b.SrcA[i]).SigByteCount())
+			n++
 		}
 		if st.ReadsB {
-			w.add(b.SrcB[i])
+			bytes += uint64(sig.Ext3Of(b.SrcB[i]).SigByteCount())
+			n++
 		}
 	}
-}
-
-func (w *Width64Stats) add(v uint32) {
-	w.values++
-	w.bits32 += uint64(sig.StoredBits3(v))
-	w.bits64 += uint64(sig.StoredBits64(sig.Extend64(v)))
+	w.values += n
+	w.bits32 += 8*bytes + n*sig.Ext3Bits
+	w.bits64 += 8*bytes + n*sig.Ext64Bits
 }
 
 // Merge folds other's tallies into w (order-independent sums).

@@ -1,6 +1,10 @@
 package activity
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/sig"
+)
 
 // This file gives the suite-level collectors a wire representation: raw,
 // order-independent count state that can be serialized by one process and
@@ -17,21 +21,41 @@ type PatternState struct {
 	Total  uint64            `json:"total"`
 }
 
-// State returns a copy of the raw tally for transport.
+// State returns a copy of the raw tally for transport. Patterns never seen
+// are omitted.
 func (p *PatternStats) State() PatternState {
 	counts := make(map[string]uint64, len(p.counts))
-	for pat, n := range p.counts {
-		counts[pat] = n
+	for e, n := range p.counts {
+		if n > 0 {
+			counts[sig.Ext3(e).Pattern()] = n
+		}
 	}
 	return PatternState{Counts: counts, Total: p.total}
 }
 
-// AddState folds a transported tally into p (order-independent sums).
-func (p *PatternStats) AddState(st PatternState) {
+// AddState folds a transported tally into p (order-independent sums). It
+// rejects, leaving p unchanged, a key that is not one of sig.AllPatterns
+// and a Total that is not the sum of Counts: either would make Table 1's
+// rows stop summing to 100%.
+func (p *PatternStats) AddState(st PatternState) error {
+	var add [8]uint64
+	var sum uint64
 	for pat, n := range st.Counts {
-		p.counts[pat] += n
+		e, ok := patternExt(pat)
+		if !ok {
+			return fmt.Errorf("activity: pattern state has unknown pattern %q", pat)
+		}
+		add[e] += n
+		sum += n
+	}
+	if sum != st.Total {
+		return fmt.Errorf("activity: pattern state counts sum to %d, total says %d", sum, st.Total)
+	}
+	for e, n := range add {
+		p.counts[e] += n
 	}
 	p.total += st.Total
+	return nil
 }
 
 // PartitionState is the wire form of a PartitionStats tally. Names pins the

@@ -9,44 +9,53 @@ import (
 )
 
 // PatternStats tallies the paper's Table 1: the relative frequency of each
-// significant-byte pattern over register operand values.
+// significant-byte pattern over register operand values. Counts are kept
+// per extension field (sig.Ext3 indexes them); pattern strings appear only
+// in the derived rows and the wire form.
 type PatternStats struct {
-	counts map[string]uint64
+	counts [8]uint64
 	total  uint64
 }
 
 // NewPatternStats returns an empty tally.
-func NewPatternStats() *PatternStats {
-	return &PatternStats{counts: make(map[string]uint64)}
-}
+func NewPatternStats() *PatternStats { return &PatternStats{} }
 
 // ConsumeBlock implements trace.Consumer: every register source operand
 // value is classified.
 func (p *PatternStats) ConsumeBlock(b *trace.Block) {
+	var n uint64
 	for i, sw := range b.Slot {
 		st := &b.Statics[sw&trace.SlotMask]
 		if st.ReadsA {
-			p.add(b.SrcA[i])
+			p.counts[sig.Ext3Of(b.SrcA[i])&7]++
+			n++
 		}
 		if st.ReadsB {
-			p.add(b.SrcB[i])
+			p.counts[sig.Ext3Of(b.SrcB[i])&7]++
+			n++
 		}
 	}
-}
-
-func (p *PatternStats) add(v uint32) {
-	p.counts[sig.PatternOf(v)]++
-	p.total++
+	p.total += n
 }
 
 // Merge folds other's tallies into p. Counts are pure sums, so merging is
 // order-independent: any grouping of per-benchmark PatternStats merged in
 // any order yields the same tally as one collector fed the whole suite.
 func (p *PatternStats) Merge(other *PatternStats) {
-	for pat, n := range other.counts {
-		p.counts[pat] += n
+	for e, n := range other.counts {
+		p.counts[e] += n
 	}
 	p.total += other.total
+}
+
+// patternExt returns the extension field whose Table-1 pattern is pat.
+func patternExt(pat string) (sig.Ext3, bool) {
+	for e := sig.Ext3(0); e < 8; e++ {
+		if e.Pattern() == pat {
+			return e, true
+		}
+	}
+	return 0, false
 }
 
 // PatternRow is one line of Table 1.
@@ -65,7 +74,8 @@ func (p *PatternStats) Rows() []PatternRow {
 	}
 	var all []kv
 	for _, pat := range sig.AllPatterns() {
-		all = append(all, kv{pat, p.counts[pat]})
+		e, _ := patternExt(pat)
+		all = append(all, kv{pat, p.counts[e]})
 	}
 	sort.SliceStable(all, func(i, j int) bool { return all[i].n > all[j].n })
 	rows := make([]PatternRow, 0, len(all))
@@ -107,8 +117,8 @@ func (p *PatternStats) TwoBitCoverage() float64 {
 		return 0
 	}
 	var n uint64
-	for pat, c := range p.counts {
-		if twoBitPattern(pat) {
+	for e, c := range p.counts {
+		if twoBitPattern(sig.Ext3(e).Pattern()) {
 			n += c
 		}
 	}

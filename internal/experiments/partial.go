@@ -49,7 +49,9 @@ func (sc *SuiteCollectors) State() CollectorsState {
 // are order-independent, so any grouping of partial states recombines to
 // one shared collector set's tallies.
 func (sc *SuiteCollectors) AddState(st CollectorsState) error {
-	sc.Patterns.AddState(st.Patterns)
+	if err := sc.Patterns.AddState(st.Patterns); err != nil {
+		return err
+	}
 	sc.Fetch.Merge(&st.Fetch)
 	if err := sc.Partitions.AddState(st.Partitions); err != nil {
 		return err

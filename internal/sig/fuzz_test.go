@@ -121,3 +121,49 @@ func FuzzPartitionDecompress(f *testing.F) {
 		}
 	})
 }
+
+// partitionEdgeValues are the words FuzzPartitionStoredBits and
+// TestPartitionMatchesReference start from: the sign and width boundaries
+// plus 0x7f000000, whose extension marking is not a suffix (the top byte is
+// significant while the two below it are extensions).
+var partitionEdgeValues = []uint32{0, 1, 0x7f, 0x80, 0x7fffffff, 0x80000000, 0xffffffff, 0x7f000000}
+
+// partitionEdgeShapes are the partitions beyond CandidatePartitions that
+// stress the mask arithmetic: one segment, a 31-bit upper segment, a 1-bit
+// upper segment, and thirty-two 1-bit segments.
+func partitionEdgeShapes() []Partition {
+	ones := make(Partition, 32)
+	for i := range ones {
+		ones[i] = 1
+	}
+	return []Partition{{32}, {1, 31}, {31, 1}, ones}
+}
+
+// FuzzPartitionStoredBits differentially checks the EqBits-mask StoredBits,
+// StoredSegments and Compress against the slice-based reference
+// (partition_ref_test.go) on fuzzed partitions and words.
+func FuzzPartitionStoredBits(f *testing.F) {
+	shapes := partitionEdgeShapes()
+	for _, p := range CandidatePartitions() {
+		shapes = append(shapes, p)
+	}
+	for _, p := range shapes {
+		widths := make([]byte, len(p))
+		for i, w := range p {
+			widths[i] = byte(w)
+		}
+		for _, v := range partitionEdgeValues {
+			f.Add(widths, v)
+		}
+	}
+	f.Fuzz(func(t *testing.T, widths []byte, v uint32) {
+		p := make(Partition, len(widths))
+		for i, w := range widths {
+			p[i] = int(w)
+		}
+		if p.Validate() != nil {
+			return
+		}
+		checkPartitionAgainstReference(t, p, v)
+	})
+}

@@ -36,42 +36,28 @@ func (p Partition) Validate() error {
 // segment.
 func (p Partition) ExtBits() int { return len(p) - 1 }
 
-// segments splits v by the partition, least significant first.
-func (p Partition) segments(v uint32) []uint32 {
-	segs := make([]uint32, len(p))
-	shift := 0
-	for i, w := range p {
-		segs[i] = (v >> uint(shift)) & (uint32(1)<<uint(w) - 1)
-		shift += w
-	}
-	return segs
-}
+// EqBits returns v's equal-adjacent-bits word: bit j is set iff bit j of v
+// equals bit j+1. A run of v's bits is uniform exactly when the matching
+// run of EqBits is all ones, which is the paper's extension test done with
+// one XOR instead of per-segment compares. Bit 31 carries no information
+// (there is no bit 32 to compare with) and no ExtMask covers it.
+func EqBits(v uint32) uint32 { return ^(v ^ v>>1) }
 
-// extOf returns the per-segment extension marking (index 1..len-1): true
-// means the segment equals the sign extension of the segment below it.
-func (p Partition) extOf(v uint32) []bool {
-	segs := p.segments(v)
-	ext := make([]bool, len(p))
-	for i := 1; i < len(p); i++ {
-		below := segs[i-1]
-		signBit := below >> uint(p[i-1]-1) & 1
-		var fill uint32
-		if signBit == 1 {
-			fill = uint32(1)<<uint(p[i]) - 1
-		}
-		ext[i] = segs[i] == fill
-	}
-	return ext
-}
+// ExtMask returns the EqBits mask of the segment of width w starting at bit
+// s (s >= 1): the segment is the sign extension of the bits below it, i.e.
+// bits s-1 .. s+w-1 of v are all equal, iff EqBits(v)&m == m. The shift is
+// done in 64 bits so a 31-bit segment is safe.
+func ExtMask(s, w int) uint32 { return uint32((uint64(1)<<uint(w) - 1) << uint(s-1)) }
 
 // StoredSegments returns how many segments of v must be stored (1..len(p)).
 func (p Partition) StoredSegments(v uint32) int {
-	ext := p.extOf(v)
-	n := 1
-	for i := 1; i < len(p); i++ {
-		if !ext[i] {
+	eq := EqBits(v)
+	n, s := 1, p[0]
+	for _, w := range p[1:] {
+		if m := ExtMask(s, w); eq&m != m {
 			n++
 		}
+		s += w
 	}
 	return n
 }
@@ -79,12 +65,13 @@ func (p Partition) StoredSegments(v uint32) int {
 // StoredBits returns total held bits for v: stored segment bits plus the
 // extension overhead.
 func (p Partition) StoredBits(v uint32) int {
-	ext := p.extOf(v)
-	bits := p[0]
-	for i := 1; i < len(p); i++ {
-		if !ext[i] {
-			bits += p[i]
+	eq := EqBits(v)
+	bits, s := p[0], p[0]
+	for _, w := range p[1:] {
+		if m := ExtMask(s, w); eq&m != m {
+			bits += w
 		}
+		s += w
 	}
 	return bits + p.ExtBits()
 }
@@ -92,13 +79,18 @@ func (p Partition) StoredBits(v uint32) int {
 // Compress returns the stored segments (least significant first) and the
 // extension marking.
 func (p Partition) Compress(v uint32) (segs []uint32, ext []bool) {
-	all := p.segments(v)
-	ext = p.extOf(v)
-	segs = append(segs, all[0])
-	for i := 1; i < len(p); i++ {
-		if !ext[i] {
-			segs = append(segs, all[i])
+	eq := EqBits(v)
+	ext = make([]bool, len(p))
+	s := 0
+	for i, w := range p {
+		if i > 0 {
+			m := ExtMask(s, w)
+			ext[i] = eq&m == m
 		}
+		if !ext[i] {
+			segs = append(segs, v>>uint(s)&uint32(uint64(1)<<uint(w)-1))
+		}
+		s += w
 	}
 	return segs, ext
 }

@@ -1,6 +1,7 @@
 package sig
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -112,6 +113,44 @@ func TestPartitionStoredBitsNeverExceedsFullWord(t *testing.T) {
 		}
 		if err := quick.Check(f, nil); err != nil {
 			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// checkPartitionAgainstReference fails t unless the mask-based partition
+// arithmetic agrees with the slice-based reference on v.
+func checkPartitionAgainstReference(t *testing.T, p Partition, v uint32) {
+	t.Helper()
+	if got, want := p.StoredBits(v), p.refStoredBits(v); got != want {
+		t.Fatalf("%v StoredBits(%#08x) = %d, reference %d", p, v, got, want)
+	}
+	if got, want := p.StoredSegments(v), p.refStoredSegments(v); got != want {
+		t.Fatalf("%v StoredSegments(%#08x) = %d, reference %d", p, v, got, want)
+	}
+	segs, ext := p.Compress(v)
+	wantSegs, wantExt := p.refCompress(v)
+	if !reflect.DeepEqual(segs, wantSegs) || !reflect.DeepEqual(ext, wantExt) {
+		t.Fatalf("%v Compress(%#08x) = %#x %v, reference %#x %v", p, v, segs, ext, wantSegs, wantExt)
+	}
+}
+
+// TestPartitionMatchesReference pins StoredBits, StoredSegments and
+// Compress to the slice-based reference over every candidate and edge
+// partition, on the edge words and a deterministic pseudo-random sweep.
+func TestPartitionMatchesReference(t *testing.T) {
+	shapes := partitionEdgeShapes()
+	for _, p := range CandidatePartitions() {
+		shapes = append(shapes, p)
+	}
+	for _, p := range shapes {
+		for _, v := range partitionEdgeValues {
+			checkPartitionAgainstReference(t, p, v)
+		}
+		x := uint32(0x2545f491)
+		for i := 0; i < 1<<14; i++ {
+			x = x*1664525 + 1013904223
+			// Vary how many top bits are uniform so every marking shows up.
+			checkPartitionAgainstReference(t, p, uint32(int32(x)>>(x%32)))
 		}
 	}
 }
