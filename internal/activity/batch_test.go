@@ -93,9 +93,9 @@ func TestCollectorBatchIdentical(t *testing.T) {
 // kernels (patterns, fetch mix, partitions, 64-bit projection, frontend
 // opportunity) to their oracles on real benchmark captures. The pattern,
 // partition and 64-bit oracles tally with the reference formulas
-// (sig.PatternOf, the slice-based segment compare, sig.StoredBits64 of
-// sig.Extend64), not the kernels' arithmetic, and are compared through the
-// wire State.
+// (sig.PatternOf, sig.Partition.StoredBits per candidate, sig.StoredBits64
+// of sig.Extend64), not the kernels' arithmetic, and are compared through
+// the wire State; the fetch and frontend pairs compare whole structs.
 func TestSuiteCollectorsBatchIdentical(t *testing.T) {
 	ctx := context.Background()
 	rc := icomp.MustNewRecoder(icomp.DefaultTopFuncts())
@@ -118,7 +118,7 @@ func TestSuiteCollectorsBatchIdentical(t *testing.T) {
 			"fetch":      {fk, fo.Consume, func() any { return *fk }, func() any { return *fo }},
 			"partitions": {sk, so.Consume, func() any { return sk.State() }, func() any { return so.State() }},
 			"width64":    {wk, wo.Consume, func() any { return wk.State() }, func() any { return wo.State() }},
-			"frontend":   {ek, eo.Consume, func() any { return ek.State() }, func() any { return eo.State() }},
+			"frontend":   {ek, eo.Consume, func() any { return *ek }, func() any { return *eo }},
 		}
 		var consumers []trace.Consumer
 		for _, p := range pairs {

@@ -244,7 +244,9 @@ func (f *FetchStats) Consume(e trace.Event) {
 }
 
 // refPartitions is the reference PartitionStats: every candidate's stored
-// bits computed per value by the slice-based segment compare.
+// bits computed per value by sig.Partition.StoredBits, independent of the
+// kernel's per-mask fold (StoredBits itself is pinned to the slice-based
+// reference in internal/sig).
 type refPartitions struct {
 	names  []string
 	parts  []sig.Partition
@@ -271,7 +273,7 @@ func (r *refPartitions) Consume(e trace.Event) {
 	for _, v := range srcValues(e) {
 		r.values++
 		for i, p := range r.parts {
-			r.bits[i] += uint64(refStoredBits(p, v))
+			r.bits[i] += uint64(p.StoredBits(v))
 		}
 	}
 }
@@ -279,29 +281,6 @@ func (r *refPartitions) Consume(e trace.Event) {
 // State is the wire form the kernel's PartitionStats.State must equal.
 func (r *refPartitions) State() PartitionState {
 	return PartitionState{Names: r.names, Bits: r.bits, Values: r.values}
-}
-
-// refStoredBits is v's held bits under p: the low segment, every upper
-// segment that differs from the sign fill of the segment below it, and one
-// extension bit per upper segment.
-func refStoredBits(p sig.Partition, v uint32) int {
-	segs := make([]uint32, len(p))
-	shift := 0
-	for i, w := range p {
-		segs[i] = (v >> uint(shift)) & (uint32(1)<<uint(w) - 1)
-		shift += w
-	}
-	bits := p[0]
-	for i := 1; i < len(p); i++ {
-		var fill uint32
-		if segs[i-1]>>uint(p[i-1]-1)&1 == 1 {
-			fill = uint32(1)<<uint(p[i]) - 1
-		}
-		if segs[i] != fill {
-			bits += p[i]
-		}
-	}
-	return bits + p.ExtBits()
 }
 
 // refWidth64 is the reference Width64Stats: the 64-bit side classifies the

@@ -96,13 +96,13 @@ func (ps *PartitionStats) ConsumeBlock(b *trace.Block) {
 }
 
 // countStored adds 1 to stored[k] for every mask whose segment v must
-// store. The segment is an extension iff sig.EqBits(v) covers the mask, so
-// it is stored iff the complement, v ^ v>>1, meets it; adding 2^32-1 to
-// that 32-bit intersection carries into bit 32 exactly when it is nonzero.
+// store: the segment is an extension iff sig.EqBits(v) covers the mask.
 func countStored(stored []uint64, masks []uint32, v uint32) {
-	d := uint64(v ^ v>>1)
+	eq := sig.EqBits(v)
 	for k, m := range masks {
-		stored[k] += (d&uint64(m) + 0xffffffff) >> 32
+		if eq&m != m {
+			stored[k]++
+		}
 	}
 }
 
