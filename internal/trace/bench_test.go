@@ -1,6 +1,7 @@
 package trace_test
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
@@ -65,9 +66,12 @@ func BenchmarkReplayBlocks(b *testing.B) {
 }
 
 // BenchmarkReplayStreamed measures the same batch replay streamed from a
-// mapped SIGCAP02 file: every frame is varint-decoded on the fly into one
-// reused buffer, so replay memory is O(frame) instead of O(trace). The
-// delta against BenchmarkReplayBlocks is the pure per-frame decode cost.
+// mapped SIGCAP02 file: every frame is CRC-checked and decoded on the fly
+// into one reused buffer (one varint pass per column, then the predictors
+// in place), so replay memory is O(frame) instead of O(trace). The miss
+// stream is built by the first iteration and memoized after, as on a
+// serving shard, so the delta against BenchmarkReplayBlocks is the
+// per-frame decode cost. Run it with -cpu 1.
 func BenchmarkReplayStreamed(b *testing.B) {
 	bm := mustBench(b, "dijkstra")
 	rc := benchRecoder(b)
@@ -89,6 +93,25 @@ func BenchmarkReplayStreamed(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := mc.ReplayBlocks(ctx, rc, nopConsumer); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWriteTo2 measures the SIGCAP02 encoder alone: dijkstra's capture
+// serialized into a reused in-memory buffer, as WriteCaptureFile does into
+// a file.
+func BenchmarkWriteTo2(b *testing.B) {
+	cp, err := trace.CaptureRun(context.Background(), mustBench(b, "dijkstra"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if _, err := cp.WriteTo2(&buf); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -434,9 +434,9 @@ func WriteCaptureFile(dir string, cp *Capture) (string, error) {
 }
 
 // ReadCaptureFile eagerly loads a capture file written by WriteCaptureFile,
-// either format. SIGCAP02 files decode through their footer index with one
-// reused frame buffer (no whole-file copy); for the lazy O(index) tier use
-// OpenMappedCapture instead.
+// either format. SIGCAP02 files open as a MappedCapture and Materialize
+// through its footer index (no whole-file copy); for the lazy O(index)
+// tier keep the MappedCapture instead.
 func ReadCaptureFile(path string) (*Capture, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -445,25 +445,12 @@ func ReadCaptureFile(path string) (*Capture, error) {
 	defer f.Close()
 	var magic [len(cap2Magic)]byte
 	if _, err := f.ReadAt(magic[:], 0); err == nil && string(magic[:]) == cap2Magic {
-		fi, err := f.Stat()
+		mc, err := OpenMappedCapture(path)
 		if err != nil {
 			return nil, err
 		}
-		ix, err := openCap2Index(f, fi.Size())
-		if err != nil {
-			return nil, err
-		}
-		var buf []byte
-		return ix.decodeAll(func(fr cap2Frame) ([]byte, error) {
-			if int(fr.len) > cap(buf) {
-				buf = make([]byte, fr.len)
-			}
-			b := buf[:fr.len]
-			if _, err := f.ReadAt(b, fr.off); err != nil {
-				return nil, err
-			}
-			return b, nil
-		})
+		defer mc.Close()
+		return mc.Materialize()
 	}
 	return ReadCaptureFrom(f)
 }

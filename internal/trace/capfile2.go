@@ -48,6 +48,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
+	"slices"
 
 	"repro/internal/bench"
 	"repro/internal/isa"
@@ -120,52 +122,38 @@ func (ix *cap2Index) indexSizeBytes() int {
 // not. Returns the bytes written.
 func (cp *Capture) WriteTo2(w io.Writer) (int64, error) {
 	bw := bufio.NewWriterSize(w, 1<<16)
-	var scratch [binary.MaxVarintLen64]byte
-	var total int64
+	le := binary.LittleEndian
 
-	hcrc := crc32.NewIEEE()
-	hdr := func(p []byte) {
-		bw.Write(p)
-		hcrc.Write(p)
-		total += int64(len(p))
-	}
-	hdr([]byte(cap2Magic))
-	n := binary.PutUvarint(scratch[:], uint64(len(cp.bench.Name)))
-	hdr(scratch[:n])
-	hdr([]byte(cp.bench.Name))
-	n = binary.PutUvarint(scratch[:], uint64(len(cp.statics)))
-	hdr(scratch[:n])
+	hdr := []byte(cap2Magic)
+	hdr = binary.AppendUvarint(hdr, uint64(len(cp.bench.Name)))
+	hdr = append(hdr, cp.bench.Name...)
+	hdr = binary.AppendUvarint(hdr, uint64(len(cp.statics)))
 	for i := range cp.statics {
-		binary.LittleEndian.PutUint32(scratch[:4], cp.statics[i].Inst.Raw)
-		hdr(scratch[:4])
+		hdr = le.AppendUint32(hdr, cp.statics[i].Inst.Raw)
 	}
 	rows := len(cp.slot)
-	n = binary.PutUvarint(scratch[:], uint64(rows))
-	hdr(scratch[:n])
-	binary.LittleEndian.PutUint32(scratch[:4], cp.lastNextPC)
-	hdr(scratch[:4])
-	binary.LittleEndian.PutUint32(scratch[:4], hcrc.Sum32())
-	bw.Write(scratch[:4])
-	total += 4
+	hdr = binary.AppendUvarint(hdr, uint64(rows))
+	hdr = le.AppendUint32(hdr, cp.lastNextPC)
+	hdr = le.AppendUint32(hdr, crc32.ChecksumIEEE(hdr))
+	bw.Write(hdr)
+	total := int64(len(hdr))
 
 	nFrames := (rows + FrameRows - 1) / FrameRows
 	footer := make([]byte, 0, nFrames*cap2FrameMeta)
-	var fbuf bytes.Buffer
+	// One frame's encoding, reused across frames; sized for the common
+	// case of one byte per varint.
+	payload := make([]byte, 0, (FrameRows+7)/8+FrameRows*cap2MinRowBytes)
 	sc := newCap2Scratch(len(cp.statics))
 	for f := 0; f < nFrames; f++ {
 		lo, hi := f*FrameRows, (f+1)*FrameRows
 		if hi > rows {
 			hi = rows
 		}
-		fbuf.Reset()
-		cp.encodeFrame(&fbuf, lo, hi, sc)
-		payload := fbuf.Bytes()
-		var meta [cap2FrameMeta]byte
-		binary.LittleEndian.PutUint64(meta[0:8], uint64(total))
-		binary.LittleEndian.PutUint32(meta[8:12], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(meta[12:16], crc32.ChecksumIEEE(payload))
-		binary.LittleEndian.PutUint32(meta[16:20], cp.pc[lo])
-		footer = append(footer, meta[:]...)
+		payload = cp.appendFrame(payload[:0], lo, hi, sc)
+		footer = le.AppendUint64(footer, uint64(total))
+		footer = le.AppendUint32(footer, uint32(len(payload)))
+		footer = le.AppendUint32(footer, crc32.ChecksumIEEE(payload))
+		footer = le.AppendUint32(footer, cp.pc[lo])
 		bw.Write(payload)
 		total += int64(len(payload))
 	}
@@ -174,8 +162,8 @@ func (cp *Capture) WriteTo2(w io.Writer) (int64, error) {
 	bw.Write(footer)
 	total += int64(len(footer))
 	var tail [cap2TailLen]byte
-	binary.LittleEndian.PutUint32(tail[0:4], crc32.ChecksumIEEE(footer))
-	binary.LittleEndian.PutUint64(tail[4:12], uint64(footerOff))
+	le.PutUint32(tail[0:4], crc32.ChecksumIEEE(footer))
+	le.PutUint64(tail[4:12], uint64(footerOff))
 	copy(tail[12:20], cap2Magic)
 	bw.Write(tail[:])
 	total += cap2TailLen
@@ -186,147 +174,171 @@ func (cp *Capture) WriteTo2(w io.Writer) (int64, error) {
 	return total, nil
 }
 
-// encodeFrame appends the self-contained encoding of rows [lo, hi) to buf.
+// appendFrame appends the self-contained encoding of rows [lo, hi) to buf.
 // All predictors start from zero: the first occurrence of a slot in the
 // frame pays an absolute varint instead of a delta.
-func (cp *Capture) encodeFrame(buf *bytes.Buffer, lo, hi int, sc *cap2Scratch) {
-	var scratch [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) {
-		n := binary.PutUvarint(scratch[:], v)
-		buf.Write(scratch[:n])
-	}
-	n := hi - lo
-	taken := sc.taken[:(n+7)/8]
-	clear(taken)
-	for i, sw := range cp.slot[lo:hi] {
+func (cp *Capture) appendFrame(buf []byte, lo, hi int, sc *cap2Scratch) []byte {
+	slots := cp.slot[lo:hi]
+	bm := len(buf)
+	buf = append(buf, make([]byte, (len(slots)+7)/8)...)
+	taken := buf[bm:]
+	for i, sw := range slots {
 		if sw&TakenBit != 0 {
 			taken[i>>3] |= 1 << (i & 7)
 		}
 	}
-	buf.Write(taken)
-	for _, sw := range cp.slot[lo:hi] {
-		putUvarint(uint64(sw & SlotMask))
+	for _, sw := range slots {
+		buf = binary.AppendUvarint(buf, uint64(sw&SlotMask))
 	}
 	var prevPC uint32
 	for _, pc := range cp.pc[lo:hi] {
-		putUvarint(zigzag(int32(pc - prevPC)))
+		buf = binary.AppendUvarint(buf, zigzag(int32(pc-prevPC)))
 		prevPC = pc
 	}
-	for ci, col := range [][]uint32{cp.srcA, cp.srcB, cp.result} {
+	for ci, col := range [...][]uint32{cp.srcA[lo:hi], cp.srcB[lo:hi], cp.result[lo:hi]} {
 		prev := sc.prev[ci]
 		clear(prev)
-		for i := lo; i < hi; i++ {
-			s := cp.slot[i] & SlotMask
-			putUvarint(zigzag(int32(col[i] - prev[s])))
-			prev[s] = col[i]
+		for i, v := range col {
+			s := slots[i] & SlotMask
+			buf = binary.AppendUvarint(buf, zigzag(int32(v-prev[s])))
+			prev[s] = v
 		}
 	}
 	prev := sc.prev[3]
 	clear(prev)
-	for i := lo; i < hi; i++ {
-		s := cp.slot[i] & SlotMask
-		putUvarint(uint64(cp.sig[i] ^ prev[s]))
-		prev[s] = cp.sig[i]
+	for i, v := range cp.sig[lo:hi] {
+		s := slots[i] & SlotMask
+		buf = binary.AppendUvarint(buf, uint64(v^prev[s]))
+		prev[s] = v
 	}
+	return buf
 }
 
 // cap2Scratch is the per-slot predictor state reused across frame
-// encodes/decodes: four prev arrays (srcA, srcB, result, sig) plus the
-// taken-bitmap staging buffer. Frame independence means this is cleared,
-// not carried, at every frame boundary.
+// encodes/decodes: four prev arrays (srcA, srcB, result, sig). Frame
+// independence means this is cleared, not carried, at every frame
+// boundary.
 type cap2Scratch struct {
-	prev  [4][]uint32
-	taken []byte
+	prev [4][]uint32
 }
 
 func newCap2Scratch(nStatics int) *cap2Scratch {
-	sc := &cap2Scratch{taken: make([]byte, (FrameRows+7)/8)}
+	sc := &cap2Scratch{}
 	for i := range sc.prev {
 		sc.prev[i] = make([]uint32, nStatics)
 	}
 	return sc
 }
 
+// cap2Corrupt reports a structural violation in a SIGCAP02 file.
+func cap2Corrupt(format string, args ...any) error {
+	return &CorruptError{Format: cap2Magic, Reason: fmt.Sprintf(format, args...)}
+}
+
+// readUvarints decodes len(dst) consecutive uvarints from p[off:] into dst,
+// each truncated to 32 bits. It returns the offset just past the last one,
+// negative if a varint is truncated or overflows 64 bits, and the OR of
+// every value's bits above 32, so a caller that needs the full width can
+// reject a wide value.
+//
+// Most column values fit one byte, so the fast path loads eight bytes at a
+// time, stores all eight as values, and advances past the leading run of
+// one-byte varints among them; the entries past that run are overwritten
+// by the values that follow. A longer varint, and the last few values of a
+// column, go through binary.Uvarint and its overflow rules.
+func readUvarints(p []byte, off int, dst []uint32) (next int, wide uint32) {
+	for i := 0; i < len(dst); {
+		if i+8 <= len(dst) && off+8 <= len(p) {
+			w := binary.LittleEndian.Uint64(p[off:])
+			d := (*[8]uint32)(dst[i:])
+			d[0], d[1], d[2], d[3] = uint32(w&0xff), uint32(w>>8&0xff), uint32(w>>16&0xff), uint32(w>>24&0xff)
+			d[4], d[5], d[6], d[7] = uint32(w>>32&0xff), uint32(w>>40&0xff), uint32(w>>48&0xff), uint32(w>>56)
+			k := bits.TrailingZeros64(w&0x8080808080808080) / 8
+			i += k
+			off += k
+			if k == 8 {
+				continue
+			}
+		}
+		v, n := binary.Uvarint(p[off:])
+		if n <= 0 {
+			return -1, wide
+		}
+		dst[i] = uint32(v)
+		wide |= uint32(v >> 32)
+		i++
+		off += n
+	}
+	return off, wide
+}
+
 // decodeCap2Frame decodes one frame payload into the caller's column
-// slices (each len == the frame's row count), verifying the footer CRC and
-// firstPC first. sc provides the per-slot predictor scratch; it is cleared
-// here, never carried between frames. Returns a *CorruptError on any
-// structural violation — decode never panics on arbitrary bytes.
+// slices (each len == the frame's row count), verifying the footer CRC
+// first. Each column is one readUvarints pass; the predictors (PC prefix
+// sum, per-slot add, per-slot XOR) then run in place, after the slot
+// column has been checked against nStatics. sc provides the per-slot
+// predictor scratch; it is cleared here, never carried between frames.
+// Returns a *CorruptError on any structural violation — decode never
+// panics on arbitrary bytes.
 func decodeCap2Frame(payload []byte, fr cap2Frame, nStatics uint64,
 	slot, pc, srcA, srcB, result, sig []uint32, sc *cap2Scratch) error {
-	corrupt := func(format string, args ...any) error {
-		return &CorruptError{Format: cap2Magic, Reason: fmt.Sprintf(format, args...)}
-	}
 	if crc32.ChecksumIEEE(payload) != fr.crc {
-		return corrupt("frame at offset %d fails CRC", fr.off)
+		return cap2Corrupt("frame at offset %d fails CRC", fr.off)
 	}
-	n := len(slot)
-	bm := (n + 7) / 8
+	bm := (len(slot) + 7) / 8
 	if len(payload) < bm {
-		return corrupt("frame at offset %d truncated", fr.off)
+		return cap2Corrupt("frame at offset %d truncated", fr.off)
+	}
+	off, wide := readUvarints(payload, bm, slot)
+	for _, col := range [...][]uint32{pc, srcA, srcB, result, sig} {
+		if off < 0 {
+			break
+		}
+		off, _ = readUvarints(payload, off, col)
+	}
+	if off < 0 {
+		return cap2Corrupt("frame at offset %d truncated", fr.off)
+	}
+	if off != len(payload) {
+		return cap2Corrupt("frame at offset %d carries %d trailing bytes", fr.off, len(payload)-off)
+	}
+	if wide != 0 {
+		return cap2Corrupt("frame at offset %d references a slot beyond 32 bits", fr.off)
+	}
+	var top uint32
+	for _, s := range slot {
+		top = max(top, s)
+	}
+	if uint64(top) >= nStatics {
+		return cap2Corrupt("frame row %d references slot %d of %d", slices.Index(slot, top), top, nStatics)
 	}
 	taken := payload[:bm]
-	p := payload[bm:]
-	next := func() (uint64, error) {
-		v, sz := binary.Uvarint(p)
-		if sz <= 0 {
-			return 0, corrupt("frame at offset %d truncated", fr.off)
-		}
-		p = p[sz:]
-		return v, nil
-	}
-	for i := 0; i < n; i++ {
-		s, err := next()
-		if err != nil {
-			return err
-		}
-		if s >= nStatics {
-			return corrupt("frame row %d references slot %d of %d", i, s, nStatics)
-		}
-		sw := uint32(s)
-		if taken[i>>3]&(1<<(i&7)) != 0 {
-			sw |= TakenBit
-		}
-		slot[i] = sw
+	for i := range slot {
+		slot[i] |= uint32(taken[i>>3]>>(i&7)&1) * TakenBit
 	}
 	var prevPC uint32
-	for i := range pc {
-		d, err := next()
-		if err != nil {
-			return err
-		}
-		prevPC += unzigzag(d)
+	for i, d := range pc {
+		prevPC += unzigzag(uint64(d))
 		pc[i] = prevPC
 	}
-	if n > 0 && pc[0] != fr.firstPC {
-		return corrupt("frame at offset %d firstPC %#x disagrees with index %#x", fr.off, pc[0], fr.firstPC)
+	if len(pc) > 0 && pc[0] != fr.firstPC {
+		return cap2Corrupt("frame at offset %d firstPC %#x disagrees with index %#x", fr.off, pc[0], fr.firstPC)
 	}
-	for ci, col := range [][]uint32{srcA, srcB, result} {
+	for ci, col := range [...][]uint32{srcA, srcB, result} {
 		prev := sc.prev[ci]
 		clear(prev)
-		for i := range col {
-			d, err := next()
-			if err != nil {
-				return err
-			}
+		for i, d := range col {
 			s := slot[i] & SlotMask
-			prev[s] += unzigzag(d)
+			prev[s] += unzigzag(uint64(d))
 			col[i] = prev[s]
 		}
 	}
 	prev := sc.prev[3]
 	clear(prev)
-	for i := range sig {
-		d, err := next()
-		if err != nil {
-			return err
-		}
+	for i, d := range sig {
 		s := slot[i] & SlotMask
-		prev[s] ^= uint32(d)
+		prev[s] ^= d
 		sig[i] = prev[s]
-	}
-	if len(p) != 0 {
-		return corrupt("frame at offset %d carries %d trailing bytes", fr.off, len(p))
 	}
 	return nil
 }
@@ -337,35 +349,32 @@ func decodeCap2Frame(payload []byte, fr cap2Frame, nStatics uint64,
 // row counts sized against the actual input before any allocation). This is
 // the whole cost of a lazy warm-start.
 func openCap2Index(ra io.ReaderAt, size int64) (*cap2Index, error) {
-	corrupt := func(format string, args ...any) error {
-		return &CorruptError{Format: cap2Magic, Reason: fmt.Sprintf(format, args...)}
-	}
 	minHeader := int64(len(cap2Magic)) + 1 + 1 + 1 + 4 + 4
 	if size < minHeader+cap2TailLen {
-		return nil, corrupt("file truncated (%d bytes)", size)
+		return nil, cap2Corrupt("file truncated (%d bytes)", size)
 	}
 	var tail [cap2TailLen]byte
 	if _, err := ra.ReadAt(tail[:], size-cap2TailLen); err != nil {
 		return nil, fmt.Errorf("trace: reading capture tail: %w", err)
 	}
 	if string(tail[12:20]) != cap2Magic {
-		return nil, corrupt("bad trailing magic %q", tail[12:20])
+		return nil, cap2Corrupt("bad trailing magic %q", tail[12:20])
 	}
 	footerCRC := binary.LittleEndian.Uint32(tail[0:4])
 	footerOff := int64(binary.LittleEndian.Uint64(tail[4:12]))
 	if footerOff < minHeader || footerOff > size-cap2TailLen {
-		return nil, corrupt("footer offset %d outside file of %d bytes", footerOff, size)
+		return nil, cap2Corrupt("footer offset %d outside file of %d bytes", footerOff, size)
 	}
 	footerLen := size - cap2TailLen - footerOff
 	if footerLen%cap2FrameMeta != 0 {
-		return nil, corrupt("footer length %d not a multiple of %d", footerLen, cap2FrameMeta)
+		return nil, cap2Corrupt("footer length %d not a multiple of %d", footerLen, cap2FrameMeta)
 	}
 	footer := make([]byte, footerLen)
 	if _, err := ra.ReadAt(footer, footerOff); err != nil {
 		return nil, fmt.Errorf("trace: reading capture footer: %w", err)
 	}
 	if got := crc32.ChecksumIEEE(footer); got != footerCRC {
-		return nil, corrupt("footer CRC mismatch: file %#08x, computed %#08x", footerCRC, got)
+		return nil, cap2Corrupt("footer CRC mismatch: file %#08x, computed %#08x", footerCRC, got)
 	}
 	nFrames := int(footerLen / cap2FrameMeta)
 	frames := make([]cap2Frame, nFrames)
@@ -386,24 +395,24 @@ func openCap2Index(ra io.ReaderAt, size int64) (*cap2Index, error) {
 		headerEnd = frames[0].off
 	}
 	if headerEnd < minHeader || headerEnd > footerOff {
-		return nil, corrupt("header extent %d out of bounds", headerEnd)
+		return nil, cap2Corrupt("header extent %d out of bounds", headerEnd)
 	}
 	hdr := make([]byte, headerEnd)
 	if _, err := ra.ReadAt(hdr, 0); err != nil {
 		return nil, fmt.Errorf("trace: reading capture header: %w", err)
 	}
 	if got := crc32.ChecksumIEEE(hdr[:headerEnd-4]); got != binary.LittleEndian.Uint32(hdr[headerEnd-4:]) {
-		return nil, corrupt("header CRC mismatch")
+		return nil, cap2Corrupt("header CRC mismatch")
 	}
 	p := hdr[:headerEnd-4]
 	if string(p[:len(cap2Magic)]) != cap2Magic {
-		return nil, corrupt("bad capture magic %q", p[:len(cap2Magic)])
+		return nil, cap2Corrupt("bad capture magic %q", p[:len(cap2Magic)])
 	}
 	p = p[len(cap2Magic):]
 	next := func(what string) (uint64, error) {
 		v, sz := binary.Uvarint(p)
 		if sz <= 0 {
-			return 0, corrupt("header %s truncated", what)
+			return 0, cap2Corrupt("header %s truncated", what)
 		}
 		p = p[sz:]
 		return v, nil
@@ -413,23 +422,23 @@ func openCap2Index(ra io.ReaderAt, size int64) (*cap2Index, error) {
 		return nil, err
 	}
 	if nameLen > capFileMaxName || nameLen > uint64(len(p)) {
-		return nil, corrupt("bench name length %d", nameLen)
+		return nil, cap2Corrupt("bench name length %d", nameLen)
 	}
 	name := string(p[:nameLen])
 	p = p[nameLen:]
 	b, ok := bench.ByName(name)
 	if !ok {
-		return nil, corrupt("unknown benchmark %q", name)
+		return nil, cap2Corrupt("unknown benchmark %q", name)
 	}
 	nStatics, err := next("statics count")
 	if err != nil {
 		return nil, err
 	}
 	if nStatics > capFileMaxStatics || nStatics*4 > uint64(size) {
-		return nil, corrupt("statics count %d exceeds %d-byte input", nStatics, size)
+		return nil, cap2Corrupt("statics count %d exceeds %d-byte input", nStatics, size)
 	}
 	if nStatics*4 > uint64(len(p)) {
-		return nil, corrupt("statics table truncated")
+		return nil, cap2Corrupt("statics table truncated")
 	}
 	ix := &cap2Index{b: b, frames: frames, size: size}
 	ix.statics = make([]Static, nStatics)
@@ -442,38 +451,38 @@ func openCap2Index(ra io.ReaderAt, size int64) (*cap2Index, error) {
 		return nil, err
 	}
 	if rows > b.MaxInsts {
-		return nil, corrupt("rows %d exceed %s's limit %d", rows, b.Name, b.MaxInsts)
+		return nil, cap2Corrupt("rows %d exceed %s's limit %d", rows, b.Name, b.MaxInsts)
 	}
 	if rows*cap2MinRowBytes > uint64(size) {
-		return nil, corrupt("rows %d cannot fit %d-byte input", rows, size)
+		return nil, cap2Corrupt("rows %d cannot fit %d-byte input", rows, size)
 	}
 	if len(p) != 4 {
-		return nil, corrupt("header carries %d trailing bytes", len(p))
+		return nil, cap2Corrupt("header carries %d trailing bytes", len(p))
 	}
 	ix.rows = int(rows)
 	ix.lastNextPC = binary.LittleEndian.Uint32(p)
 
 	if want := (ix.rows + FrameRows - 1) / FrameRows; nFrames != want {
-		return nil, corrupt("%d frames indexed, %d rows imply %d", nFrames, ix.rows, want)
+		return nil, cap2Corrupt("%d frames indexed, %d rows imply %d", nFrames, ix.rows, want)
 	}
 	// Frames must tile [headerEnd, footerOff) exactly; contiguity makes
 	// every payload slice of a mapped file safe by construction.
 	expect := headerEnd
 	for f := range frames {
 		if frames[f].off != expect {
-			return nil, corrupt("frame %d at offset %d, expected %d", f, frames[f].off, expect)
+			return nil, cap2Corrupt("frame %d at offset %d, expected %d", f, frames[f].off, expect)
 		}
 		expect += int64(frames[f].len)
 	}
 	if expect != footerOff {
-		return nil, corrupt("frames end at %d, footer starts at %d", expect, footerOff)
+		return nil, cap2Corrupt("frames end at %d, footer starts at %d", expect, footerOff)
 	}
 	return ix, nil
 }
 
 // decodeAll eagerly decodes every frame into a fully resident Capture, the
-// SIGCAP01-equivalent tier. payload returns the raw bytes of one frame.
-func (ix *cap2Index) decodeAll(payload func(cap2Frame) ([]byte, error)) (*Capture, error) {
+// SIGCAP01-equivalent tier. payload returns the raw bytes of frame f.
+func (ix *cap2Index) decodeAll(payload func(f int) ([]byte, error)) (*Capture, error) {
 	cp := NewCapture(ix.b)
 	cp.statics = ix.statics
 	for i := range ix.statics {
@@ -490,7 +499,7 @@ func (ix *cap2Index) decodeAll(payload func(cap2Frame) ([]byte, error)) (*Captur
 	sc := newCap2Scratch(len(ix.statics))
 	for f := range ix.frames {
 		lo, hi := ix.frameSpan(f)
-		p, err := payload(ix.frames[f])
+		p, err := payload(f)
 		if err != nil {
 			return nil, err
 		}
@@ -503,6 +512,14 @@ func (ix *cap2Index) decodeAll(payload func(cap2Frame) ([]byte, error)) (*Captur
 	return cp, nil
 }
 
+// frameBytes returns frame f's bytes as a slice of the whole-file image
+// data. Offsets are in bounds: openCap2Index checked that the frames tile
+// the file.
+func (ix *cap2Index) frameBytes(data []byte, f int) []byte {
+	fr := ix.frames[f]
+	return data[fr.off : fr.off+int64(fr.len)]
+}
+
 // readCapture2Bytes eagerly decodes an in-memory SIGCAP02 image, the
 // io.Reader entry point's v2 branch.
 func readCapture2Bytes(data []byte) (*Capture, error) {
@@ -510,7 +527,5 @@ func readCapture2Bytes(data []byte) (*Capture, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ix.decodeAll(func(fr cap2Frame) ([]byte, error) {
-		return data[fr.off : fr.off+int64(fr.len)], nil
-	})
+	return ix.decodeAll(func(f int) ([]byte, error) { return ix.frameBytes(data, f), nil })
 }

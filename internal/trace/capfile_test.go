@@ -170,10 +170,11 @@ func TestCaptureFileDir(t *testing.T) {
 
 // TestCaptureFileGolden pins both on-disk formats: each committed golden
 // file must keep decoding to a capture that replays bit-identically to a
-// fresh capture of the same benchmark. The SIGCAP01 golden additionally
-// guards the compatibility promise that pre-SIGCAP02 spill directories
-// stay readable. Any layout change breaks this test — bump the magic and
-// regenerate with -update.
+// fresh capture of the same benchmark, and the encoder must write that
+// fresh capture back to the golden byte for byte. The SIGCAP01 golden
+// additionally guards the compatibility promise that pre-SIGCAP02 spill
+// directories stay readable. Any layout change breaks this test — bump the
+// magic and regenerate with -update.
 func TestCaptureFileGolden(t *testing.T) {
 	const goldenBench = "dijkstra"
 	fresh, err := trace.CaptureRun(context.Background(), mustBench(t, goldenBench))
@@ -191,15 +192,23 @@ func TestCaptureFileGolden(t *testing.T) {
 		{"SIGCAP02", filepath.Join("testdata", goldenBench+trace.CapFileExt+"2"),
 			func(cp *trace.Capture, buf *bytes.Buffer) error { _, err := cp.WriteTo2(buf); return err }},
 	} {
+		var enc bytes.Buffer
+		if err := tc.write(fresh, &enc); err != nil {
+			t.Fatalf("%s: encoding fresh capture: %v", tc.format, err)
+		}
 		if *updateGolden {
-			var buf bytes.Buffer
-			if err := tc.write(fresh, &buf); err != nil {
-				t.Fatalf("%s: regenerating golden: %v", tc.format, err)
-			}
-			if err := os.WriteFile(tc.path, buf.Bytes(), 0o644); err != nil {
+			if err := os.WriteFile(tc.path, enc.Bytes(), 0o644); err != nil {
 				t.Fatalf("%s: regenerating golden: %v", tc.format, err)
 			}
 			t.Logf("regenerated %s", tc.path)
+		}
+		golden, err := os.ReadFile(tc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc.Bytes(), golden) {
+			t.Errorf("%s: encoding a fresh capture gives %d bytes that differ from the %d-byte golden",
+				tc.format, enc.Len(), len(golden))
 		}
 		got, err := trace.ReadCaptureFile(tc.path)
 		if err != nil {

@@ -219,20 +219,21 @@ func newFrameDec(nStatics int) *frameDec {
 // frameDecSizeBytes is the resident estimate of one replay's decode
 // buffers, charged by SizeBytes so the cache accounts for a live replay.
 func frameDecSizeBytes(nStatics int) int {
-	return 6*FrameRows*4 + 4*nStatics*4 + (FrameRows+7)/8
+	return 6*FrameRows*4 + 4*nStatics*4
 }
 
 // framePayload returns frame f's raw bytes: a zero-copy slice of the
-// mapping, or a positional read into the replay's reuse buffer.
-func (mc *MappedCapture) framePayload(f int, d *frameDec) ([]byte, error) {
-	fr := mc.ix.frames[f]
+// mapping, or a positional read into the caller's reuse buffer *raw. It is
+// the one place frames are read from the file.
+func (mc *MappedCapture) framePayload(f int, raw *[]byte) ([]byte, error) {
 	if mc.data != nil {
-		return mc.data[fr.off : fr.off+int64(fr.len)], nil
+		return mc.ix.frameBytes(mc.data, f), nil
 	}
-	if int(fr.len) > cap(d.raw) {
-		d.raw = make([]byte, fr.len)
+	fr := mc.ix.frames[f]
+	if int(fr.len) > cap(*raw) {
+		*raw = make([]byte, fr.len)
 	}
-	b := d.raw[:fr.len]
+	b := (*raw)[:fr.len]
 	if _, err := mc.f.ReadAt(b, fr.off); err != nil {
 		return nil, err
 	}
@@ -262,7 +263,7 @@ func (mc *MappedCapture) replayFrames(ctx context.Context, m *mem.Memory, rc *ic
 		}
 		lo, hi := mc.ix.frameSpan(f)
 		rows := hi - lo
-		payload, err := mc.framePayload(f, d)
+		payload, err := mc.framePayload(f, &d.raw)
 		if err != nil {
 			return fmt.Errorf("trace: reading %s frame %d: %w", mc.ix.b.Name, f, err)
 		}
@@ -300,20 +301,8 @@ func (mc *MappedCapture) Materialize() (*Capture, error) {
 		return nil, err
 	}
 	defer mc.release()
-	d := newFrameDec(len(mc.ix.statics))
-	return mc.ix.decodeAll(func(fr cap2Frame) ([]byte, error) {
-		if mc.data != nil {
-			return mc.data[fr.off : fr.off+int64(fr.len)], nil
-		}
-		if int(fr.len) > cap(d.raw) {
-			d.raw = make([]byte, fr.len)
-		}
-		b := d.raw[:fr.len]
-		if _, err := mc.f.ReadAt(b, fr.off); err != nil {
-			return nil, err
-		}
-		return b, nil
-	})
+	var raw []byte
+	return mc.ix.decodeAll(func(f int) ([]byte, error) { return mc.framePayload(f, &raw) })
 }
 
 // Interface conformance for the three block sources.
