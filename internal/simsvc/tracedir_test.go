@@ -239,7 +239,9 @@ func TestTraceDirCorruptFileDegrades(t *testing.T) {
 // entry is accounted at roughly index + one frame buffer, not the decoded
 // columns — and (d) the responses stay byte-identical to the cold shard's.
 // With TraceNoMmap the same warm start falls back to eager decoding and the
-// responses still match.
+// responses still match. That load is trace.ReadCaptureFile, which reads
+// frames positionally and never maps the file; trace's
+// TestStreamReadAtFallback checks that it makes no mapping.
 func TestTraceDirMappedTier(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()

@@ -434,9 +434,11 @@ func WriteCaptureFile(dir string, cp *Capture) (string, error) {
 }
 
 // ReadCaptureFile eagerly loads a capture file written by WriteCaptureFile,
-// either format. SIGCAP02 files open as a MappedCapture and Materialize
-// through its footer index (no whole-file copy); for the lazy O(index)
-// tier keep the MappedCapture instead.
+// either format. SIGCAP02 files Materialize through their footer index with
+// positional reads (no whole-file copy, and no mapping: this is the load
+// for callers that must not map the file, such as a trace dir on a
+// filesystem with unreliable page faults); for the lazy O(index) tier use
+// OpenMappedCapture instead.
 func ReadCaptureFile(path string) (*Capture, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -445,11 +447,10 @@ func ReadCaptureFile(path string) (*Capture, error) {
 	defer f.Close()
 	var magic [len(cap2Magic)]byte
 	if _, err := f.ReadAt(magic[:], 0); err == nil && string(magic[:]) == cap2Magic {
-		mc, err := OpenMappedCapture(path)
+		mc, err := openCap2Handle(f)
 		if err != nil {
 			return nil, err
 		}
-		defer mc.Close()
 		return mc.Materialize()
 	}
 	return ReadCaptureFrom(f)

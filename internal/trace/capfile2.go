@@ -48,7 +48,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math/bits"
 	"slices"
 
 	"repro/internal/bench"
@@ -239,26 +238,15 @@ func cap2Corrupt(format string, args ...any) error {
 // each truncated to 32 bits. It returns the offset just past the last one,
 // negative if a varint is truncated or overflows 64 bits, and the OR of
 // every value's bits above 32, so a caller that needs the full width can
-// reject a wide value.
-//
-// Most column values fit one byte, so the fast path loads eight bytes at a
-// time, stores all eight as values, and advances past the leading run of
-// one-byte varints among them; the entries past that run are overwritten
-// by the values that follow. A longer varint, and the last few values of a
-// column, go through binary.Uvarint and its overflow rules.
+// reject a wide value. Most column values fit one byte and take the inline
+// fast path; a longer varint goes through binary.Uvarint and its overflow
+// rules.
 func readUvarints(p []byte, off int, dst []uint32) (next int, wide uint32) {
-	for i := 0; i < len(dst); {
-		if i+8 <= len(dst) && off+8 <= len(p) {
-			w := binary.LittleEndian.Uint64(p[off:])
-			d := (*[8]uint32)(dst[i:])
-			d[0], d[1], d[2], d[3] = uint32(w&0xff), uint32(w>>8&0xff), uint32(w>>16&0xff), uint32(w>>24&0xff)
-			d[4], d[5], d[6], d[7] = uint32(w>>32&0xff), uint32(w>>40&0xff), uint32(w>>48&0xff), uint32(w>>56)
-			k := bits.TrailingZeros64(w&0x8080808080808080) / 8
-			i += k
-			off += k
-			if k == 8 {
-				continue
-			}
+	for i := range dst {
+		if uint(off) < uint(len(p)) && p[off] < 0x80 {
+			dst[i] = uint32(p[off])
+			off++
+			continue
 		}
 		v, n := binary.Uvarint(p[off:])
 		if n <= 0 {
@@ -266,7 +254,6 @@ func readUvarints(p []byte, off int, dst []uint32) (next int, wide uint32) {
 		}
 		dst[i] = uint32(v)
 		wide |= uint32(v >> 32)
-		i++
 		off += n
 	}
 	return off, wide

@@ -72,19 +72,13 @@ func OpenMappedCapture(path string) (*MappedCapture, error) {
 	if err != nil {
 		return nil, err
 	}
-	fi, err := f.Stat()
+	mc, err := openCap2Handle(f)
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	ix, err := openCap2Index(f, fi.Size())
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	mc := &MappedCapture{ix: ix, f: f}
 	if mmapSupported {
-		if data, err := mmapFile(int(f.Fd()), fi.Size()); err == nil {
+		if data, err := mmapFile(int(f.Fd()), mc.ix.size); err == nil {
 			mc.data = data
 		}
 		// A failed map (exotic filesystem, address-space pressure) is not
@@ -93,6 +87,22 @@ func OpenMappedCapture(path string) (*MappedCapture, error) {
 	// Backstop for leaked handles; the cache closes explicitly on evict.
 	runtime.SetFinalizer(mc, (*MappedCapture).Close)
 	return mc, nil
+}
+
+// openCap2Handle validates the SIGCAP02 index of f and returns a handle
+// that reads every frame positionally; it maps nothing and sets no
+// finalizer. OpenMappedCapture maps on top of it, and ReadCaptureFile
+// materializes through it as is, so the eager load never maps the file.
+func openCap2Handle(f *os.File) (*MappedCapture, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	ix, err := openCap2Index(f, fi.Size())
+	if err != nil {
+		return nil, err
+	}
+	return &MappedCapture{ix: ix, f: f}, nil
 }
 
 // Bench returns the benchmark the capture recorded.

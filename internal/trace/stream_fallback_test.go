@@ -2,6 +2,7 @@ package trace
 
 import (
 	"context"
+	"os"
 	"slices"
 	"testing"
 
@@ -20,10 +21,12 @@ func (l *eventLog) ConsumeBlock(b *Block) {
 	}
 }
 
-// TestStreamReadAtFallback drives the io.ReaderAt path a platform without
-// mmap takes: a second handle on the same file is unmapped by hand, so its
-// frames come from positional reads. ReplayBlocks, ReplayBlocksOn and
-// Materialize must match the mapped handle's exactly.
+// TestStreamReadAtFallback drives the io.ReaderAt path: a platform without
+// mmap, a failed mapping, and every ReadCaptureFile of a SIGCAP02 file
+// (the eager load Config.TraceNoMmap relies on to never map the file) read
+// frames positionally through an openCap2Handle handle. That handle must
+// carry no mapping, and its ReplayBlocks, ReplayBlocksOn and Materialize,
+// and ReadCaptureFile, must match the mapped handle's exactly.
 func TestStreamReadAtFallback(t *testing.T) {
 	ctx := context.Background()
 	b, ok := bench.ByName("g711dec")
@@ -38,26 +41,25 @@ func TestStreamReadAtFallback(t *testing.T) {
 	if err != nil {
 		t.Fatalf("WriteCaptureFile: %v", err)
 	}
-	open := func() *MappedCapture {
-		mc, err := OpenMappedCapture(path)
-		if err != nil {
-			t.Fatalf("OpenMappedCapture: %v", err)
-		}
-		t.Cleanup(func() { mc.Close() })
-		return mc
+	mapped, err := OpenMappedCapture(path)
+	if err != nil {
+		t.Fatalf("OpenMappedCapture: %v", err)
 	}
-	mapped, fallback := open(), open()
+	t.Cleanup(func() { mapped.Close() })
 	if !mapped.Mapped() {
 		t.Log("platform cannot mmap: both handles read positionally")
 	}
-	if fallback.data != nil {
-		if err := munmapFile(fallback.data); err != nil {
-			t.Fatalf("munmap: %v", err)
-		}
-		fallback.data = nil
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	fallback, err := openCap2Handle(f)
+	if err != nil {
+		t.Fatalf("openCap2Handle: %v", err)
 	}
 	if fallback.Mapped() {
-		t.Fatal("fallback handle still reports a mapping")
+		t.Fatal("the handle ReadCaptureFile decodes through maps the file")
 	}
 
 	rc := icomp.MustNewRecoder(icomp.DefaultTopFuncts())
@@ -89,19 +91,25 @@ func TestStreamReadAtFallback(t *testing.T) {
 	if err != nil {
 		t.Fatalf("mapped Materialize: %v", err)
 	}
+	eager, err := ReadCaptureFile(path)
+	if err != nil {
+		t.Fatalf("ReadCaptureFile: %v", err)
+	}
 	got, err := fallback.Materialize()
 	if err != nil {
 		t.Fatalf("fallback Materialize: %v", err)
 	}
-	for i, pair := range [][2][]uint32{
-		{want.slot, got.slot}, {want.pc, got.pc}, {want.srcA, got.srcA},
-		{want.srcB, got.srcB}, {want.result, got.result}, {want.sig, got.sig},
-	} {
-		if len(pair[0]) != cp.Len() || !slices.Equal(pair[0], pair[1]) {
-			t.Fatalf("Materialize column %d differs between fallback and mapped", i)
+	for name, got := range map[string]*Capture{"fallback Materialize": got, "ReadCaptureFile": eager} {
+		for i, pair := range [][2][]uint32{
+			{want.slot, got.slot}, {want.pc, got.pc}, {want.srcA, got.srcA},
+			{want.srcB, got.srcB}, {want.result, got.result}, {want.sig, got.sig},
+		} {
+			if len(pair[0]) != cp.Len() || !slices.Equal(pair[0], pair[1]) {
+				t.Fatalf("%s column %d differs from the mapped Materialize", name, i)
+			}
 		}
-	}
-	if got.lastNextPC != want.lastNextPC {
-		t.Fatalf("Materialize lastNextPC %#x, mapped %#x", got.lastNextPC, want.lastNextPC)
+		if got.lastNextPC != want.lastNextPC {
+			t.Fatalf("%s lastNextPC %#x, mapped %#x", name, got.lastNextPC, want.lastNextPC)
+		}
 	}
 }
