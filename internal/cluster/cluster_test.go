@@ -7,9 +7,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -307,39 +309,60 @@ func TestClusterSuiteSurvivesPoisonedShard(t *testing.T) {
 	_, healthy1 := newShard(t, simsvc.Config{})
 	_, healthy2 := newShard(t, simsvc.Config{})
 
-	g, gw := newGateway(t, []*httptest.Server{poisoned, healthy1, healthy2}, nil)
+	// The backends are named, so ring placement does not follow
+	// httptest's random ports: the poisoned shard (shard0) owns the same
+	// suite partition on every run, and the suite itself must fail that
+	// partition over.
+	g, gw := newNamedGateway(t, []*httptest.Server{poisoned, healthy1, healthy2})
+	var owned []string
+	for _, b := range fleetBenches {
+		if g.ring.owner(jobKey(b, "")) == 0 {
+			owned = append(owned, b)
+		}
+	}
+	if len(owned) == 0 {
+		t.Fatalf("poisoned shard0 owns no suite partition of %v", fleetBenches)
+	}
 	got, gotInsts := suiteDoc(t, gw.URL)
 	if gotInsts != wantInsts || string(got) != string(want) {
 		t.Fatal("suite over a fleet with a poisoned shard differs from the single-process evaluation")
 	}
+	if snap := g.Metrics().Snapshot(); snap.BackendErrors == 0 {
+		t.Fatalf("poisoned shard0 owns %v but produced no backend errors — the chaos never bit", owned)
+	}
+}
 
-	// Ring placement under httptest's random ports can leave the poisoned
-	// shard (backend index 0) owning no suite partition — a 3-benchmark
-	// suite over 3 shards skips it roughly a third of the time — so the
-	// chaos assertion drives a job at it deliberately: pick a (bench,
-	// model) key it owns and simulate through the gateway. The owner
-	// attempt must fail and fail over.
-	var pb, pm string
-search:
-	for _, b := range fleetBenches {
-		for _, m := range pipeline.AllNames() {
-			if g.ring.owner(jobKey(b, m)) == 0 {
-				pb, pm = b, m
-				break search
+// newNamedGateway fronts servers under the fixed backend names
+// http://shard0..n-1 and dials each name to its listener, so ring
+// placement is the same on every run whatever ports httptest picked.
+func newNamedGateway(t *testing.T, servers []*httptest.Server) (*Gateway, *httptest.Server) {
+	t.Helper()
+	addrs := make(map[string]string, len(servers))
+	backends := make([]string, len(servers))
+	for i, srv := range servers {
+		name := "shard" + strconv.Itoa(i)
+		addrs[name] = srv.Listener.Addr().String()
+		backends[i] = "http://" + name
+	}
+	client := &http.Client{Transport: &http.Transport{
+		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			host, _, err := net.SplitHostPort(addr)
+			if err != nil {
+				return nil, err
 			}
-		}
-	}
-	if pb == "" {
-		t.Fatal("poisoned shard owns no (bench, model) key at all — ring is degenerate")
-	}
-	var out simsvc.Response
-	if r := getJSON(t, gw.URL+"/v1/simulate?bench="+pb+"&model="+url.QueryEscape(pm), &out); r.StatusCode != 200 {
-		t.Fatalf("simulate via poisoned owner: status %d, want 200 after failover", r.StatusCode)
-	}
-	snap := g.Metrics().Snapshot()
-	if snap.BackendErrors == 0 {
-		t.Fatal("poisoned shard produced no backend errors — the chaos never bit")
-	}
+			real, ok := addrs[host]
+			if !ok {
+				return nil, fmt.Errorf("no listener named %q", host)
+			}
+			var d net.Dialer
+			return d.DialContext(ctx, network, real)
+		},
+	}}
+	t.Cleanup(client.CloseIdleConnections)
+	return newGateway(t, nil, func(c *Config) {
+		c.Backends = backends
+		c.Client = client
+	})
 }
 
 // Chaos: a whole shard is killed mid-sweep. In-flight dispatches to it

@@ -188,6 +188,15 @@ func (mm *ifbMemo) sizeBytes(nStatics int) int {
 	return n * (nStatics + ifbMemoOverhead)
 }
 
+// slotCacheBits sizes the PC-indexed slot cache in front of slotOf: 1024
+// direct-mapped entries cover a benchmark's hot code.
+const slotCacheBits = 10
+
+// slotCacheEntry remembers the statics slot of the word last retired from
+// one cache line's PCs. slot holds the index plus one, so the zero entry is
+// empty.
+type slotCacheEntry struct{ raw, slot uint32 }
+
 // Capture is one benchmark's recorded trace. Record it by running the
 // benchmark to completion (CaptureRun); once complete it is immutable and
 // safe for concurrent replays.
@@ -195,6 +204,10 @@ type Capture struct {
 	bench   bench.Benchmark
 	statics []Static
 	slotOf  map[uint32]uint32 // raw instruction word -> statics index
+
+	// slotCache is a direct-mapped, PC-indexed cache of slotOf for
+	// recording, allocated by the first record.
+	slotCache *[1 << slotCacheBits]slotCacheEntry
 
 	slot   []uint32 // statics index | TakenBit
 	pc     []uint32
@@ -225,69 +238,117 @@ func CaptureRun(ctx context.Context, b bench.Benchmark) (*Capture, error) {
 	if err != nil {
 		return nil, err
 	}
-	cp := NewCapture(b)
-	cp.grow(int(b.MaxInsts))
-	if _, err := interpret(ctx, c, "capturing "+b.Name, b.MaxInsts, cp.Record); err != nil {
-		return nil, err
-	}
-	if err := benchDone(c, b); err != nil {
-		return nil, err
-	}
-	cp.Finalize()
-	return cp, nil
+	return recordRun(ctx, c, b, "capturing "+b.Name, b.MaxInsts, func() error { return benchDone(c, b) })
 }
 
-// grow pre-sizes the dynamic columns. The hint is capped well below the
-// runaway guard MaxInsts (which most benchmarks finish far under) so a
-// capture never over-commits memory; append growth covers longer traces and
-// compact trims the slack afterwards.
-func (cp *Capture) grow(hint int) {
-	if hint <= 0 {
-		return
+// recordRun records up to limit instructions of c into a finalized capture
+// of b, then runs check (if any) on the halted CPU.
+func recordRun(ctx context.Context, c *cpu.CPU, b bench.Benchmark, what string, limit uint64, check func() error) (*Capture, error) {
+	r := recorder{cp: NewCapture(b)}
+	_, err := interpret(ctx, c, what, limit, r.record)
+	if err == nil && check != nil {
+		err = check()
 	}
-	if hint > 1<<16 {
-		hint = 1 << 16
+	r.finish(err == nil)
+	if err != nil {
+		return nil, err
 	}
-	cp.slot = make([]uint32, 0, hint)
-	cp.pc = make([]uint32, 0, hint)
-	cp.srcA = make([]uint32, 0, hint)
-	cp.srcB = make([]uint32, 0, hint)
-	cp.result = make([]uint32, 0, hint)
-	cp.sig = make([]uint32, 0, hint)
+	return r.cp, nil
+}
+
+// Recording chunks start at minChunkRows rows, so a short program records
+// into little memory, and double up to maxChunkRows (1.5 MiB over the six
+// columns).
+const (
+	minChunkRows = 1 << 8
+	maxChunkRows = 1 << 16
+)
+
+// recorder records a capture in chunks: the capture's columns are the
+// current chunk until it fills, and finish copies every chunk out once, at
+// the trace's exact size. Growing the columns instead would copy a long
+// trace several times over into freshly paged-in memory (append grows a
+// slice this large by about 1.25x), and once more to trim the slack.
+type recorder struct {
+	cp   *Capture
+	full [][6][]uint32 // the filled chunks, in order
+	rows int           // rows in full
+}
+
+func (r *recorder) record(e *cpu.Exec) {
+	if len(r.cp.slot) == cap(r.cp.slot) {
+		r.next()
+	}
+	r.cp.record(e)
+}
+
+// next files the current chunk, if any, and starts one twice its size.
+func (r *recorder) next() {
+	n := min(max(2*cap(r.cp.slot), minChunkRows), maxChunkRows)
+	var ch [6][]uint32
+	for i, col := range r.cp.cols() {
+		ch[i] = *col
+		*col = make([]uint32, 0, n)
+	}
+	if len(ch[0]) > 0 {
+		r.full = append(r.full, ch)
+		r.rows += len(ch[0])
+	}
+}
+
+// finish drops the chunks, first copying the recorded rows into exact-size
+// columns when keep is set.
+func (r *recorder) finish(keep bool) {
+	for i, col := range r.cp.cols() {
+		var out []uint32
+		if keep {
+			out = make([]uint32, r.rows+len(*col))
+			k := 0
+			for _, ch := range r.full {
+				k += copy(out[k:], ch[i])
+			}
+			copy(out[k:], *col)
+		}
+		*col = out
+	}
+	r.full = nil
+}
+
+// cols returns the six dynamic columns, in storage order.
+func (cp *Capture) cols() [6]*[]uint32 {
+	return [6]*[]uint32{&cp.slot, &cp.pc, &cp.srcA, &cp.srcB, &cp.result, &cp.sig}
+}
+
+// grow gives the empty dynamic columns room for n rows: the live source's
+// window, which is emptied whenever it fills.
+func (cp *Capture) grow(n int) {
+	for _, col := range cp.cols() {
+		*col = make([]uint32, 0, n)
+	}
 }
 
 // Finalize trims append slack so SizeBytes reflects exactly the recorded
-// trace. Call it once recording is finished: CaptureRun does, and any
+// trace. CaptureRun and RecordCPU return captures with no slack; any
 // capture filled through Record must be finalized before it is sized or
 // cached — append growth otherwise leaves up to ~2x slack in the dynamic
 // columns. Safe to call more than once; a finalized capture with no slack
 // is left untouched.
 func (cp *Capture) Finalize() {
-	trim := func(s []uint32) []uint32 {
-		if cap(s) == len(s) {
-			return s
+	for _, col := range cp.cols() {
+		if cap(*col) != len(*col) {
+			out := make([]uint32, len(*col))
+			copy(out, *col)
+			*col = out
 		}
-		out := make([]uint32, len(s))
-		copy(out, s)
-		return out
 	}
-	cp.slot = trim(cp.slot)
-	cp.pc = trim(cp.pc)
-	cp.srcA = trim(cp.srcA)
-	cp.srcB = trim(cp.srcB)
-	cp.result = trim(cp.result)
-	cp.sig = trim(cp.sig)
 }
 
 // truncate empties the dynamic columns, keeping their storage and the
 // statics table: the live source's window reuse.
 func (cp *Capture) truncate() {
-	cp.slot = cp.slot[:0]
-	cp.pc = cp.pc[:0]
-	cp.srcA = cp.srcA[:0]
-	cp.srcB = cp.srcB[:0]
-	cp.result = cp.result[:0]
-	cp.sig = cp.sig[:0]
+	for _, col := range cp.cols() {
+		*col = (*col)[:0]
+	}
 }
 
 // staticFor derives the statics-table entry for one decoded instruction.
@@ -312,47 +373,54 @@ func staticFor(in isa.Inst) Static {
 
 // Record appends one retired instruction, annotating its significance.
 // Instructions must arrive in retirement order.
-func (cp *Capture) Record(e cpu.Exec) {
-	ev := Event{Exec: e}
-	annotateSig(&ev)
-	idx, ok := cp.slotOf[ev.Raw]
-	if !ok {
-		st := staticFor(ev.Inst)
-		idx = uint32(len(cp.statics))
-		cp.statics = append(cp.statics, st)
-		cp.slotOf[ev.Raw] = idx
-	}
+func (cp *Capture) Record(e cpu.Exec) { cp.record(&e) }
+
+// record is Record without copying the Exec: the interpreter loop retires
+// every instruction through it.
+func (cp *Capture) record(e *cpu.Exec) {
+	idx := cp.slotFor(e)
 	sw := idx
-	if ev.Taken {
+	if e.Taken {
 		sw |= TakenBit
 	}
-	res := ev.Result
-	if !ev.HasDest {
+	res := e.Result
+	if !e.HasDest {
 		// Load-to-$zero retires with Loaded set but no register write;
 		// park the loaded value in the result column so replay can
 		// reconstruct it. Every other dest-less instruction leaves 0 here.
-		res = ev.Loaded
+		res = e.Loaded
 	}
 	cp.slot = append(cp.slot, sw)
-	cp.pc = append(cp.pc, ev.PC)
-	cp.srcA = append(cp.srcA, ev.SrcA)
-	cp.srcB = append(cp.srcB, ev.SrcB)
+	cp.pc = append(cp.pc, e.PC)
+	cp.srcA = append(cp.srcA, e.SrcA)
+	cp.srcB = append(cp.srcB, e.SrcB)
 	cp.result = append(cp.result, res)
-	cp.sig = append(cp.sig, packSig(ev))
-	cp.lastNextPC = ev.NextPC
+	cp.sig = append(cp.sig, sigWord(e))
+	cp.lastNextPC = e.NextPC
 }
 
-func packSig(ev Event) uint32 {
-	return uint32(ev.SrcBytesA)<<sigSrcBytesAShift |
-		uint32(ev.SrcBytesB)<<sigSrcBytesBShift |
-		uint32(ev.SrcHalvesA)<<sigSrcHalvesAShift |
-		uint32(ev.SrcHalvesB)<<sigSrcHalvesBShift |
-		uint32(ev.ALUOps)<<sigALUOpsShift |
-		uint32(ev.ALUHalfOps)<<sigALUHalfShift |
-		uint32(ev.MemBytes)<<sigMemBytesShift |
-		uint32(ev.MemHalves)<<sigMemHalvesShift |
-		uint32(ev.WBBytes)<<sigWBBytesShift |
-		uint32(ev.WBHalves)<<sigWBHalvesShift
+// slotFor returns the statics slot of e's instruction word, appending a new
+// entry the first time the word is seen. The slot is a function of the raw
+// word alone; the PC only picks the cache entry, and an entry is used only
+// when it holds the same raw word, so aliasing, self-modifying code and the
+// first-appearance order of the statics table are exactly those of the
+// slotOf map, which every cache miss consults.
+func (cp *Capture) slotFor(e *cpu.Exec) uint32 {
+	if cp.slotCache == nil {
+		cp.slotCache = new([1 << slotCacheBits]slotCacheEntry)
+	}
+	ent := &cp.slotCache[e.PC>>2&(1<<slotCacheBits-1)]
+	if ent.slot != 0 && ent.raw == e.Raw {
+		return ent.slot - 1
+	}
+	idx, ok := cp.slotOf[e.Raw]
+	if !ok {
+		idx = uint32(len(cp.statics))
+		cp.statics = append(cp.statics, staticFor(e.Inst))
+		cp.slotOf[e.Raw] = idx
+	}
+	*ent = slotCacheEntry{raw: e.Raw, slot: idx + 1}
+	return idx
 }
 
 // Bench returns the benchmark this capture recorded.

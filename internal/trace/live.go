@@ -88,12 +88,7 @@ func Interpret(ctx context.Context, c *cpu.CPU, limit uint64, m *mem.Memory, rc 
 // The capture's Bench is the zero Benchmark, so it replays without a memory
 // image (ReplayBlocks).
 func RecordCPU(ctx context.Context, c *cpu.CPU, limit uint64) (*Capture, error) {
-	cp := NewCapture(bench.Benchmark{})
-	if _, err := interpret(ctx, c, "program", limit, cp.Record); err != nil {
-		return nil, err
-	}
-	cp.Finalize()
-	return cp, nil
+	return recordRun(ctx, c, bench.Benchmark{}, "program", limit, nil)
 }
 
 // stream is the live engine behind Live and Interpret: the interpreter
@@ -121,8 +116,8 @@ func stream(ctx context.Context, c *cpu.CPU, what string, limit uint64, m *mem.M
 		base += len(win.slot)
 		win.truncate()
 	}
-	n, err := interpret(ctx, c, what, limit, func(e cpu.Exec) {
-		win.Record(e)
+	n, err := interpret(ctx, c, what, limit, func(e *cpu.Exec) {
+		win.record(e)
 		if len(win.slot) == BlockRows {
 			flush()
 		}

@@ -14,13 +14,13 @@ package trace
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/bench"
 	"repro/internal/cpu"
 	"repro/internal/icomp"
 	"repro/internal/isa"
 	"repro/internal/sig"
-	"repro/internal/sigalu"
 )
 
 // Event is one retired instruction with its significance annotation: the
@@ -76,145 +76,141 @@ func (e Event) MaxSrcHalves() int {
 	return n
 }
 
-// sigCap returns the significant bytes of v capped at the access width.
-func sigCap(v uint32, width int) int {
-	n := sig.Ext3Of(v).SigByteCount()
-	if n > width {
-		n = width
-	}
-	return n
+// blockCounts returns the byte and halfword block counts of a word whose
+// per-byte extension marking is free (an Ext3: bit i-1 set means byte i is
+// the sign extension of byte i-1). The low block always counts; every
+// upper byte counts unless it is free; the upper halfword counts unless
+// both of its bytes are free, since its 17-bit window (bits 15..31) is
+// uniform exactly when bytes 2 and 3 both extend the byte below. With
+// free = sig.Ext3Of(v) the pair is Ext3.SigByteCount and sig.SigHalves of
+// v; with the AND of several markings it counts the positions at which any
+// of those words is significant.
+func blockCounts(free sig.Ext3) (bytes, halves uint32) {
+	f := uint32(free)
+	return sig.WordBytes - uint32(bits.OnesCount32(f)), 2 - (f>>1)&(f>>2)&1
 }
 
-func sigCapHalf(v uint32, width int) int {
-	n := sig.SigHalves(v)
-	if limit := (width + 1) / 2; n > limit {
-		n = limit
-	}
-	return n
+// maxCounts is blockCounts of whichever of two words needs more blocks, per
+// granularity.
+func maxCounts(x, y sig.Ext3) (bytes, halves uint32) {
+	xb, xh := blockCounts(x)
+	yb, yh := blockCounts(y)
+	return max(xb, yb), max(xh, yh)
 }
 
-// aluActivity computes the significance-ALU activity of e at block
-// granularity g (1 = byte, 2 = halfword), following §2.5 and the design
-// decisions recorded in DESIGN.md.
-func aluActivity(e cpu.Exec, g int) int {
-	in := e.Inst
+// addCounts is the significance adder's activity (§2.5) for a + b = sum,
+// with ea and eb the markings of a and b. A block is operated on when
+// either operand's block is significant (cases 1 and 2), or when neither
+// is but the true sum block differs from the sign extension of the sum
+// block below it (case 3's Table-4 exceptions) — that is, unless the
+// block is free in all three of a, b and sum. Subtraction adds ^b + 1, and
+// complementing a word keeps its extension marking, so a - b passes
+// Ext3Of(b) and the difference.
+func addCounts(ea, eb sig.Ext3, sum uint32) (bytes, halves uint32) {
+	return blockCounts(ea & eb & sig.Ext3Of(sum))
+}
+
+// aluActivity is the significance-ALU activity of e (§2.5 and the design
+// decisions recorded in DESIGN.md §7) at byte and halfword granularity,
+// in closed form over the operands' extension markings ea = Ext3Of(SrcA)
+// and eb = Ext3Of(SrcB). It equals the BlocksOperated of the block-serial
+// sigalu unit at both granularities, which its _test.go oracle checks
+// exhaustively over operand extension patterns and on every retired
+// instruction of the suite.
+func aluActivity(e *cpu.Exec, ea, eb sig.Ext3) (ops, halfOps uint32) {
+	in := &e.Inst
 	a, b := e.SrcA, e.SrcB
 	simm := uint32(int32(in.Imm))
-	zimm := uint32(uint16(in.Imm))
 	switch in.Op {
 	case isa.OpSpecial:
 		switch in.Funct {
 		case isa.FnADD, isa.FnADDU:
-			return sigalu.AddG(a, b, g).BlocksOperated
-		case isa.FnSUB, isa.FnSUBU:
-			return sigalu.SubG(a, b, g).BlocksOperated
-		case isa.FnAND:
-			return sigalu.AndG(a, b, g).BlocksOperated
-		case isa.FnOR:
-			return sigalu.OrG(a, b, g).BlocksOperated
-		case isa.FnXOR:
-			return sigalu.XorG(a, b, g).BlocksOperated
-		case isa.FnNOR:
-			return sigalu.NorG(a, b, g).BlocksOperated
-		case isa.FnSLT:
-			return sigalu.SetLessG(a, b, true, g).BlocksOperated
-		case isa.FnSLTU:
-			return sigalu.SetLessG(a, b, false, g).BlocksOperated
+			return addCounts(ea, eb, a+b)
+		case isa.FnSUB, isa.FnSUBU, isa.FnSLT, isa.FnSLTU:
+			// SLT/SLTU cost their subtraction.
+			return addCounts(ea, eb, a-b)
+		case isa.FnAND, isa.FnOR, isa.FnXOR, isa.FnNOR:
+			// Blocks where both operands are extensions come for free.
+			return blockCounts(ea & eb)
+		// Shifts touch the larger of the source's and the result's
+		// significant block counts.
 		case isa.FnSLL:
-			return sigalu.ShiftLeftG(b, uint32(in.Shamt), g).BlocksOperated
+			return maxCounts(eb, sig.Ext3Of(b<<(in.Shamt&31)))
 		case isa.FnSRL:
-			return sigalu.ShiftRightLG(b, uint32(in.Shamt), g).BlocksOperated
+			return maxCounts(eb, sig.Ext3Of(b>>(in.Shamt&31)))
 		case isa.FnSRA:
-			return sigalu.ShiftRightAG(b, uint32(in.Shamt), g).BlocksOperated
+			return maxCounts(eb, sig.Ext3Of(uint32(int32(b)>>(in.Shamt&31))))
 		case isa.FnSLLV:
-			return sigalu.ShiftLeftG(b, a, g).BlocksOperated
+			return maxCounts(eb, sig.Ext3Of(b<<(a&31)))
 		case isa.FnSRLV:
-			return sigalu.ShiftRightLG(b, a, g).BlocksOperated
+			return maxCounts(eb, sig.Ext3Of(b>>(a&31)))
 		case isa.FnSRAV:
-			return sigalu.ShiftRightAG(b, a, g).BlocksOperated
-		case isa.FnMULT:
-			_, _, r := sigalu.MultG(a, b, true, g)
-			return r.BlocksOperated
-		case isa.FnMULTU:
-			_, _, r := sigalu.MultG(a, b, false, g)
-			return r.BlocksOperated
-		case isa.FnDIV:
-			_, _, r := sigalu.DivG(a, b, true, g)
-			return r.BlocksOperated
-		case isa.FnDIVU:
-			_, _, r := sigalu.DivG(a, b, false, g)
-			return r.BlocksOperated
-		case isa.FnJR:
-			return 1 // address passthrough
+			return maxCounts(eb, sig.Ext3Of(uint32(int32(b)>>(a&31))))
+		case isa.FnMULT, isa.FnMULTU, isa.FnDIV, isa.FnDIVU:
+			// The iterative units operate on both sources' blocks.
+			xb, xh := blockCounts(ea)
+			yb, yh := blockCounts(eb)
+			return xb + yb, xh + yh
 		case isa.FnJALR, isa.FnMFHI, isa.FnMFLO, isa.FnMTHI, isa.FnMTLO:
 			// Link/move values: the unit produces the significant blocks.
-			return sigalu.SigBlocks(e.Result, g)
-		default: // SYSCALL, BREAK
-			return 1
+			return blockCounts(sig.Ext3Of(e.Result))
 		}
-	case isa.OpADDI, isa.OpADDIU:
-		return sigalu.AddG(a, simm, g).BlocksOperated
-	case isa.OpSLTI:
-		return sigalu.SetLessG(a, simm, true, g).BlocksOperated
-	case isa.OpSLTIU:
-		return sigalu.SetLessG(a, simm, false, g).BlocksOperated
-	case isa.OpANDI:
-		return sigalu.AndG(a, zimm, g).BlocksOperated
-	case isa.OpORI:
-		return sigalu.OrG(a, zimm, g).BlocksOperated
-	case isa.OpXORI:
-		return sigalu.XorG(a, zimm, g).BlocksOperated
-	case isa.OpLUI:
-		return sigalu.SigBlocks(e.Result, g)
-	case isa.OpLB, isa.OpLBU, isa.OpLH, isa.OpLHU, isa.OpLW,
+		// JR (address passthrough), SYSCALL, BREAK.
+		return 1, 1
+	case isa.OpADDI, isa.OpADDIU,
+		isa.OpLB, isa.OpLBU, isa.OpLH, isa.OpLHU, isa.OpLW,
 		isa.OpSB, isa.OpSH, isa.OpSW:
-		// Effective-address addition.
-		return sigalu.AddG(a, simm, g).BlocksOperated
+		// Loads and stores pay their effective-address addition.
+		return addCounts(ea, sig.Ext3Of(simm), a+simm)
+	case isa.OpSLTI, isa.OpSLTIU:
+		return addCounts(ea, sig.Ext3Of(simm), a-simm)
+	case isa.OpANDI, isa.OpORI, isa.OpXORI:
+		return blockCounts(ea & sig.Ext3Of(uint32(uint16(in.Imm))))
+	case isa.OpLUI, isa.OpJAL:
+		return blockCounts(sig.Ext3Of(e.Result))
 	case isa.OpBEQ, isa.OpBNE:
-		_, r := sigalu.CompareG(a, b, g)
-		return r.BlocksOperated
-	case isa.OpBLEZ, isa.OpBGTZ, isa.OpRegimm:
-		// Sign/zero tests examine the extension bits plus the top
-		// significant block.
-		return 1
-	case isa.OpJ, isa.OpJAL:
-		if _, ok := in.DestReg(); ok {
-			return sigalu.SigBlocks(e.Result, g)
-		}
-		return 1
+		// The comparator reads stored blocks up to the larger count.
+		return maxCounts(ea, eb)
 	}
-	return 1
+	// BLEZ/BGTZ/REGIMM sign and zero tests examine the extension bits plus
+	// the top significant block; J has nothing to operate on.
+	return 1, 1
 }
 
-// annotateSig fills in the significance annotation: every quantity except
-// IFBytes depends only on the Exec record (instruction shape and the
-// dynamic values that flowed through it), never on the instruction
-// recoding. This split is what lets a Capture store the significance
-// columns once and replay them under any recoder.
-func annotateSig(ev *Event) {
-	e := ev.Exec
+// sigWord packs e's ten significance quantities into one sig-column word
+// (the sig*Shift layout in capture.go; PackedSig unpacks it). Every
+// quantity depends only on the Exec record — instruction shape and the
+// dynamic values that flowed through it — never on the instruction
+// recoding, which is what lets a Capture store the column once and replay
+// it under any recoder. Source counts are 0 for a port that is not read,
+// data-access counts are capped at the access width, and writeback counts
+// are 0 when no register is written.
+func sigWord(e *cpu.Exec) uint32 {
+	ea, eb := sig.Ext3Of(e.SrcA), sig.Ext3Of(e.SrcB)
+	ops, halfOps := aluActivity(e, ea, eb)
+	w := ops<<sigALUOpsShift | halfOps<<sigALUHalfShift
 	if e.ReadsA {
-		ev.SrcBytesA = sig.Ext3Of(e.SrcA).SigByteCount()
-		ev.SrcHalvesA = sig.SigHalves(e.SrcA)
+		n, h := blockCounts(ea)
+		w |= n<<sigSrcBytesAShift | h<<sigSrcHalvesAShift
 	}
 	if e.ReadsB {
-		ev.SrcBytesB = sig.Ext3Of(e.SrcB).SigByteCount()
-		ev.SrcHalvesB = sig.SigHalves(e.SrcB)
+		n, h := blockCounts(eb)
+		w |= n<<sigSrcBytesBShift | h<<sigSrcHalvesBShift
 	}
-	ev.ALUOps = aluActivity(e, 1)
-	ev.ALUHalfOps = aluActivity(e, 2)
 	if e.MemWidth > 0 {
 		v := e.Loaded
 		if e.Inst.IsStore() {
 			v = e.StoreVal
 		}
-		ev.MemBytes = sigCap(v, e.MemWidth)
-		ev.MemHalves = sigCapHalf(v, e.MemWidth)
+		n, h := blockCounts(sig.Ext3Of(v))
+		width := uint32(e.MemWidth)
+		w |= min(n, width)<<sigMemBytesShift | min(h, (width+1)/2)<<sigMemHalvesShift
 	}
 	if e.HasDest {
-		ev.WBBytes = sig.Ext3Of(e.Result).SigByteCount()
-		ev.WBHalves = sig.SigHalves(e.Result)
+		n, h := blockCounts(sig.Ext3Of(e.Result))
+		w |= n<<sigWBBytesShift | h<<sigWBHalvesShift
 	}
+	return w
 }
 
 // Consumer receives a trace as column blocks (see Block), from whichever
@@ -232,11 +228,17 @@ const ctxCheckMask = 0xFFF
 
 // interpret is the one interpreter loop. It steps c until the program halts
 // or limit instructions have retired, handing every retired instruction to
-// retire, and returns the number retired. It fails only on cancellation and
-// on a faulting instruction; what names the run in those errors. Reaching
-// limit is not an error here: callers decide (benchDone, Interpret).
-func interpret(ctx context.Context, c *cpu.CPU, what string, limit uint64, retire func(cpu.Exec)) (uint64, error) {
-	var n uint64
+// retire, and returns the number retired. The record is reused for every
+// instruction, so retire must not keep the pointer. It fails only on
+// cancellation and on a faulting instruction; what names the run in those
+// errors. Reaching limit is not an error here: callers decide (benchDone,
+// Interpret).
+func interpret(ctx context.Context, c *cpu.CPU, what string, limit uint64, retire func(*cpu.Exec)) (uint64, error) {
+	var (
+		n   uint64
+		e   cpu.Exec
+		err error
+	)
 	for !c.Done && n < limit {
 		if n&ctxCheckMask == 0 {
 			select {
@@ -245,11 +247,10 @@ func interpret(ctx context.Context, c *cpu.CPU, what string, limit uint64, retir
 			default:
 			}
 		}
-		e, err := c.Step()
-		if err != nil {
+		if e, err = c.Step(); err != nil {
 			return n, fmt.Errorf("trace: %s: %w", what, err)
 		}
-		retire(e)
+		retire(&e)
 		n++
 	}
 	return n, nil
@@ -277,10 +278,11 @@ func FunctProfile(benchmarks []bench.Benchmark) (map[isa.Funct]uint64, error) {
 
 // FunctProfileCtx is FunctProfile with request-scoped cancellation.
 func FunctProfileCtx(ctx context.Context, benchmarks []bench.Benchmark) (map[isa.Funct]uint64, error) {
-	counts := make(map[isa.Funct]uint64)
-	count := func(e cpu.Exec) {
+	// Tally by function code (a 6-bit field) and build the map once.
+	var tally [64]uint64
+	count := func(e *cpu.Exec) {
 		if e.Inst.Op == isa.OpSpecial {
-			counts[e.Inst.Funct]++
+			tally[e.Inst.Funct&63]++
 		}
 	}
 	for _, b := range benchmarks {
@@ -292,6 +294,12 @@ func FunctProfileCtx(ctx context.Context, benchmarks []bench.Benchmark) (map[isa
 		}
 		if err != nil {
 			return nil, fmt.Errorf("trace: profiling: %w", err)
+		}
+	}
+	counts := make(map[isa.Funct]uint64)
+	for fn, n := range tally {
+		if n > 0 {
+			counts[isa.Funct(fn)] = n
 		}
 	}
 	return counts, nil
