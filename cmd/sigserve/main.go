@@ -53,11 +53,12 @@
 //	                       streams each request through the interpreter,
 //	                       one 4096-row block at a time)
 //	-trace-dir DIR         back the trace cache with a capture directory
-//	                       (SIGCAP02; legacy SIGCAP01 files stay readable):
-//	                       new captures persist there, evicted captures
-//	                       demote to disk, and cache misses reload from it —
-//	                       shards sharing DIR (or a restarted daemon) start
-//	                       warm instead of re-interpreting. SIGCAP02 reloads
+//	                       (SIGCAP02 files): new captures persist there,
+//	                       evicted captures demote to disk, and cache misses
+//	                       reload from it — shards sharing DIR (or a
+//	                       restarted daemon) start warm instead of
+//	                       re-interpreting, and a file that will not load is
+//	                       replaced by the fresh capture. Reloads
 //	                       are mapped read-only and streamed frame by frame,
 //	                       so a warm start costs the footer index rather
 //	                       than a full decode and co-located shards share

@@ -40,7 +40,7 @@ func main() {
 	replay := flag.Bool("replay", true,
 		"for -bench all: interpret each benchmark once and replay the captured trace per model (false = re-interpret, the reference path)")
 	captureDir := flag.String("capture-dir", "",
-		"capture directory (SIGCAP02; legacy SIGCAP01 files stay readable): replay a single -bench from its persisted capture, interpreting and persisting it on first use")
+		"capture directory (SIGCAP02 files): replay a single -bench from its persisted capture, interpreting and persisting it on first use")
 	useMmap := flag.Bool("mmap", true,
 		"with -capture-dir: map SIGCAP02 captures read-only and stream frames instead of decoding the whole trace up front (false = always eager decode)")
 	fetchSweep := flag.Bool("fetchsweep", false,
@@ -230,26 +230,20 @@ func main() {
 }
 
 // loadOrCapture resolves b's capture through dir: a valid persisted
-// capture file is reused, anything else (missing, corrupt, wrong suite
-// build) falls back to interpreting, and a fresh capture is persisted for
-// next time. With useMmap a SIGCAP02 file is mapped and streamed — replay
-// memory stays at one frame, not the whole decoded trace; legacy SIGCAP01
-// files (and useMmap=false) take the eager decode.
+// capture file is reused, anything else (missing, corrupt, another format,
+// wrong suite build) falls back to interpreting, and a fresh capture is
+// persisted for next time, replacing the file that would not load. With
+// useMmap the file is mapped and streamed — replay memory stays at one
+// frame, not the whole decoded trace; without it the file is decoded
+// eagerly.
 func loadOrCapture(dir string, b bench.Benchmark, useMmap bool) (trace.Replayer, error) {
-	path := trace.CaptureFilePath(dir, b.Name)
-	if useMmap {
-		if mc, err := trace.OpenMappedCapture(path); err == nil {
-			if got := mc.Bench(); got.Name == b.Name && got.Checksum == b.Checksum {
-				fmt.Fprintf(os.Stderr, "sigsim: streaming mapped capture %s\n", path)
-				return mc, nil
-			}
-			mc.Close()
+	if rep, err := trace.LoadCaptureFile(dir, b, useMmap); err == nil {
+		how := "replaying persisted"
+		if useMmap {
+			how = "streaming mapped"
 		}
-	}
-	if cp, err := trace.ReadCaptureFile(path); err == nil &&
-		cp.Bench().Name == b.Name && cp.Bench().Checksum == b.Checksum {
-		fmt.Fprintf(os.Stderr, "sigsim: replaying persisted capture %s\n", path)
-		return cp, nil
+		fmt.Fprintf(os.Stderr, "sigsim: %s capture %s\n", how, trace.CaptureFilePath(dir, b.Name))
+		return rep, nil
 	}
 	cp, err := trace.CaptureRun(context.Background(), b)
 	if err != nil {

@@ -7,16 +7,19 @@
 //	sigtrace -record -bench rawcaudio -o caps   # writes caps/rawcaudio.sigcap (SIGCAP02)
 //	sigtrace -replay caps/rawcaudio.sigcap -model byteserial
 //	sigtrace -replay caps/rawcaudio.sigcap      # all models + activity
-//	sigtrace -replay old.trc                    # SIGCAP02 streams from a mapping,
-//	                                            # SIGCAP01 decodes eagerly, legacy
-//	                                            # SIGTRC01 loads into a capture
+//
+// Replay streams the SIGCAP02 file frame by frame out of a read-only
+// mapping. Any other file is refused with the magic it carries; a trace in
+// an older format is re-recorded with -record, which writes exactly what a
+// conversion would (a capture is a deterministic function of its
+// benchmark).
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 
@@ -89,20 +92,16 @@ func doReplay(path, modelName string) error {
 	patterns := activity.NewPatternStats()
 	consumers = append(consumers, patterns)
 
-	// Interrupt aborts the replay between records instead of leaving the
+	// Interrupt aborts the replay between frames instead of leaving the
 	// process to grind through the rest of a long trace.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	// Dispatch on the file's magic: SIGCAP02 captures stream frame by frame
-	// out of a read-only mapping (replay memory stays at one frame),
-	// SIGCAP01 captures decode eagerly, and anything else is a legacy
-	// SIGTRC01 event trace, loaded into a capture.
-	n, how, err := replayFile(ctx, path, rc, consumers)
+	n, err := replayFile(ctx, path, rc, consumers)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("replayed %d instructions from %s (%s)\n\n", n, path, how)
+	fmt.Printf("replayed %d instructions from %s\n\n", n, path)
 	t := stats.NewTable("CPI (replayed)", "model", "CPI")
 	for _, m := range models {
 		t.AddStringRow(m.Name(), fmt.Sprintf("%.3f", m.Result().CPI()))
@@ -112,62 +111,25 @@ func doReplay(path, modelName string) error {
 	return nil
 }
 
-// replayFile feeds path's trace into consumers, picking the engine by the
-// file's leading magic, and returns the instruction count plus a short
-// description of the path taken.
-func replayFile(ctx context.Context, path string, rc *icomp.Recoder, consumers []trace.Consumer) (uint64, string, error) {
-	f, err := os.Open(path)
+// replayFile streams path's capture into consumers and returns the
+// instruction count. A file that is not SIGCAP02 fails with the magic it
+// carries and how to get a replayable capture instead.
+func replayFile(ctx context.Context, path string, rc *icomp.Recoder, consumers []trace.Consumer) (uint64, error) {
+	mc, err := trace.OpenMappedCapture(path)
 	if err != nil {
-		return 0, "", err
-	}
-	defer f.Close()
-	var magic [8]byte
-	if _, err := io.ReadFull(f, magic[:]); err == nil {
-		switch string(magic[:]) {
-		case "SIGCAP02":
-			mc, err := trace.OpenMappedCapture(path)
-			if err != nil {
-				return 0, "", err
-			}
-			defer mc.Close()
-			m, err := mc.NewMemory()
-			if err != nil {
-				return 0, "", err
-			}
-			if err := mc.ReplayBlocksOn(ctx, m, rc, consumers...); err != nil {
-				return 0, "", err
-			}
-			return uint64(mc.Len()), "SIGCAP02, streamed from mapping", nil
-		case "SIGCAP01":
-			cp, err := trace.ReadCaptureFile(path)
-			if err != nil {
-				return 0, "", err
-			}
-			m, err := cp.NewMemory()
-			if err != nil {
-				return 0, "", err
-			}
-			if err := cp.ReplayBlocksOn(ctx, m, rc, consumers...); err != nil {
-				return 0, "", err
-			}
-			return uint64(cp.Len()), "SIGCAP01, eager decode", nil
+		var ce *trace.CorruptError
+		if errors.As(err, &ce) {
+			return 0, fmt.Errorf("%w; re-record it with sigtrace -record -bench <name>", err)
 		}
+		return 0, err
 	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, "", err
-	}
-	r, err := trace.NewReader(f)
+	defer mc.Close()
+	m, err := mc.NewMemory()
 	if err != nil {
-		return 0, "", err
+		return 0, err
 	}
-	// The file names no benchmark, so there is no memory image to rebuild;
-	// the replayed consumers never read program memory.
-	cp, err := r.ReadCapture(bench.Benchmark{})
-	if err != nil {
-		return 0, "", err
+	if err := mc.ReplayBlocksOn(ctx, m, rc, consumers...); err != nil {
+		return 0, err
 	}
-	if err := cp.ReplayBlocks(ctx, rc, consumers...); err != nil {
-		return 0, "", err
-	}
-	return uint64(cp.Len()), "SIGTRC01 event trace", nil
+	return uint64(mc.Len()), nil
 }

@@ -83,16 +83,17 @@ type Config struct {
 	// the trace at a time; bit-identical by construction and by test).
 	TraceCacheMB int
 	// TraceDir, when set, backs the trace cache with a capture directory
-	// (SIGCAP02 files; pre-migration SIGCAP01 spills stay readable): newly
-	// captured traces are persisted there, evicted captures are demoted to
-	// disk if not already present, and cache misses try the directory
-	// before re-interpreting — so restarted or freshly sharded services
-	// start warm from each other's captures. SIGCAP02 loads are mapped
-	// read-only and replayed by streaming frames, so a warm start costs
-	// the footer index (not a full decode) and co-located shards share
-	// the file pages through the OS page cache. Ignored when the trace
-	// cache is disabled. All directory I/O is best-effort: a missing,
-	// corrupt, or unwritable file degrades to the in-memory path.
+	// (SIGCAP02 files): newly captured traces are persisted there, evicted
+	// captures are demoted to disk if not already present, and cache
+	// misses try the directory before re-interpreting — so restarted or
+	// freshly sharded services start warm from each other's captures.
+	// Loads are mapped read-only and replayed by streaming frames, so a
+	// warm start costs the footer index (not a full decode) and co-located
+	// shards share the file pages through the OS page cache. Ignored when
+	// the trace cache is disabled. All directory I/O is best-effort: a
+	// missing, corrupt, stale or other-format file degrades to a miss, and
+	// the fresh capture replaces it; an unwritable dir degrades to the
+	// in-memory path.
 	TraceDir string
 	// TraceNoMmap disables the mapped residency tier: spilled captures
 	// are always eagerly decoded into memory. For platforms or operators

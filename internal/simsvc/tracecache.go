@@ -306,7 +306,7 @@ func (s *Service) captureFor(ctx context.Context, b bench.Benchmark) (*traceEntr
 				return nil, err
 			}
 			s.metrics.captures.Add(1)
-			s.spillCapture(cp)
+			s.spillCapture(cp, true)
 			e = &traceEntry{rep: cp, bytes: int64(cp.SizeBytes())}
 		}
 		s.tracePut(ctx, b.Name, e)
@@ -319,53 +319,43 @@ func (s *Service) captureFor(ctx context.Context, b bench.Benchmark) (*traceEntr
 }
 
 // loadSpilled tries the trace dir for a previously persisted capture of b.
-// SIGCAP02 spills are mapped, not decoded: the warm start costs the footer
-// index and a frame buffer, the columns stream lazily at replay time, and
+// Spills are mapped, not decoded: the warm start costs the footer index
+// and a frame buffer, the columns stream lazily at replay time, and
 // co-located shards share the clean file pages through the OS page cache.
-// SIGCAP01 spills (pre-migration directories) and platforms or configs
-// without mmap fall back to the eager full decode. Any failure — no dir,
-// no file, corruption, wrong benchmark — is a plain miss; the caller
-// re-interprets.
+// With TraceNoMmap the file is decoded eagerly instead. Any failure — no
+// dir, no file, corruption, another format, wrong benchmark — is a plain
+// miss; the caller re-interprets and rewrites the file.
 func (s *Service) loadSpilled(b bench.Benchmark) *traceEntry {
 	if s.traceDir == "" {
 		return nil
 	}
-	path := trace.CaptureFilePath(s.traceDir, b.Name)
-	if !s.traceNoMmap {
-		if mc, err := trace.OpenMappedCapture(path); err == nil {
-			// The file names its benchmark, but the served suite is
-			// authoritative: a capture whose benchmark diverges from ours
-			// replays the wrong trace.
-			if got := mc.Bench(); got.Name != b.Name || got.Checksum != b.Checksum {
-				mc.Close()
-				return nil
-			}
-			s.metrics.traceSpillLoads.Add(1)
-			s.metrics.traceMapLoads.Add(1)
-			return &traceEntry{rep: mc, mapped: mc, bytes: int64(mc.SizeBytes())}
-		}
-	}
-	cp, err := trace.ReadCaptureFile(path)
+	rep, err := trace.LoadCaptureFile(s.traceDir, b, !s.traceNoMmap)
 	if err != nil {
 		return nil
 	}
-	if got := cp.Bench(); got.Name != b.Name || got.Checksum != b.Checksum {
-		return nil
-	}
 	s.metrics.traceSpillLoads.Add(1)
-	return &traceEntry{rep: cp, bytes: int64(cp.SizeBytes())}
+	e := &traceEntry{rep: rep, bytes: int64(rep.SizeBytes())}
+	if mc, ok := rep.(*trace.MappedCapture); ok {
+		s.metrics.traceMapLoads.Add(1)
+		e.mapped = mc
+	}
+	return e
 }
 
-// spillCapture persists cp to the trace dir unless it is already there.
-// Captures are deterministic per benchmark, so an existing file is as good
-// as ours; write errors are swallowed (the dir is an optimization, never
-// a dependency).
-func (s *Service) spillCapture(cp *trace.Capture) {
+// spillCapture persists cp to the trace dir. Unless overwrite is set, an
+// existing file is kept: captures are deterministic per benchmark, so a
+// file that loads is as good as ours. The miss path overwrites, because
+// it only interprets after the file failed to load — keeping that file
+// would make every cold start re-interpret the benchmark. Write errors are
+// swallowed (the dir is an optimization, never a dependency).
+func (s *Service) spillCapture(cp *trace.Capture, overwrite bool) {
 	if s.traceDir == "" {
 		return
 	}
-	if _, err := os.Stat(trace.CaptureFilePath(s.traceDir, cp.Bench().Name)); err == nil {
-		return
+	if !overwrite {
+		if _, err := os.Stat(trace.CaptureFilePath(s.traceDir, cp.Bench().Name)); err == nil {
+			return
+		}
 	}
 	if _, err := trace.WriteCaptureFile(s.traceDir, cp); err != nil {
 		return
@@ -389,7 +379,7 @@ func (s *Service) spillEvicted(evicted []*traceCacheEntry) {
 			te.entry.close()
 			continue
 		}
-		s.spillCapture(te.entry.rep.(*trace.Capture))
+		s.spillCapture(te.entry.rep.(*trace.Capture), false)
 	}
 }
 

@@ -1,6 +1,7 @@
 package simsvc
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
@@ -211,24 +212,62 @@ func TestTraceDirWarmStart(t *testing.T) {
 	}
 }
 
-// TestTraceDirCorruptFileDegrades writes garbage where a capture should be;
-// the service must fall back to interpreting, not fail or serve junk.
+// TestTraceDirCorruptFileDegrades puts a file that will not load where a
+// capture should be: garbage, a retired SIGCAP01 capture, or another
+// benchmark's capture. The service must fall back to interpreting, not
+// fail or serve junk, and must replace the file with its fresh capture, so
+// the next shard on the directory starts warm instead of re-interpreting
+// on every cold start.
 func TestTraceDirCorruptFileDegrades(t *testing.T) {
-	dir := t.TempDir()
 	ctx := context.Background()
-	if err := os.WriteFile(trace.CaptureFilePath(dir, "g711dec"), []byte("not a capture"), 0o644); err != nil {
+	req := Request{Bench: "g711dec", Model: pipeline.NameByteSerial}
+	other, err := trace.CaptureRun(ctx, mustTestBench(t, "rawdaudio"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	s := testService(t, Config{Workers: 2, TraceDir: dir}, "g711dec")
-	if _, err := s.Simulate(ctx, Request{Bench: "g711dec", Model: pipeline.NameByteSerial}); err != nil {
+	var otherFile bytes.Buffer
+	if _, err := other.WriteTo2(&otherFile); err != nil {
 		t.Fatal(err)
 	}
-	m := s.Metrics().Snapshot()
-	if m.Captures != 1 {
-		t.Fatalf("captures = %d, want 1 (corrupt file must force re-interpretation)", m.Captures)
-	}
-	if m.TraceSpillLoads != 0 {
-		t.Fatalf("spill loads = %d, want 0", m.TraceSpillLoads)
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"garbage", []byte("not a capture")},
+		{"SIGCAP01", append([]byte("SIGCAP01\x07g711dec"), make([]byte, 64)...)},
+		{"other benchmark", otherFile.Bytes()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(trace.CaptureFilePath(dir, "g711dec"), tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s := testService(t, Config{Workers: 2, TraceDir: dir}, "g711dec")
+			first, err := s.Simulate(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := s.Metrics().Snapshot()
+			if m.Captures != 1 || m.TraceSpillLoads != 0 {
+				t.Fatalf("captures=%d spill loads=%d, want 1/0 (the file must force re-interpretation)",
+					m.Captures, m.TraceSpillLoads)
+			}
+			if m.TraceSpills != 1 {
+				t.Fatalf("spills = %d, want 1 (the fresh capture must replace the file)", m.TraceSpills)
+			}
+
+			warm := testService(t, Config{Workers: 2, TraceDir: dir}, "g711dec")
+			second, err := warm.Simulate(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m := warm.Metrics().Snapshot(); m.Captures != 0 || m.TraceSpillLoads != 1 {
+				t.Fatalf("next shard: captures=%d spill loads=%d, want 0/1", m.Captures, m.TraceSpillLoads)
+			}
+			if first.CPI != second.CPI || first.Cycles != second.Cycles || first.Insts != second.Insts {
+				t.Fatalf("next shard diverged: %+v vs %+v", second, first)
+			}
+		})
 	}
 }
 
@@ -238,10 +277,9 @@ func TestTraceDirCorruptFileDegrades(t *testing.T) {
 // benchmarks fit a budget that forced the cold shard to evict — a mapped
 // entry is accounted at roughly index + one frame buffer, not the decoded
 // columns — and (d) the responses stay byte-identical to the cold shard's.
-// With TraceNoMmap the same warm start falls back to eager decoding and the
+// With TraceNoMmap the same warm start decodes eagerly instead and the
 // responses still match. That load is trace.ReadCaptureFile, which reads
-// frames positionally and never maps the file; trace's
-// TestStreamReadAtFallback checks that it makes no mapping.
+// frames positionally and never maps the file.
 func TestTraceDirMappedTier(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()

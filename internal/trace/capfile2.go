@@ -1,19 +1,21 @@
 package trace
 
-// SIGCAP02: the mmap-friendly frame-indexed persistent form of a Capture.
+// SIGCAP02: the frame-indexed persistent form of a Capture, and the only
+// capture file format.
 //
-// SIGCAP01 (capfile.go) is a single delta/varint stream: compact, but the
-// per-slot predictors thread state through every row, so nothing replays
-// until the whole file has been decoded back into resident columns. SIGCAP02
-// keeps the same column codec but chops the trace into independently
-// decodable frames of FrameRows rows: every predictor (the PC delta chain
-// and the per-slot srcA/srcB/result/sig chains) resets to zero at each frame
-// boundary, so any frame decodes from its own bytes alone — the "seed state"
-// a frame needs is the constant zero state, at the cost of one absolute
-// (rather than delta) varint per live slot per frame, well under the
-// CapFileMaxBytesPerInst budget.
+// The columns are stored with per-slot predictors — a load in a loop sees
+// its base register step by the stride (tiny signed delta) and its packed
+// significance word barely change (XOR ≈ 0) — so the columns that dominate
+// the in-memory capture (24 B/row) shrink to ~1–2 B each. The trace is
+// chopped into independently decodable frames of FrameRows rows: every
+// predictor (the PC delta chain and the per-slot srcA/srcB/result/sig
+// chains) resets to zero at each frame boundary, so any frame decodes from
+// its own bytes alone — the "seed state" a frame needs is the constant zero
+// state, at the cost of one absolute (rather than delta) varint per live
+// slot per frame, well under the CapFileMaxBytesPerInst budget.
 //
-// Layout (integers little-endian, varints as in SIGCAP01):
+// Layout (integers little-endian; a uvarint is binary.AppendUvarint's
+// encoding, an svarint the uvarint of the zigzag-mapped value):
 //
 //	header   magic "SIGCAP02"
 //	         name      uvarint length + benchmark name bytes
@@ -35,15 +37,14 @@ package trace
 //	         needs its successor decoded)
 //	tail     footerCRC u32 · footerOff u64 · magic "SIGCAP02"
 //
-// A reader validates the file from the tail inward (trailing magic →
-// footer index → header) without touching a single frame, which is what
-// makes the mmap tier's warm-start lazy: OpenMappedCapture (stream.go)
-// costs the index and statics table only; frames decode one at a time,
-// CRC-checked, as replay consumes them.
+// A reader checks the leading magic, then validates the file from the tail
+// inward (trailing magic → footer index → header) without touching a
+// single frame, which is what makes the mmap tier's warm-start lazy:
+// OpenMappedCapture (stream.go) costs the index and statics table only;
+// frames decode one at a time, CRC-checked, as replay consumes them.
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -116,9 +117,9 @@ func (ix *cap2Index) indexSizeBytes() int {
 	return len(ix.statics)*staticSize + len(ix.frames)*cap2FrameMeta
 }
 
-// WriteTo2 serializes the capture as SIGCAP02. Like WriteTo, the capture
-// must be complete; concurrent replays are fine, concurrent recording is
-// not. Returns the bytes written.
+// WriteTo2 serializes the capture as SIGCAP02. The capture must be
+// complete (CaptureRun, or Record + Finalize); concurrent replays are fine,
+// concurrent recording is not. Returns the bytes written.
 func (cp *Capture) WriteTo2(w io.Writer) (int64, error) {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	le := binary.LittleEndian
@@ -330,12 +331,22 @@ func decodeCap2Frame(payload []byte, fr cap2Frame, nStatics uint64,
 	return nil
 }
 
-// openCap2Index validates a SIGCAP02 file from the tail inward and returns
-// its index without decoding any frame: trailing magic → footer (CRC,
-// contiguity, offsets in bounds) → header (CRC, bench known, statics and
-// row counts sized against the actual input before any allocation). This is
-// the whole cost of a lazy warm-start.
+// openCap2Index validates a SIGCAP02 file and returns its index without
+// decoding any frame: leading magic (so any other file is rejected by the
+// magic it carries), then from the tail inward — trailing magic → footer
+// (CRC, contiguity, offsets in bounds) → header (CRC, bench known, statics
+// and row counts sized against the actual input before any allocation).
+// This is the whole cost of a lazy warm-start.
 func openCap2Index(ra io.ReaderAt, size int64) (*cap2Index, error) {
+	if size >= int64(len(cap2Magic)) {
+		var magic [len(cap2Magic)]byte
+		if _, err := ra.ReadAt(magic[:], 0); err != nil {
+			return nil, fmt.Errorf("trace: reading capture magic: %w", err)
+		}
+		if string(magic[:]) != cap2Magic {
+			return nil, cap2Corrupt("not a %s file (magic %q)", cap2Magic, magic[:])
+		}
+	}
 	minHeader := int64(len(cap2Magic)) + 1 + 1 + 1 + 4 + 4
 	if size < minHeader+cap2TailLen {
 		return nil, cap2Corrupt("file truncated (%d bytes)", size)
@@ -391,11 +402,7 @@ func openCap2Index(ra io.ReaderAt, size int64) (*cap2Index, error) {
 	if got := crc32.ChecksumIEEE(hdr[:headerEnd-4]); got != binary.LittleEndian.Uint32(hdr[headerEnd-4:]) {
 		return nil, cap2Corrupt("header CRC mismatch")
 	}
-	p := hdr[:headerEnd-4]
-	if string(p[:len(cap2Magic)]) != cap2Magic {
-		return nil, cap2Corrupt("bad capture magic %q", p[:len(cap2Magic)])
-	}
-	p = p[len(cap2Magic):]
+	p := hdr[len(cap2Magic) : headerEnd-4]
 	next := func(what string) (uint64, error) {
 		v, sz := binary.Uvarint(p)
 		if sz <= 0 {
@@ -467,9 +474,21 @@ func openCap2Index(ra io.ReaderAt, size int64) (*cap2Index, error) {
 	return ix, nil
 }
 
-// decodeAll eagerly decodes every frame into a fully resident Capture, the
-// SIGCAP01-equivalent tier. payload returns the raw bytes of frame f.
-func (ix *cap2Index) decodeAll(payload func(f int) ([]byte, error)) (*Capture, error) {
+// ReadCapture eagerly decodes the SIGCAP02 capture held in the first size
+// bytes of ra into a fully resident, replay-ready Capture, reading the
+// index and then each frame positionally. The benchmark named in the
+// header must exist in the served suite (its memory image is rebuilt from
+// the benchmark, not the file). Decoding verifies every CRC; a capture
+// that loads cleanly replays bit-identically to the one that was written.
+// Structural damage — any other format included — surfaces as a
+// *CorruptError, and header counts are validated against size before any
+// column is allocated, so a corrupt or adversarial header cannot trigger a
+// huge allocation.
+func ReadCapture(ra io.ReaderAt, size int64) (*Capture, error) {
+	ix, err := openCap2Index(ra, size)
+	if err != nil {
+		return nil, err
+	}
 	cp := NewCapture(ix.b)
 	cp.statics = ix.statics
 	for i := range ix.statics {
@@ -484,11 +503,12 @@ func (ix *cap2Index) decodeAll(payload func(f int) ([]byte, error)) (*Capture, e
 	cp.result = make([]uint32, n)
 	cp.sig = make([]uint32, n)
 	sc := newCap2Scratch(len(ix.statics))
+	var raw []byte
 	for f := range ix.frames {
 		lo, hi := ix.frameSpan(f)
-		p, err := payload(f)
+		p, err := readFrame(ra, ix.frames[f], &raw)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("trace: reading %s frame %d: %w", ix.b.Name, f, err)
 		}
 		if err := decodeCap2Frame(p, ix.frames[f], uint64(len(ix.statics)),
 			cp.slot[lo:hi], cp.pc[lo:hi], cp.srcA[lo:hi], cp.srcB[lo:hi],
@@ -499,20 +519,23 @@ func (ix *cap2Index) decodeAll(payload func(f int) ([]byte, error)) (*Capture, e
 	return cp, nil
 }
 
+// readFrame reads frame fr's bytes positionally into the caller's reuse
+// buffer *raw, growing it as needed.
+func readFrame(ra io.ReaderAt, fr cap2Frame, raw *[]byte) ([]byte, error) {
+	if int(fr.len) > cap(*raw) {
+		*raw = make([]byte, fr.len)
+	}
+	b := (*raw)[:fr.len]
+	if _, err := ra.ReadAt(b, fr.off); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
 // frameBytes returns frame f's bytes as a slice of the whole-file image
-// data. Offsets are in bounds: openCap2Index checked that the frames tile
-// the file.
+// data (a mapping). Offsets are in bounds: openCap2Index checked that the
+// frames tile the file.
 func (ix *cap2Index) frameBytes(data []byte, f int) []byte {
 	fr := ix.frames[f]
 	return data[fr.off : fr.off+int64(fr.len)]
-}
-
-// readCapture2Bytes eagerly decodes an in-memory SIGCAP02 image, the
-// io.Reader entry point's v2 branch.
-func readCapture2Bytes(data []byte) (*Capture, error) {
-	ix, err := openCap2Index(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
-		return nil, err
-	}
-	return ix.decodeAll(func(f int) ([]byte, error) { return ix.frameBytes(data, f), nil })
 }

@@ -5,15 +5,18 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/trace"
 )
 
 // TestCaptureFile2RoundTrip serializes each test bench as SIGCAP02,
-// decodes it through the io.Reader entry point (magic dispatch), and
-// demands a bit-identical replay plus a canonical re-encoding.
+// decodes it through the eager entry point, and demands a bit-identical
+// replay plus a canonical re-encoding.
 func TestCaptureFile2RoundTrip(t *testing.T) {
 	for _, name := range captureTestBenches {
 		cp, err := trace.CaptureRun(context.Background(), mustBench(t, name))
@@ -28,9 +31,9 @@ func TestCaptureFile2RoundTrip(t *testing.T) {
 		if n != int64(buf.Len()) {
 			t.Errorf("%s: WriteTo2 reported %d bytes, wrote %d", name, n, buf.Len())
 		}
-		got, err := trace.ReadCaptureFrom(bytes.NewReader(buf.Bytes()))
+		got, err := readCapture(buf.Bytes())
 		if err != nil {
-			t.Fatalf("%s: ReadCaptureFrom: %v", name, err)
+			t.Fatalf("%s: ReadCapture: %v", name, err)
 		}
 		if got.Len() != cp.Len() || got.Statics() != cp.Statics() || got.Bench().Name != name {
 			t.Fatalf("%s: decoded %d rows/%d statics/%q, want %d/%d/%q",
@@ -72,7 +75,7 @@ func TestCaptureFile2Corruption(t *testing.T) {
 
 	check := func(label string, bad []byte) {
 		t.Helper()
-		_, err := trace.ReadCaptureFrom(bytes.NewReader(bad))
+		_, err := readCapture(bad)
 		if err == nil {
 			t.Errorf("%s accepted", label)
 			return
@@ -99,60 +102,100 @@ func TestCaptureFile2Corruption(t *testing.T) {
 }
 
 // TestCaptureFile2AdversarialHeader pins the hardened header handling: a
-// header claiming counts that cannot possibly fit the input must be
-// rejected (typed) before any column allocation — in both formats.
+// well-formed SIGCAP02 container (every CRC valid) whose header claims
+// counts that cannot possibly fit the input must be rejected, typed, by
+// the size guard — before any column allocation.
 func TestCaptureFile2AdversarialHeader(t *testing.T) {
-	var scratch [binary.MaxVarintLen64]byte
-	v1 := []byte("SIGCAP01")
-	v1 = append(v1, byte(len("dijkstra")))
-	v1 = append(v1, "dijkstra"...)
-	// statics count claiming ~1M entries in a few-byte file.
-	n := binary.PutUvarint(scratch[:], 1<<19)
-	v1 = append(v1, scratch[:n]...)
-	_, err := trace.ReadCaptureFrom(bytes.NewReader(v1))
-	var ce *trace.CorruptError
-	if !errors.As(err, &ce) {
-		t.Errorf("v1 oversized statics claim: %v, want CorruptError", err)
+	b := mustBench(t, "dijkstra")
+	header := func(nStatics, rows uint64) []byte {
+		h := binary.AppendUvarint(nil, uint64(len(b.Name)))
+		h = append(h, b.Name...)
+		h = binary.AppendUvarint(h, nStatics)
+		h = append(h, 0, 0, 0, 0) // one raw word, whatever the claim
+		h = binary.AppendUvarint(h, rows)
+		return append(h, 0, 0, 0, 0) // lastNext
 	}
-
-	// Same attack on the rows field: tiny but valid statics table, then an
-	// enormous row count.
-	v1b := []byte("SIGCAP01")
-	v1b = append(v1b, byte(len("dijkstra")))
-	v1b = append(v1b, "dijkstra"...)
-	v1b = append(v1b, 1)          // one static
-	v1b = append(v1b, 0, 0, 0, 0) // raw word
-	n = binary.PutUvarint(scratch[:], 1<<21)
-	v1b = append(v1b, scratch[:n]...)
-	if _, err := trace.ReadCaptureFrom(bytes.NewReader(v1b)); !errors.As(err, &ce) {
-		t.Errorf("v1 oversized rows claim: %v, want CorruptError", err)
+	for _, tc := range []struct {
+		label  string
+		fields []byte
+		reason string
+	}{
+		{"statics claim", header(1<<19, 0), "statics count"},
+		{"rows claim", header(1, b.MaxInsts), "cannot fit"},
+		{"rows over the bench limit", header(1, b.MaxInsts+1), "exceed"},
+	} {
+		_, err := readCapture(cap2Container(tc.fields))
+		var ce *trace.CorruptError
+		if !errors.As(err, &ce) || !strings.Contains(ce.Reason, tc.reason) {
+			t.Errorf("%s: %v, want a CorruptError about %q", tc.label, err, tc.reason)
+		}
 	}
 }
 
-// TestOpenMappedCaptureRejectsV1 checks the mapped tier refuses SIGCAP01
-// files cleanly (no trailing index to map) so the cache falls back to the
-// eager decode path for pre-migration spills.
-func TestOpenMappedCaptureRejectsV1(t *testing.T) {
+// TestReaderRejectsBadMagic checks that both file readers refuse anything
+// but SIGCAP02 — the retired SIGCAP01 capture and SIGTRC01 event-trace
+// formats included — as a *CorruptError naming the magic found, so a trace
+// dir treats a legacy file as a miss and sigtrace can say what it got.
+func TestReaderRejectsBadMagic(t *testing.T) {
 	cp, err := trace.CaptureRun(context.Background(), mustBench(t, captureTestBenches[0]))
 	if err != nil {
 		t.Fatalf("CaptureRun: %v", err)
 	}
-	dir := t.TempDir()
-	path := trace.CaptureFilePath(dir, cp.Bench().Name)
 	var buf bytes.Buffer
-	if _, err := cp.WriteTo(&buf); err != nil {
-		t.Fatalf("WriteTo: %v", err)
+	if _, err := cp.WriteTo2(&buf); err != nil {
+		t.Fatalf("WriteTo2: %v", err)
 	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
+	restamped := bytes.Clone(buf.Bytes())
+	copy(restamped, "SIGCAP01")
+	// The head of a SIGCAP01 file: name, then a statics count.
+	v1 := append([]byte("SIGCAP01\x08dijkstra"), binary.AppendUvarint(nil, 1<<19)...)
+	// A SIGTRC01 header and one zeroed 41-byte record.
+	trc := append([]byte("SIGTRC01"), make([]byte, 41)...)
+
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		label string
+		data  []byte
+		magic string // named in the error, when the input has one
+	}{
+		{"SIGCAP01 header", v1, `"SIGCAP01"`},
+		{"SIGCAP02 file restamped SIGCAP01", restamped, `"SIGCAP01"`},
+		{"SIGTRC01 trace", trc, `"SIGTRC01"`},
+		{"text", []byte("not a capture"), `"not a ca"`},
+		{"empty", nil, ""},
+	} {
+		path := filepath.Join(dir, "bad"+trace.CapFileExt)
+		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, eagerErr := trace.ReadCaptureFile(path)
+		mc, mappedErr := trace.OpenMappedCapture(path)
+		if mappedErr == nil {
+			mc.Close()
+		}
+		for reader, err := range map[string]error{"ReadCaptureFile": eagerErr, "OpenMappedCapture": mappedErr} {
+			var ce *trace.CorruptError
+			if !errors.As(err, &ce) {
+				t.Errorf("%s: %s: %v, want CorruptError", tc.label, reader, err)
+			} else if !strings.Contains(ce.Reason, tc.magic) {
+				t.Errorf("%s: %s: %q does not name the magic %s", tc.label, reader, ce.Reason, tc.magic)
+			}
+		}
 	}
-	_, err = trace.OpenMappedCapture(path)
-	var ce *trace.CorruptError
-	if !errors.As(err, &ce) {
-		t.Fatalf("OpenMappedCapture on SIGCAP01: %v, want CorruptError", err)
-	}
-	// The eager reader still takes it.
-	if _, err := trace.ReadCaptureFile(path); err != nil {
-		t.Fatalf("ReadCaptureFile on SIGCAP01: %v", err)
-	}
+}
+
+// readCapture decodes an in-memory SIGCAP02 image through ReadCapture.
+func readCapture(data []byte) (*trace.Capture, error) {
+	return trace.ReadCapture(bytes.NewReader(data), int64(len(data)))
+}
+
+// cap2Container wraps header fields (everything after the magic, before
+// the header CRC) in a frameless SIGCAP02 file whose every CRC is valid.
+func cap2Container(fields []byte) []byte {
+	hdr := append([]byte("SIGCAP02"), fields...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.ChecksumIEEE(hdr))
+	footerOff := uint64(len(hdr))
+	out := binary.LittleEndian.AppendUint32(hdr, crc32.ChecksumIEEE(nil))
+	out = binary.LittleEndian.AppendUint64(out, footerOff)
+	return append(out, "SIGCAP02"...)
 }

@@ -3,12 +3,16 @@ package trace_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/pipeline"
 	"repro/internal/trace"
 )
 
@@ -25,51 +29,43 @@ func replayEvents(t *testing.T, cp *trace.Capture) []trace.Event {
 	return rec.events
 }
 
-// TestCaptureFileRoundTrip serializes a capture, decodes it, and demands
-// the decoded capture replays a bit-identical event stream — every Exec
-// field and every significance quantity — for each capture test bench.
-func TestCaptureFileRoundTrip(t *testing.T) {
-	for _, name := range captureTestBenches {
-		cp, err := trace.CaptureRun(context.Background(), mustBench(t, name))
-		if err != nil {
-			t.Fatalf("%s: CaptureRun: %v", name, err)
-		}
-		var buf bytes.Buffer
-		n, err := cp.WriteTo(&buf)
-		if err != nil {
-			t.Fatalf("%s: WriteTo: %v", name, err)
-		}
-		if n != int64(buf.Len()) {
-			t.Errorf("%s: WriteTo reported %d bytes, wrote %d", name, n, buf.Len())
-		}
-		got, err := trace.ReadCaptureFrom(&buf)
-		if err != nil {
-			t.Fatalf("%s: ReadCaptureFrom: %v", name, err)
-		}
-		if got.Len() != cp.Len() || got.Statics() != cp.Statics() {
-			t.Fatalf("%s: decoded %d rows/%d statics, want %d/%d",
-				name, got.Len(), got.Statics(), cp.Len(), cp.Statics())
-		}
-		if got.Bench().Name != name {
-			t.Fatalf("%s: decoded bench %q", name, got.Bench().Name)
-		}
-		want := replayEvents(t, cp)
-		have := replayEvents(t, got)
-		if len(want) != len(have) {
-			t.Fatalf("%s: decoded capture replays %d events, want %d", name, len(have), len(want))
-		}
-		for i := range want {
-			if want[i] != have[i] {
-				t.Fatalf("%s: event %d diverges after round trip\noriginal: %+v\ndecoded:  %+v",
-					name, i, want[i], have[i])
-			}
-		}
+// TestRecordReplayEquivalence records a benchmark to a capture file, loads
+// it back, and demands the replay reproduce the exact pipeline result of
+// the live run: the record-once, study-many contract sigtrace serves.
+func TestRecordReplayEquivalence(t *testing.T) {
+	ctx := context.Background()
+	b := mustBench(t, "g711dec")
+	rc := defaultRecoder(t)
+
+	live := pipeline.NewByteSerial()
+	if err := trace.NewLive(b).ReplayBlocks(ctx, rc, live); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := trace.CaptureRun(ctx, b)
+	if err != nil {
+		t.Fatalf("CaptureRun: %v", err)
+	}
+	path, err := trace.WriteCaptureFile(t.TempDir(), cp)
+	if err != nil {
+		t.Fatalf("WriteCaptureFile: %v", err)
+	}
+	loaded, err := trace.ReadCaptureFile(path)
+	if err != nil {
+		t.Fatalf("ReadCaptureFile: %v", err)
+	}
+	replayed := pipeline.NewByteSerial()
+	if err := loaded.ReplayBlocks(ctx, rc, replayed); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := replayed.Result(), live.Result(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replay: %+v\nlive:   %+v", got, want)
 	}
 }
 
 // TestCaptureFileBytesPerInst enforces the persistent-format budget over
-// the whole standard suite: the serialized size must average at or under
-// CapFileMaxBytesPerInst bytes per recorded instruction for every
+// the whole standard suite: the serialized size, frame-independence
+// overhead (predictor resets + footer index) included, must average at or
+// under CapFileMaxBytesPerInst bytes per recorded instruction for every
 // benchmark.
 func TestCaptureFileBytesPerInst(t *testing.T) {
 	if testing.Short() {
@@ -80,57 +76,66 @@ func TestCaptureFileBytesPerInst(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: CaptureRun: %v", b.Name, err)
 		}
-		var buf, buf2 bytes.Buffer
-		if _, err := cp.WriteTo(&buf); err != nil {
-			t.Fatalf("%s: WriteTo: %v", b.Name, err)
-		}
-		if _, err := cp.WriteTo2(&buf2); err != nil {
+		var buf bytes.Buffer
+		if _, err := cp.WriteTo2(&buf); err != nil {
 			t.Fatalf("%s: WriteTo2: %v", b.Name, err)
 		}
 		perInst := float64(buf.Len()) / float64(cp.Len())
-		perInst2 := float64(buf2.Len()) / float64(cp.Len())
-		t.Logf("%s: %d insts, v1 %d bytes (%.2f B/inst), v2 %d bytes (%.2f B/inst)",
-			b.Name, cp.Len(), buf.Len(), perInst, buf2.Len(), perInst2)
+		t.Logf("%s: %d insts, %d bytes (%.2f B/inst)", b.Name, cp.Len(), buf.Len(), perInst)
 		if perInst > trace.CapFileMaxBytesPerInst {
-			t.Errorf("%s: v1 %.2f B/inst exceeds budget %d", b.Name, perInst, trace.CapFileMaxBytesPerInst)
-		}
-		// The frame-independence overhead (predictor resets + footer index)
-		// must stay inside the same budget.
-		if perInst2 > trace.CapFileMaxBytesPerInst {
-			t.Errorf("%s: v2 %.2f B/inst exceeds budget %d", b.Name, perInst2, trace.CapFileMaxBytesPerInst)
+			t.Errorf("%s: %.2f B/inst exceeds budget %d", b.Name, perInst, trace.CapFileMaxBytesPerInst)
 		}
 	}
 }
 
-// TestCaptureFileCorruption checks the decoder rejects damaged streams
-// instead of silently replaying garbage: bad magic, truncation anywhere,
-// and a flipped payload bit (CRC).
+// TestCaptureFileCorruption checks the file entry points reject damaged
+// capture files on disk instead of silently replaying garbage: bad magic
+// and truncation anywhere fail both ReadCaptureFile and the mapped open,
+// and a flipped payload bit fails ReadCaptureFile's frame CRC (the mapped
+// tier meets it at replay; see TestStreamCorruptFrame).
 func TestCaptureFileCorruption(t *testing.T) {
 	cp, err := trace.CaptureRun(context.Background(), mustBench(t, captureTestBenches[0]))
 	if err != nil {
 		t.Fatalf("CaptureRun: %v", err)
 	}
-	var buf bytes.Buffer
-	if _, err := cp.WriteTo(&buf); err != nil {
-		t.Fatalf("WriteTo: %v", err)
+	dir := t.TempDir()
+	path, err := trace.WriteCaptureFile(dir, cp)
+	if err != nil {
+		t.Fatalf("WriteCaptureFile: %v", err)
 	}
-	good := buf.Bytes()
-
-	bad := append([]byte{}, good...)
-	bad[0] ^= 0xFF
-	if _, err := trace.ReadCaptureFrom(bytes.NewReader(bad)); err == nil {
-		t.Error("bad magic accepted")
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, cut := range []int{4, len(good) / 2, len(good) - 2} {
-		if _, err := trace.ReadCaptureFrom(bytes.NewReader(good[:cut])); err == nil {
-			t.Errorf("truncation at %d accepted", cut)
+	check := func(label string, bad []byte, mapped bool) {
+		t.Helper()
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var ce *trace.CorruptError
+		if _, err := trace.ReadCaptureFile(path); !errors.As(err, &ce) {
+			t.Errorf("%s: ReadCaptureFile: %v, want CorruptError", label, err)
+		}
+		if !mapped {
+			return
+		}
+		if mc, err := trace.OpenMappedCapture(path); !errors.As(err, &ce) {
+			t.Errorf("%s: OpenMappedCapture: %v, want CorruptError", label, err)
+			if err == nil {
+				mc.Close()
+			}
 		}
 	}
-	bad = append([]byte{}, good...)
-	bad[len(bad)/2] ^= 0x10 // payload bit flip: must fail CRC (or decode)
-	if _, err := trace.ReadCaptureFrom(bytes.NewReader(bad)); err == nil {
-		t.Error("flipped payload bit accepted")
+
+	bad := bytes.Clone(good)
+	bad[0] ^= 0xFF
+	check("bad magic", bad, true)
+	for _, cut := range []int{4, len(good) / 2, len(good) - 2} {
+		check(fmt.Sprintf("truncation at %d", cut), good[:cut], true)
 	}
+	bad = bytes.Clone(good)
+	bad[len(bad)/2] ^= 0x10 // inside a frame payload
+	check("flipped payload bit", bad, false)
 }
 
 // TestCaptureFileDir exercises the directory helpers: write-then-read at
@@ -152,6 +157,17 @@ func TestCaptureFileDir(t *testing.T) {
 	if _, err := trace.WriteCaptureFile(dir, cp); err != nil {
 		t.Fatalf("rewrite: %v", err)
 	}
+	// A capture of a program outside the suite could never load, so it
+	// must not be written.
+	user := mustBench(t, captureTestBenches[0])
+	user.Name = "user:" + user.Name
+	ucp, err := trace.CaptureRun(context.Background(), user)
+	if err != nil {
+		t.Fatalf("CaptureRun: %v", err)
+	}
+	if _, err := trace.WriteCaptureFile(dir, ucp); err == nil {
+		t.Error("wrote a capture of a benchmark outside the suite")
+	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -166,94 +182,71 @@ func TestCaptureFileDir(t *testing.T) {
 	if got.Len() != cp.Len() {
 		t.Errorf("loaded %d rows, want %d", got.Len(), cp.Len())
 	}
+
+	// LoadCaptureFile serves either tier, and only to the benchmark the
+	// file was recorded from.
+	b := cp.Bench()
+	for _, mapped := range []bool{false, true} {
+		rep, err := trace.LoadCaptureFile(dir, b, mapped)
+		if err != nil {
+			t.Fatalf("LoadCaptureFile(mapped=%v): %v", mapped, err)
+		}
+		if mc, ok := rep.(*trace.MappedCapture); ok != mapped {
+			t.Errorf("LoadCaptureFile(mapped=%v) returned %T", mapped, rep)
+		} else if ok {
+			mc.Close()
+		}
+		stale := b
+		stale.Checksum++
+		if _, err := trace.LoadCaptureFile(dir, stale, mapped); err == nil {
+			t.Errorf("LoadCaptureFile(mapped=%v) served a capture to another build of %s", mapped, b.Name)
+		}
+	}
 }
 
-// TestCaptureFileGolden pins both on-disk formats: each committed golden
-// file must keep decoding to a capture that replays bit-identically to a
-// fresh capture of the same benchmark, and the encoder must write that
-// fresh capture back to the golden byte for byte. The SIGCAP01 golden
-// additionally guards the compatibility promise that pre-SIGCAP02 spill
-// directories stay readable. Any layout change breaks this test — bump the
-// magic and regenerate with -update.
+// TestCaptureFileGolden pins the on-disk format: the committed golden file
+// must keep decoding to a capture that replays bit-identically to a fresh
+// capture of the same benchmark, and the encoder must write that fresh
+// capture back to the golden byte for byte. Any layout change breaks this
+// test — bump the magic and regenerate with -update.
 func TestCaptureFileGolden(t *testing.T) {
 	const goldenBench = "dijkstra"
+	path := filepath.Join("testdata", goldenBench+trace.CapFileExt+"2")
 	fresh, err := trace.CaptureRun(context.Background(), mustBench(t, goldenBench))
 	if err != nil {
 		t.Fatalf("CaptureRun: %v", err)
 	}
+	var enc bytes.Buffer
+	if _, err := fresh.WriteTo2(&enc); err != nil {
+		t.Fatalf("encoding fresh capture: %v", err)
+	}
+	if *updateGolden {
+		if err := os.WriteFile(path, enc.Bytes(), 0o644); err != nil {
+			t.Fatalf("regenerating golden: %v", err)
+		}
+		t.Logf("regenerated %s", path)
+	}
+	golden, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(enc.Bytes(), golden) {
+		t.Errorf("encoding a fresh capture gives %d bytes that differ from the %d-byte golden",
+			enc.Len(), len(golden))
+	}
+	got, err := trace.ReadCaptureFile(path)
+	if err != nil {
+		t.Fatalf("golden unreadable (regenerate with -update after a format change): %v", err)
+	}
 	want := replayEvents(t, fresh)
-	for _, tc := range []struct {
-		format string
-		path   string
-		write  func(*trace.Capture, *bytes.Buffer) error
-	}{
-		{"SIGCAP01", filepath.Join("testdata", goldenBench+trace.CapFileExt),
-			func(cp *trace.Capture, buf *bytes.Buffer) error { _, err := cp.WriteTo(buf); return err }},
-		{"SIGCAP02", filepath.Join("testdata", goldenBench+trace.CapFileExt+"2"),
-			func(cp *trace.Capture, buf *bytes.Buffer) error { _, err := cp.WriteTo2(buf); return err }},
-	} {
-		var enc bytes.Buffer
-		if err := tc.write(fresh, &enc); err != nil {
-			t.Fatalf("%s: encoding fresh capture: %v", tc.format, err)
-		}
-		if *updateGolden {
-			if err := os.WriteFile(tc.path, enc.Bytes(), 0o644); err != nil {
-				t.Fatalf("%s: regenerating golden: %v", tc.format, err)
-			}
-			t.Logf("regenerated %s", tc.path)
-		}
-		golden, err := os.ReadFile(tc.path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(enc.Bytes(), golden) {
-			t.Errorf("%s: encoding a fresh capture gives %d bytes that differ from the %d-byte golden",
-				tc.format, enc.Len(), len(golden))
-		}
-		got, err := trace.ReadCaptureFile(tc.path)
-		if err != nil {
-			t.Fatalf("%s golden unreadable (regenerate with -update after a format change): %v", tc.format, err)
-		}
-		have := replayEvents(t, got)
-		if len(want) != len(have) {
-			t.Fatalf("%s golden replays %d events, fresh capture %d", tc.format, len(have), len(want))
-		}
-		for i := range want {
-			if want[i] != have[i] {
-				t.Fatalf("%s golden event %d diverges from fresh capture\nfresh:  %+v\ngolden: %+v",
-					tc.format, i, want[i], have[i])
-			}
-		}
+	have := replayEvents(t, got)
+	if len(want) != len(have) {
+		t.Fatalf("golden replays %d events, fresh capture %d", len(have), len(want))
 	}
-}
-
-// TestFileReplayCtxCancel pins the SIGTRC01 path's cancellation: a legacy
-// trace loads into a capture, whose replay under a cancelled context must
-// abort with its error instead of running the trace to exhaustion.
-func TestFileReplayCtxCancel(t *testing.T) {
-	b := mustBench(t, captureTestBenches[0])
-	rc := defaultRecoder(t)
-	data, execs := encodeTRC(t, b)
-	r, err := trace.NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("NewReader: %v", err)
-	}
-	cp, err := r.ReadCapture(b)
-	if err != nil {
-		t.Fatalf("ReadCapture: %v", err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := cp.ReplayBlocks(ctx, rc, nopConsumer); err == nil {
-		t.Error("cancelled file replay succeeded")
-	}
-
-	// The uncancelled path still replays the whole trace.
-	n := 0
-	if err := cp.ReplayBlocks(context.Background(), rc, blockCollector(func(b *trace.Block) { n += b.Len() })); err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	if n != len(execs) {
-		t.Errorf("replayed %d records, recorded %d", n, len(execs))
+	for i := range want {
+		if want[i] != have[i] {
+			t.Fatalf("golden event %d diverges from fresh capture\nfresh:  %+v\ngolden: %+v",
+				i, want[i], have[i])
+		}
 	}
 }

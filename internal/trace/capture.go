@@ -352,8 +352,9 @@ func (cp *Capture) truncate() {
 }
 
 // staticFor derives the statics-table entry for one decoded instruction.
-// Record and the SIGCAP01 reader (capfile.go) share it, so a capture decoded
-// from disk rebuilds exactly the table the original recording held.
+// Record and the capture-file index reader (capfile2.go) share it, so a
+// capture decoded from disk rebuilds exactly the table the original
+// recording held.
 func staticFor(in isa.Inst) Static {
 	dest, hasDest := in.DestReg()
 	st := Static{

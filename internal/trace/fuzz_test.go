@@ -2,7 +2,6 @@ package trace_test
 
 import (
 	"bytes"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,81 +9,50 @@ import (
 	"repro/internal/trace"
 )
 
-// The trace reader must never panic on arbitrary bytes: bad magic,
-// truncated records and garbage all surface as errors.
-func FuzzReaderNoPanic(f *testing.F) {
-	f.Add([]byte("SIGTRC01"))
-	f.Add([]byte("SIGTRC01" + "short"))
-	f.Add([]byte("WRONGMAG........"))
-	f.Add(bytes.Repeat([]byte{0xa5}, 100))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := trace.NewReader(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		for i := 0; i < 1000; i++ {
-			_, err := r.Next()
-			if err == io.EOF {
-				return
-			}
-			if err != nil {
-				return
-			}
-		}
-	})
-}
-
-// FuzzReadCapture throws arbitrary bytes at the persisted-capture decoder
-// (both SIGCAP01 and SIGCAP02, dispatched on magic): decode must never
-// panic, and any input it accepts must re-encode to a canonical fixed
-// point — enc(dec(input)) decoded and encoded again is byte-identical.
-// (The input itself need not re-encode identically: non-canonical varints
-// decode fine but are written back in canonical form.) Seeded with both
-// committed golden captures so the corpus starts from valid files of each
-// format.
+// FuzzReadCapture throws arbitrary bytes at the capture decoder: decode
+// must never panic, and any input it accepts must re-encode to a canonical
+// fixed point — enc(dec(input)) decoded and encoded again is
+// byte-identical. (The input itself need not re-encode identically:
+// non-canonical varints decode fine but are written back in canonical
+// form.) Seeded with the committed golden capture and damaged variants of
+// it, so the corpus starts from a valid file and steers early coverage
+// toward every region's error paths.
 func FuzzReadCapture(f *testing.F) {
-	for _, golden := range []string{
-		filepath.Join("testdata", "dijkstra"+trace.CapFileExt),
-		filepath.Join("testdata", "dijkstra"+trace.CapFileExt+"2"),
-	} {
-		data, err := os.ReadFile(golden)
-		if err != nil {
-			f.Fatalf("seed %s: %v", golden, err)
-		}
-		f.Add(data)
-		// A truncated and a bit-flipped variant steer early coverage
-		// toward the error paths.
-		f.Add(data[:len(data)/3])
-		flipped := bytes.Clone(data)
-		flipped[len(flipped)/2] ^= 0x04
+	golden, err := os.ReadFile(filepath.Join("testdata", "dijkstra"+trace.CapFileExt+"2"))
+	if err != nil {
+		f.Fatalf("seed: %v", err)
+	}
+	f.Add(golden)
+	for _, cut := range []int{len(golden) / 3, len(golden) - 2} {
+		f.Add(golden[:cut])
+	}
+	// Bit flips in the header, a frame payload, the footer index and the
+	// tail's footer offset.
+	for _, at := range []int{10, len(golden) / 2, len(golden) - 30, len(golden) - 14} {
+		flipped := bytes.Clone(golden)
+		flipped[at] ^= 0x04
 		f.Add(flipped)
 	}
-	f.Add([]byte("SIGCAP01"))
+	restamped := bytes.Clone(golden)
+	copy(restamped, "SIGCAP01")
+	f.Add(restamped)
 	f.Add([]byte("SIGCAP02"))
 	f.Add([]byte("SIGCAP02........SIGCAP02"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cp, err := trace.ReadCaptureFrom(bytes.NewReader(data))
+		cp, err := trace.ReadCapture(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
 			return
 		}
-		// Accepted input: re-encode in the same format the input carried,
-		// then demand decode∘encode is a fixed point.
-		var enc func(*trace.Capture, *bytes.Buffer) error
-		if bytes.HasPrefix(data, []byte("SIGCAP02")) {
-			enc = func(cp *trace.Capture, buf *bytes.Buffer) error { _, err := cp.WriteTo2(buf); return err }
-		} else {
-			enc = func(cp *trace.Capture, buf *bytes.Buffer) error { _, err := cp.WriteTo(buf); return err }
-		}
 		var first bytes.Buffer
-		if err := enc(cp, &first); err != nil {
+		if _, err := cp.WriteTo2(&first); err != nil {
 			t.Fatalf("re-encoding accepted capture: %v", err)
 		}
-		cp2, err := trace.ReadCaptureFrom(bytes.NewReader(first.Bytes()))
+		cp2, err := trace.ReadCapture(bytes.NewReader(first.Bytes()), int64(first.Len()))
 		if err != nil {
 			t.Fatalf("decoding own encoding: %v", err)
 		}
 		var second bytes.Buffer
-		if err := enc(cp2, &second); err != nil {
+		if _, err := cp2.WriteTo2(&second); err != nil {
 			t.Fatalf("re-encoding second pass: %v", err)
 		}
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {

@@ -91,8 +91,7 @@ func OpenMappedCapture(path string) (*MappedCapture, error) {
 
 // openCap2Handle validates the SIGCAP02 index of f and returns a handle
 // that reads every frame positionally; it maps nothing and sets no
-// finalizer. OpenMappedCapture maps on top of it, and ReadCaptureFile
-// materializes through it as is, so the eager load never maps the file.
+// finalizer. OpenMappedCapture maps on top of it.
 func openCap2Handle(f *os.File) (*MappedCapture, error) {
 	fi, err := f.Stat()
 	if err != nil {
@@ -234,20 +233,12 @@ func frameDecSizeBytes(nStatics int) int {
 
 // framePayload returns frame f's raw bytes: a zero-copy slice of the
 // mapping, or a positional read into the caller's reuse buffer *raw. It is
-// the one place frames are read from the file.
+// the one place replay reads frames from the file.
 func (mc *MappedCapture) framePayload(f int, raw *[]byte) ([]byte, error) {
 	if mc.data != nil {
 		return mc.ix.frameBytes(mc.data, f), nil
 	}
-	fr := mc.ix.frames[f]
-	if int(fr.len) > cap(*raw) {
-		*raw = make([]byte, fr.len)
-	}
-	b := (*raw)[:fr.len]
-	if _, err := mc.f.ReadAt(b, fr.off); err != nil {
-		return nil, err
-	}
-	return b, nil
+	return readFrame(mc.f, mc.ix.frames[f], raw)
 }
 
 // replayFrames is the replay engine behind both MappedCapture replays:
@@ -301,18 +292,6 @@ func (mc *MappedCapture) ReplayBlocks(ctx context.Context, rc *icomp.Recoder, co
 // Capture.ReplayBlocksOn for the memory-ordering contract.
 func (mc *MappedCapture) ReplayBlocksOn(ctx context.Context, m *mem.Memory, rc *icomp.Recoder, consumers ...Consumer) error {
 	return mc.replayFrames(ctx, m, rc, consumers)
-}
-
-// Materialize eagerly decodes the whole capture into a resident *Capture,
-// for callers that need the dense tier (e.g. a capture promoted back off
-// disk for repeated tight-loop replays).
-func (mc *MappedCapture) Materialize() (*Capture, error) {
-	if err := mc.acquire(); err != nil {
-		return nil, err
-	}
-	defer mc.release()
-	var raw []byte
-	return mc.ix.decodeAll(func(f int) ([]byte, error) { return mc.framePayload(f, &raw) })
 }
 
 // Interface conformance for the three block sources.

@@ -22,11 +22,12 @@ func (l *eventLog) ConsumeBlock(b *Block) {
 }
 
 // TestStreamReadAtFallback drives the io.ReaderAt path: a platform without
-// mmap, a failed mapping, and every ReadCaptureFile of a SIGCAP02 file
-// (the eager load Config.TraceNoMmap relies on to never map the file) read
-// frames positionally through an openCap2Handle handle. That handle must
-// carry no mapping, and its ReplayBlocks, ReplayBlocksOn and Materialize,
-// and ReadCaptureFile, must match the mapped handle's exactly.
+// mmap and a failed mapping read frames positionally through an
+// openCap2Handle handle, and ReadCaptureFile (the eager load
+// Config.TraceNoMmap relies on to never map the file) reads them the same
+// way. That handle must carry no mapping, its ReplayBlocks and
+// ReplayBlocksOn must match the mapped handle's exactly, and
+// ReadCaptureFile must rebuild the recorded capture's columns exactly.
 func TestStreamReadAtFallback(t *testing.T) {
 	ctx := context.Background()
 	b, ok := bench.ByName("g711dec")
@@ -59,7 +60,7 @@ func TestStreamReadAtFallback(t *testing.T) {
 		t.Fatalf("openCap2Handle: %v", err)
 	}
 	if fallback.Mapped() {
-		t.Fatal("the handle ReadCaptureFile decodes through maps the file")
+		t.Fatal("openCap2Handle maps the file")
 	}
 
 	rc := icomp.MustNewRecoder(icomp.DefaultTopFuncts())
@@ -87,29 +88,21 @@ func TestStreamReadAtFallback(t *testing.T) {
 		}
 	}
 
-	want, err := mapped.Materialize()
-	if err != nil {
-		t.Fatalf("mapped Materialize: %v", err)
-	}
-	eager, err := ReadCaptureFile(path)
+	// The eager load decodes through the same positional reads; its
+	// columns must be the recorded capture's exactly.
+	got, err := ReadCaptureFile(path)
 	if err != nil {
 		t.Fatalf("ReadCaptureFile: %v", err)
 	}
-	got, err := fallback.Materialize()
-	if err != nil {
-		t.Fatalf("fallback Materialize: %v", err)
+	for i, pair := range [][2][]uint32{
+		{cp.slot, got.slot}, {cp.pc, got.pc}, {cp.srcA, got.srcA},
+		{cp.srcB, got.srcB}, {cp.result, got.result}, {cp.sig, got.sig},
+	} {
+		if len(pair[1]) != cp.Len() || !slices.Equal(pair[0], pair[1]) {
+			t.Fatalf("ReadCaptureFile column %d differs from the recorded capture", i)
+		}
 	}
-	for name, got := range map[string]*Capture{"fallback Materialize": got, "ReadCaptureFile": eager} {
-		for i, pair := range [][2][]uint32{
-			{want.slot, got.slot}, {want.pc, got.pc}, {want.srcA, got.srcA},
-			{want.srcB, got.srcB}, {want.result, got.result}, {want.sig, got.sig},
-		} {
-			if len(pair[0]) != cp.Len() || !slices.Equal(pair[0], pair[1]) {
-				t.Fatalf("%s column %d differs from the mapped Materialize", name, i)
-			}
-		}
-		if got.lastNextPC != want.lastNextPC {
-			t.Fatalf("%s lastNextPC %#x, mapped %#x", name, got.lastNextPC, want.lastNextPC)
-		}
+	if got.lastNextPC != cp.lastNextPC {
+		t.Fatalf("ReadCaptureFile lastNextPC %#x, recorded %#x", got.lastNextPC, cp.lastNextPC)
 	}
 }

@@ -113,33 +113,6 @@ func TestStreamBlockShape(t *testing.T) {
 	}
 }
 
-// TestStreamMaterialize checks the promotion path: a capture decoded whole
-// off the mapped handle replays identically to the original recording.
-func TestStreamMaterialize(t *testing.T) {
-	ctx := context.Background()
-	rc := icomp.MustNewRecoder(icomp.DefaultTopFuncts())
-	cp, mc := mappedForTest(t, captureTestBenches[1])
-	dense, err := mc.Materialize()
-	if err != nil {
-		t.Fatalf("Materialize: %v", err)
-	}
-	var want, got eventRecorder
-	if err := fullReplay(ctx, cp, rc, &want); err != nil {
-		t.Fatalf("resident replay: %v", err)
-	}
-	if err := fullReplay(ctx, dense, rc, &got); err != nil {
-		t.Fatalf("materialized replay: %v", err)
-	}
-	if len(want.events) != len(got.events) {
-		t.Fatalf("materialized %d events, want %d", len(got.events), len(want.events))
-	}
-	for i := range want.events {
-		if want.events[i] != got.events[i] {
-			t.Fatalf("materialized event %d diverges", i)
-		}
-	}
-}
-
 // TestStreamReplayCancelMidFrame cancels the context from inside a
 // consumer partway through the trace; the streaming replayer must stop at
 // the next frame seam with the context error instead of replaying to the
