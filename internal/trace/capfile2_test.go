@@ -184,6 +184,49 @@ func TestReaderRejectsBadMagic(t *testing.T) {
 	}
 }
 
+// TestOpenMappedCaptureRejectsV1 checks that a SIGCAP01 capture left in a
+// trace dir under the benchmark's own file name is refused by the mapped
+// tier as a *CorruptError naming the magic, and that LoadCaptureFile, in
+// both its mapped and eager modes, reports it as an error (a miss) rather
+// than replaying it.
+func TestOpenMappedCaptureRejectsV1(t *testing.T) {
+	b := mustBench(t, captureTestBenches[0])
+	cp, err := trace.CaptureRun(context.Background(), b)
+	if err != nil {
+		t.Fatalf("CaptureRun: %v", err)
+	}
+	dir := t.TempDir()
+	path, err := trace.WriteCaptureFile(dir, cp)
+	if err != nil {
+		t.Fatalf("WriteCaptureFile: %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(data, "SIGCAP01")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mc, err := trace.OpenMappedCapture(path)
+	if err == nil {
+		mc.Close()
+	}
+	var ce *trace.CorruptError
+	if !errors.As(err, &ce) || !strings.Contains(ce.Reason, `"SIGCAP01"`) {
+		t.Fatalf("OpenMappedCapture on SIGCAP01: %v, want a CorruptError naming the magic", err)
+	}
+	for _, mapped := range []bool{true, false} {
+		rep, err := trace.LoadCaptureFile(dir, b, mapped)
+		if err == nil {
+			if c, ok := rep.(interface{ Close() error }); ok {
+				c.Close()
+			}
+			t.Fatalf("LoadCaptureFile(mapped=%v) loaded a SIGCAP01 file", mapped)
+		}
+	}
+}
+
 // readCapture decodes an in-memory SIGCAP02 image through ReadCapture.
 func readCapture(data []byte) (*trace.Capture, error) {
 	return trace.ReadCapture(bytes.NewReader(data), int64(len(data)))

@@ -113,6 +113,41 @@ func TestStreamBlockShape(t *testing.T) {
 	}
 }
 
+// TestStreamMaterialize checks the promotion path: the capture decoded
+// whole (ReadCaptureFile) off the same SIGCAP02 file the mapped handle
+// streams replays identically to the original recording.
+func TestStreamMaterialize(t *testing.T) {
+	ctx := context.Background()
+	rc := icomp.MustNewRecoder(icomp.DefaultTopFuncts())
+	cp, err := trace.CaptureRun(ctx, mustBench(t, captureTestBenches[1]))
+	if err != nil {
+		t.Fatalf("CaptureRun: %v", err)
+	}
+	path, err := trace.WriteCaptureFile(t.TempDir(), cp)
+	if err != nil {
+		t.Fatalf("WriteCaptureFile: %v", err)
+	}
+	dense, err := trace.ReadCaptureFile(path)
+	if err != nil {
+		t.Fatalf("ReadCaptureFile: %v", err)
+	}
+	var want, got eventRecorder
+	if err := fullReplay(ctx, cp, rc, &want); err != nil {
+		t.Fatalf("resident replay: %v", err)
+	}
+	if err := fullReplay(ctx, dense, rc, &got); err != nil {
+		t.Fatalf("materialized replay: %v", err)
+	}
+	if len(want.events) != len(got.events) {
+		t.Fatalf("materialized %d events, want %d", len(got.events), len(want.events))
+	}
+	for i := range want.events {
+		if want.events[i] != got.events[i] {
+			t.Fatalf("materialized event %d diverges", i)
+		}
+	}
+}
+
 // TestStreamReplayCancelMidFrame cancels the context from inside a
 // consumer partway through the trace; the streaming replayer must stop at
 // the next frame seam with the context error instead of replaying to the
