@@ -737,12 +737,9 @@ func TestGatewayReplicaStoreBounded(t *testing.T) {
 			Asm:    strings.Repeat("a", 100),
 		})
 	}
-	g.progMu.Lock()
-	count, bytes := len(g.programs), g.progBytes
-	lruLen := g.progLRU.Len()
-	g.progMu.Unlock()
-	if count != 4 || lruLen != 4 {
-		t.Fatalf("replica store holds %d entries (lru %d), want capped at 4", count, lruLen)
+	count, bytes := g.replicas.Len(), g.replicas.Bytes()
+	if count != 4 || len(g.replicas.Values()) != 4 {
+		t.Fatalf("replica store holds %d entries (%d values), want capped at 4", count, len(g.replicas.Values()))
 	}
 	if bytes != 4*200 {
 		t.Fatalf("replica store accounts %d bytes, want %d", bytes, 4*200)
@@ -760,9 +757,7 @@ func TestGatewayReplicaStoreBounded(t *testing.T) {
 		Name:   "user:big",
 		Source: strings.Repeat("s", 1<<20),
 	})
-	g.progMu.Lock()
-	count, bytes = len(g.programs), g.progBytes
-	g.progMu.Unlock()
+	count, bytes = g.replicas.Len(), g.replicas.Bytes()
 	if count != 1 || bytes != 1<<20 {
 		t.Fatalf("byte budget: %d entries / %d bytes resident, want the one over-budget program alone", count, bytes)
 	}

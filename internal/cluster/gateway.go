@@ -1,13 +1,13 @@
 package cluster
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"net/http"
 	"sync"
 	"time"
 
+	"repro/internal/lru"
 	"repro/internal/simsvc"
 	"repro/internal/workload"
 )
@@ -128,19 +128,19 @@ type Gateway struct {
 	catMu sync.Mutex
 	cat   *catalog
 
-	// progMu guards the gateway's replica store: programs accepted through
+	// replicas is the gateway's replica store: programs accepted through
 	// this gateway, each with the set of backends that confirmed its
 	// install (keyed by backend base URL). Scatter paths re-push
 	// unconfirmed replicas so a shard that was down at accept time still
-	// gets the program before work lands on it. The store is a count- and
-	// byte-bounded LRU (Config.ProgramReplicas/ProgramReplicaBytes):
-	// replicas carry full source + assembly, so an unbounded store would
-	// leak monotonically on a long-lived gateway. An evicted replica is
-	// re-fetched from the fleet on demand.
-	progMu    sync.Mutex
-	programs  map[string]*list.Element // -> *replica
-	progLRU   *list.List               // front = most recent
-	progBytes int64
+	// gets the program before work lands on it. The store is an lru.Cache
+	// bounded by Config.ProgramReplicas and ProgramReplicaBytes: replicas
+	// carry full source + assembly, so an unbounded store would leak
+	// monotonically on a long-lived gateway. An evicted replica is
+	// re-fetched from the fleet on demand. progMu guards each replica's
+	// fields (its program and confirmations) and makes storeReplica's
+	// look-up-then-update atomic; the cache locks itself.
+	progMu   sync.Mutex
+	replicas *lru.Cache[*replica]
 }
 
 // replica is one stored accepted program plus its per-backend install
@@ -161,8 +161,7 @@ func New(cfg Config) (*Gateway, error) {
 		client:   cfg.Client,
 		start:    time.Now(),
 		done:     make(chan struct{}),
-		programs: make(map[string]*list.Element),
-		progLRU:  list.New(),
+		replicas: lru.New[*replica](cfg.ProgramReplicas, cfg.ProgramReplicaBytes),
 	}
 	names := make([]string, 0, len(cfg.Backends))
 	seen := make(map[string]bool, len(cfg.Backends))

@@ -53,35 +53,19 @@ func (g *Gateway) SubmitProgram(ctx context.Context, tenant string, req simsvc.P
 func (g *Gateway) storeReplica(p *workload.Program) {
 	g.progMu.Lock()
 	defer g.progMu.Unlock()
-	if el, ok := g.programs[p.Name]; ok {
-		rep := el.Value.(*replica)
-		g.progBytes += p.Bytes() - rep.p.Bytes()
-		rep.p = p
-		g.progLRU.MoveToFront(el)
-	} else {
-		el := g.progLRU.PushFront(&replica{p: p, confirmed: make(map[string]bool)})
-		g.programs[p.Name] = el
-		g.progBytes += p.Bytes()
+	if rep, ok := g.replicas.Get(p.Name); ok {
+		rep.p = p // keeps the confirmations
+		g.replicas.Resize(p.Name, p.Bytes())
+		return
 	}
-	for (g.progLRU.Len() > g.cfg.ProgramReplicas || g.progBytes > g.cfg.ProgramReplicaBytes) && g.progLRU.Len() > 1 {
-		back := g.progLRU.Back()
-		rep := back.Value.(*replica)
-		g.progLRU.Remove(back)
-		delete(g.programs, rep.p.Name)
-		g.progBytes -= rep.p.Bytes()
-	}
+	g.replicas.Add(p.Name, &replica{p: p, confirmed: make(map[string]bool)}, p.Bytes())
 }
 
 // replicaOf returns the stored replica for name (touching its LRU slot),
 // or nil.
 func (g *Gateway) replicaOf(name string) *replica {
-	g.progMu.Lock()
-	defer g.progMu.Unlock()
-	if el, ok := g.programs[name]; ok {
-		g.progLRU.MoveToFront(el)
-		return el.Value.(*replica)
-	}
-	return nil
+	rep, _ := g.replicas.Get(name)
+	return rep
 }
 
 // GetProgram answers a program lookup from the gateway's replica store,

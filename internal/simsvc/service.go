@@ -22,6 +22,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/icomp"
 	"repro/internal/isa"
+	"repro/internal/lru"
 	"repro/internal/pipeline"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -131,12 +132,12 @@ type Service struct {
 	programs     *workload.Registry
 	installToken string
 	pool         *pool
-	cache        *lruCache
-	traces       *traceCache // nil when capture/replay is disabled
-	traceDir     string      // capture spill directory ("" = in-memory only)
-	traceNoMmap  bool        // true = spill loads always eagerly decode
-	tflight      *captureFlight
-	flight       *flightGroup
+	cache        *lru.Cache[*Response]
+	traces       *traceCache            // nil when capture/replay is disabled
+	traceDir     string                 // capture spill directory ("" = in-memory only)
+	traceNoMmap  bool                   // true = spill loads always eagerly decode
+	tflight      lru.Group[*traceEntry] // one capture per benchmark in flight
+	flight       lru.Group[*Response]
 	breaker      *breaker
 	faults       *faultinject.Injector
 	metrics      Metrics
@@ -184,7 +185,7 @@ func New(cfg Config) *Service {
 		byName:       make(map[string]bench.Benchmark, len(cfg.Benchmarks)),
 		programs:     cfg.Programs,
 		installToken: cfg.InstallToken,
-		cache:        newLRU(cfg.CacheSize),
+		cache:        lru.New[*Response](cfg.CacheSize, 0),
 		faults:       cfg.Faults,
 		start:        time.Now(),
 	}
@@ -197,9 +198,10 @@ func New(cfg Config) *Service {
 		s.traces = newTraceCache(int64(mb)<<20, &s.metrics)
 		s.traceDir = cfg.TraceDir
 		s.traceNoMmap = cfg.TraceNoMmap
-		s.tflight = newCaptureFlight()
 	}
-	s.flight = newFlightGroup(cfg.Faults)
+	// A fault at the join seam fails only the joining waiter; the leader's
+	// execution (and every other waiter) is untouched.
+	s.flight.Join = func(ctx context.Context) error { return s.faults.Fire(ctx, faultinject.PointFlightJoin) }
 	s.breaker = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, &s.metrics)
 	for _, b := range cfg.Benchmarks {
 		s.byName[b.Name] = b
@@ -288,7 +290,7 @@ func (s *Service) Metrics() *Metrics { return &s.metrics }
 func (s *Service) Uptime() time.Duration { return time.Since(s.start) }
 
 // CacheLen returns the number of cached results.
-func (s *Service) CacheLen() int { return s.cache.len() }
+func (s *Service) CacheLen() int { return s.cache.Len() }
 
 // recoder lazily builds the profile-driven instruction recoder over the
 // served suite, once per Service.
@@ -402,26 +404,46 @@ func serveCopy(r *Response, cached bool) *Response {
 	return &cp
 }
 
-// cacheGet consults the LRU unless a cache.get fault is armed: an injected
-// failure degrades to a cache miss (the job re-executes) rather than
-// failing the request.
-func (s *Service) cacheGet(ctx context.Context, key string) (*Response, bool) {
-	if err := s.faults.Fire(ctx, faultinject.PointCacheGet); err != nil {
-		return nil, false
+// cached answers key from the result cache or, on a miss that allow (when
+// set) admits, runs fill once across concurrent identical callers and
+// caches its result; errors are never cached. An armed cache.get fault
+// degrades the lookup to a miss (the job re-executes) and an armed
+// cache.put fault skips the store (a later request re-executes): neither
+// fails a request.
+func (s *Service) cached(ctx context.Context, key string, allow func() error, fill func() (*Response, error)) (*Response, error) {
+	if s.faults.Fire(ctx, faultinject.PointCacheGet) == nil {
+		if resp, ok := s.cache.Get(key); ok {
+			s.metrics.cacheHits.Add(1)
+			return serveCopy(resp, true), nil
+		}
 	}
-	return s.cache.get(key)
-}
-
-// cachePut stores a successful result unless a cache.put fault is armed:
-// an injected failure skips caching (a later request re-executes) rather
-// than failing the request that already has its answer.
-func (s *Service) cachePut(ctx context.Context, key string, resp *Response) {
-	if err := s.faults.Fire(ctx, faultinject.PointCachePut); err != nil {
-		return
+	s.metrics.cacheMisses.Add(1)
+	if allow != nil {
+		if err := allow(); err != nil {
+			return nil, err
+		}
 	}
-	if s.cache.add(key, resp) { // errors are never cached
-		s.metrics.cacheEvictions.Add(1)
+	resp, shared, err := s.flight.Do(ctx, key, func() (*Response, error) {
+		out, err := fill()
+		if err != nil {
+			return nil, err
+		}
+		if s.faults.Fire(ctx, faultinject.PointCachePut) == nil {
+			evicted, _ := s.cache.Add(key, out, 0)
+			s.metrics.cacheEvictions.Add(uint64(len(evicted)))
+		}
+		return out, nil
+	})
+	if shared {
+		s.metrics.flightShared.Add(1)
 	}
+	if err != nil {
+		if countsAsFailure(err) {
+			s.metrics.failures.Add(1)
+		}
+		return nil, err
+	}
+	return serveCopy(resp, false), nil
 }
 
 // withRetry runs fn, re-attempting transient failures (and only those) up
@@ -477,17 +499,9 @@ func (s *Service) simulate(ctx context.Context, req Request, admit bool) (*Respo
 		ctx, cancel = context.WithTimeout(ctx, s.timeout)
 		defer cancel()
 	}
-	key := req.key()
-	if resp, ok := s.cacheGet(ctx, key); ok {
-		s.metrics.cacheHits.Add(1)
-		return serveCopy(resp, true), nil
-	}
-	s.metrics.cacheMisses.Add(1)
 	bkey := breakerKey(req.Bench, req.Model)
-	if err := s.breaker.allow(bkey); err != nil {
-		return nil, err
-	}
-	resp, shared, err := s.flight.do(ctx, key, func() (*Response, error) {
+	allow := func() error { return s.breaker.allow(bkey) }
+	return s.cached(ctx, req.key(), allow, func() (*Response, error) {
 		var out *Response
 		runErr := s.withRetry(ctx, func() error {
 			var execErr error
@@ -503,22 +517,8 @@ func (s *Service) simulate(ctx context.Context, req Request, admit bool) (*Respo
 			return execErr
 		})
 		s.breaker.record(bkey, runErr)
-		if runErr != nil {
-			return nil, runErr
-		}
-		s.cachePut(ctx, key, out)
-		return out, nil
+		return out, runErr
 	})
-	if shared {
-		s.metrics.flightShared.Add(1)
-	}
-	if err != nil {
-		if countsAsFailure(err) {
-			s.metrics.failures.Add(1)
-		}
-		return nil, err
-	}
-	return serveCopy(resp, false), nil
 }
 
 // countsAsFailure reports whether err is an execution failure for the

@@ -70,29 +70,7 @@ func (s *Service) SuiteOf(ctx context.Context, names []string) (*Response, error
 		ctx, cancel = context.WithTimeout(ctx, s.timeout)
 		defer cancel()
 	}
-	if resp, ok := s.cacheGet(ctx, key); ok {
-		s.metrics.cacheHits.Add(1)
-		return serveCopy(resp, true), nil
-	}
-	s.metrics.cacheMisses.Add(1)
-	resp, shared, err := s.flight.do(ctx, key, func() (*Response, error) {
-		out, runErr := s.runSuite(ctx, subset)
-		if runErr != nil {
-			return nil, runErr
-		}
-		s.cachePut(ctx, key, out)
-		return out, nil
-	})
-	if shared {
-		s.metrics.flightShared.Add(1)
-	}
-	if err != nil {
-		if countsAsFailure(err) {
-			s.metrics.failures.Add(1)
-		}
-		return nil, err
-	}
-	return serveCopy(resp, false), nil
+	return s.cached(ctx, key, nil, func() (*Response, error) { return s.runSuite(ctx, subset) })
 }
 
 // benchOut is one benchmark's share of a (full or partial) suite

@@ -1,7 +1,6 @@
 package simsvc
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"os"
@@ -12,6 +11,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/faultinject"
 	"repro/internal/icomp"
+	"repro/internal/lru"
 	"repro/internal/pipeline"
 	"repro/internal/trace"
 )
@@ -37,7 +37,6 @@ const DefaultTraceCacheMB = 256
 type traceEntry struct {
 	rep    trace.Replayer
 	mapped *trace.MappedCapture // non-nil iff rep streams from a mapped file
-	bytes  int64
 
 	act [3]actMemo // indexed by granularity (1 = byte, 2 = halfword)
 }
@@ -81,178 +80,66 @@ func (e *traceEntry) activityCounts(ctx context.Context, gran int, rc *icomp.Rec
 	return m.counts, nil
 }
 
-// traceCache is a byte-accounted LRU of captured traces, keyed by benchmark
-// name. Unlike the count-bounded result LRU, capacity is a memory budget:
-// entries are admitted by their SizeBytes and the least-recently-used
-// captures are evicted until the total fits. A capture larger than the
-// whole budget is never cached (the request that built it still uses it).
+// traceCache is the LRU of captured traces, keyed by benchmark name and
+// bounded by a byte budget rather than a count: entries are accounted at
+// their capture's SizeBytes. The trace-specific admission policy lives here,
+// around the shared lru.Cache: a capture larger than the whole budget is
+// never cached (the request that built it still uses it), and an entry
+// that outgrows the budget on its own is dropped rather than kept alone.
 type traceCache struct {
-	mu       sync.Mutex
+	*lru.Cache[*traceEntry]
 	maxBytes int64
-	bytes    int64
-	order    *list.List // front = most recent; values are *traceCacheEntry
-	items    map[string]*list.Element
 	metrics  *Metrics
-}
 
-type traceCacheEntry struct {
-	key   string
-	entry *traceEntry
+	// mu serializes writes, so the traceCacheBytes gauge stored after each
+	// one is the total that write left, never a stale one.
+	mu sync.Mutex
 }
 
 func newTraceCache(maxBytes int64, m *Metrics) *traceCache {
-	return &traceCache{
-		maxBytes: maxBytes,
-		order:    list.New(),
-		items:    make(map[string]*list.Element),
-		metrics:  m,
-	}
-}
-
-// get returns the cached capture for key, refreshing its recency.
-func (c *traceCache) get(key string) (*traceEntry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*traceCacheEntry).entry, true
+	return &traceCache{Cache: lru.New[*traceEntry](0, maxBytes), maxBytes: maxBytes, metrics: m}
 }
 
 // add stores e under key, evicting least-recently-used captures until the
 // byte budget holds. It returns the evicted entries so the caller can count
 // them and demote their captures to the trace dir, plus the entry this one
 // displaced (whose mapped handle, if any, must be closed) — I/O and unmaps
-// happen outside this lock.
-func (c *traceCache) add(key string, e *traceEntry) (evicted []*traceCacheEntry, replaced *traceEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e.bytes > c.maxBytes {
+// happen outside the cache.
+func (c *traceCache) add(key string, e *traceEntry) (evicted []lru.Entry[*traceEntry], replaced *traceEntry) {
+	n := int64(e.rep.SizeBytes())
+	if n > c.maxBytes {
 		return nil, nil // larger than the whole budget: never cached
 	}
-	if el, ok := c.items[key]; ok {
-		old := el.Value.(*traceCacheEntry)
-		replaced = old.entry
-		c.bytes += e.bytes - old.entry.bytes
-		old.entry = e
-		c.order.MoveToFront(el)
-		c.metrics.traceCacheBytes.Store(c.bytes)
-		return nil, replaced
-	}
-	c.items[key] = c.order.PushFront(&traceCacheEntry{key: key, entry: e})
-	c.bytes += e.bytes
-	evicted = c.evictOverBudget()
-	c.metrics.traceCacheBytes.Store(c.bytes)
-	return evicted, nil
-}
-
-// evictOverBudget drops LRU entries until the budget holds. Caller holds mu.
-func (c *traceCache) evictOverBudget() []*traceCacheEntry {
-	var evicted []*traceCacheEntry
-	for c.bytes > c.maxBytes {
-		oldest := c.order.Back()
-		old := oldest.Value.(*traceCacheEntry)
-		c.order.Remove(oldest)
-		delete(c.items, old.key)
-		c.bytes -= old.entry.bytes
-		evicted = append(evicted, old)
-	}
-	return evicted
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	evicted, replaced = c.Add(key, e, n)
+	c.metrics.traceCacheBytes.Store(c.Bytes())
+	return evicted, replaced
 }
 
 // refresh re-accounts key's entry from its capture's current SizeBytes.
 // Replays grow a capture after admission — each new recoder profile adds a
 // fetch-size memo — so without a refresh the LRU's byte ledger drifts below
-// reality and the budget silently overshoots. The refreshed entry is
-// treated as just-used (moved to front); if the growth pushes the cache
-// over budget, LRU entries are evicted and returned for demotion.
-func (c *traceCache) refresh(key string) []*traceCacheEntry {
+// reality and the budget silently overshoots. A grown entry is treated as
+// just-used; if the growth pushes the cache over budget, LRU entries are
+// evicted and returned for demotion, the grown entry itself included when
+// it alone no longer fits.
+func (c *traceCache) refresh(key string) []lru.Entry[*traceEntry] {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
+	e, ok := c.Peek(key)
 	if !ok {
 		return nil
 	}
-	e := el.Value.(*traceCacheEntry).entry
-	nb := int64(e.rep.SizeBytes())
-	if nb == e.bytes {
-		return nil
+	n := int64(e.rep.SizeBytes())
+	evicted := c.Resize(key, n)
+	if n > c.maxBytes {
+		if self, ok := c.Remove(key); ok {
+			evicted = append(evicted, self)
+		}
 	}
-	c.bytes += nb - e.bytes
-	e.bytes = nb
-	c.order.MoveToFront(el)
-	evicted := c.evictOverBudget()
-	c.metrics.traceCacheBytes.Store(c.bytes)
+	c.metrics.traceCacheBytes.Store(c.Bytes())
 	return evicted
-}
-
-func (c *traceCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
-func (c *traceCache) bytesUsed() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
-}
-
-// mappedLen counts entries on the mapped (streaming) residency tier.
-func (c *traceCache) mappedLen() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, el := range c.items {
-		if el.Value.(*traceCacheEntry).entry.mapped != nil {
-			n++
-		}
-	}
-	return n
-}
-
-// captureFlight deduplicates concurrent captures of the same benchmark: the
-// first requester interprets, everyone else waits for its capture. Shaped
-// like flightGroup but carrying traceEntry results.
-type captureFlight struct {
-	mu    sync.Mutex
-	calls map[string]*captureCall
-}
-
-type captureCall struct {
-	done  chan struct{}
-	entry *traceEntry
-	err   error
-}
-
-func newCaptureFlight() *captureFlight {
-	return &captureFlight{calls: make(map[string]*captureCall)}
-}
-
-func (g *captureFlight) do(ctx context.Context, key string, fn func() (*traceEntry, error)) (entry *traceEntry, shared bool, err error) {
-	g.mu.Lock()
-	if c, ok := g.calls[key]; ok {
-		g.mu.Unlock()
-		select {
-		case <-c.done:
-			return c.entry, true, c.err
-		case <-ctx.Done():
-			return nil, true, ctx.Err()
-		}
-	}
-	c := &captureCall{done: make(chan struct{})}
-	g.calls[key] = c
-	g.mu.Unlock()
-
-	c.entry, c.err = fn()
-
-	g.mu.Lock()
-	delete(g.calls, key)
-	g.mu.Unlock()
-	close(c.done)
-	return c.entry, false, c.err
 }
 
 // TraceCacheLen returns the number of cached captures (0 when disabled).
@@ -260,7 +147,7 @@ func (s *Service) TraceCacheLen() int {
 	if s.traces == nil {
 		return 0
 	}
-	return s.traces.len()
+	return s.traces.Len()
 }
 
 // TraceCacheBytes returns the cached captures' accounted bytes.
@@ -268,16 +155,21 @@ func (s *Service) TraceCacheBytes() int64 {
 	if s.traces == nil {
 		return 0
 	}
-	return s.traces.bytesUsed()
+	return s.traces.Bytes()
 }
 
 // TraceMappedEntries returns how many cached captures are on the mapped
 // (streaming SIGCAP02) residency tier rather than fully decoded.
 func (s *Service) TraceMappedEntries() int {
-	if s.traces == nil {
-		return 0
+	n := 0
+	if s.traces != nil {
+		for _, e := range s.traces.Values() {
+			if e.mapped != nil {
+				n++
+			}
+		}
 	}
-	return s.traces.mappedLen()
+	return n
 }
 
 // captureFor returns b's captured trace, from the trace cache when
@@ -298,7 +190,7 @@ func (s *Service) captureFor(ctx context.Context, b bench.Benchmark) (*traceEntr
 		return e, nil
 	}
 	s.metrics.traceCacheMisses.Add(1)
-	e, shared, err := s.tflight.do(ctx, b.Name, func() (*traceEntry, error) {
+	e, shared, err := s.tflight.Do(ctx, b.Name, func() (*traceEntry, error) {
 		e := s.loadSpilled(b)
 		if e == nil {
 			cp, err := trace.CaptureRun(ctx, b)
@@ -307,7 +199,7 @@ func (s *Service) captureFor(ctx context.Context, b bench.Benchmark) (*traceEntr
 			}
 			s.metrics.captures.Add(1)
 			s.spillCapture(cp, true)
-			e = &traceEntry{rep: cp, bytes: int64(cp.SizeBytes())}
+			e = &traceEntry{rep: cp}
 		}
 		s.tracePut(ctx, b.Name, e)
 		return e, nil
@@ -334,7 +226,7 @@ func (s *Service) loadSpilled(b bench.Benchmark) *traceEntry {
 		return nil
 	}
 	s.metrics.traceSpillLoads.Add(1)
-	e := &traceEntry{rep: rep, bytes: int64(rep.SizeBytes())}
+	e := &traceEntry{rep: rep}
 	if mc, ok := rep.(*trace.MappedCapture); ok {
 		s.metrics.traceMapLoads.Add(1)
 		e.mapped = mc
@@ -369,17 +261,14 @@ func (s *Service) spillCapture(cp *trace.Capture, overwrite bool) {
 // is an unmap, not a write. In-flight replays keep the mapping alive via
 // its refcount and finish normally; the next request for the benchmark
 // re-maps. Runs outside the cache lock.
-func (s *Service) spillEvicted(evicted []*traceCacheEntry) {
-	if len(evicted) == 0 {
-		return
-	}
+func (s *Service) spillEvicted(evicted []lru.Entry[*traceEntry]) {
 	s.metrics.traceCacheEvictions.Add(uint64(len(evicted)))
-	for _, te := range evicted {
-		if te.entry.mapped != nil {
-			te.entry.close()
+	for _, ev := range evicted {
+		if ev.Value.mapped != nil {
+			ev.Value.close()
 			continue
 		}
-		s.spillCapture(te.entry.rep.(*trace.Capture), false)
+		s.spillCapture(ev.Value.rep.(*trace.Capture), false)
 	}
 }
 
@@ -397,7 +286,7 @@ func (s *Service) traceGet(ctx context.Context, key string) (*traceEntry, bool) 
 	if err := s.faults.Fire(ctx, faultinject.PointCacheGet); err != nil {
 		return nil, false
 	}
-	return s.traces.get(key)
+	return s.traces.Get(key)
 }
 
 func (s *Service) tracePut(ctx context.Context, key string, e *traceEntry) {

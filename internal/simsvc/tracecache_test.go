@@ -9,88 +9,81 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/pipeline"
+	"repro/internal/trace"
 )
 
-// syntheticEntry builds a cache entry of a given accounted size; the cache
-// itself never dereferences cap, so nil is fine for unit tests.
-func syntheticEntry(bytes int64) *traceEntry { return &traceEntry{bytes: bytes} }
+// sizedRep is a replayer that only reports a size: the trace cache reads
+// nothing else from an entry.
+type sizedRep struct {
+	trace.Replayer
+	n int
+}
 
-// The byte-accounted LRU in isolation: admission, recency, update-in-place,
-// eviction order, and the oversized-entry reject.
+func (r sizedRep) SizeBytes() int { return r.n }
+
+// syntheticEntry builds a cache entry of a given accounted size.
+func syntheticEntry(bytes int) *traceEntry { return &traceEntry{rep: sizedRep{n: bytes}} }
+
+// The trace cache's own policy around lru.Cache (whose recency and
+// eviction order internal/lru tests): the displaced entry handed back for
+// closing, the oversized-entry refusal, an exact fit evicting everything
+// else, and the bytes gauge after every write.
 func TestTraceCacheLRUUnit(t *testing.T) {
 	var m Metrics
 	c := newTraceCache(100, &m)
-	add := func(key string, e *traceEntry) []*traceCacheEntry {
+	accounted := func(want int64) {
 		t.Helper()
-		ev, replaced := c.add(key, e)
-		if _, existed := c.items[key]; replaced != nil && !existed {
-			t.Fatalf("add %s reported a replaced entry without holding the key", key)
+		if got, gauge := c.Bytes(), m.traceCacheBytes.Load(); got != want || gauge != want {
+			t.Fatalf("bytes = %d (gauge %d), want %d", got, gauge, want)
 		}
-		return ev
 	}
 
-	if n := len(add("a", syntheticEntry(40))); n != 0 {
-		t.Fatalf("add a evicted %d", n)
+	for _, k := range []string{"a", "b"} {
+		if ev, replaced := c.add(k, syntheticEntry(40)); len(ev) != 0 || replaced != nil {
+			t.Fatalf("add %s evicted %d, replaced %p", k, len(ev), replaced)
+		}
 	}
-	if n := len(add("b", syntheticEntry(40))); n != 0 {
-		t.Fatalf("add b evicted %d", n)
-	}
-	if got := c.bytesUsed(); got != 80 {
-		t.Fatalf("bytes = %d, want 80", got)
-	}
-
-	// Touch a so b becomes least recently used, then overflow: b must go.
-	if _, ok := c.get("a"); !ok {
-		t.Fatal("a missing")
-	}
-	ev := add("c", syntheticEntry(40))
-	if len(ev) != 1 || ev[0].key != "b" {
-		t.Fatalf("add c evicted %v, want [b]", ev)
-	}
-	if _, ok := c.get("b"); ok {
-		t.Fatal("b survived eviction despite being LRU")
-	}
-	if _, ok := c.get("a"); !ok {
-		t.Fatal("a (recently used) was evicted")
-	}
-	if got := c.bytesUsed(); got != 80 {
-		t.Fatalf("bytes after eviction = %d, want 80", got)
-	}
-	if got := m.traceCacheBytes.Load(); got != 80 {
-		t.Fatalf("bytes gauge = %d, want 80", got)
-	}
+	accounted(80)
 
 	// Re-adding an existing key replaces in place, re-accounts, and hands
 	// the displaced entry back so its mapping (if any) can be released.
-	olderA, _ := c.get("a")
-	ev2, replaced := c.add("a", syntheticEntry(60))
-	if len(ev2) != 0 {
-		t.Fatalf("update a evicted %d", len(ev2))
+	olderA, _ := c.Peek("a")
+	newerA := syntheticEntry(60)
+	ev, replaced := c.add("a", newerA)
+	if len(ev) != 0 {
+		t.Fatalf("update a evicted %d", len(ev))
 	}
 	if replaced != olderA {
 		t.Fatalf("update a returned replaced=%p, want the displaced entry %p", replaced, olderA)
 	}
-	if got := c.bytesUsed(); got != 100 {
-		t.Fatalf("bytes after update = %d, want 100", got)
-	}
-	if c.len() != 2 {
-		t.Fatalf("len = %d, want 2", c.len())
+	accounted(100)
+	if c.Len() != 2 {
+		t.Fatalf("len = %d, want 2", c.Len())
 	}
 
-	// An entry larger than the whole budget is never admitted.
-	if n := len(add("huge", syntheticEntry(101))); n != 0 {
-		t.Fatalf("oversized add evicted %d", n)
+	// An entry larger than the whole budget is never admitted, neither as a
+	// new key nor over a resident one.
+	if ev, replaced := c.add("huge", syntheticEntry(101)); len(ev) != 0 || replaced != nil {
+		t.Fatalf("oversized add evicted %d, replaced %p", len(ev), replaced)
 	}
-	if _, ok := c.get("huge"); ok {
+	if _, ok := c.Get("huge"); ok {
 		t.Fatal("oversized entry was cached")
 	}
+	if ev, replaced := c.add("a", syntheticEntry(101)); len(ev) != 0 || replaced != nil {
+		t.Fatalf("oversized update evicted %d, replaced %p", len(ev), replaced)
+	}
+	if got, _ := c.Get("a"); got != newerA {
+		t.Fatal("oversized update displaced the resident entry")
+	}
+	accounted(100)
 
 	// A single entry that exactly fits evicts everything else.
-	if n := len(add("exact", syntheticEntry(100))); n != 2 {
-		t.Fatalf("exact-fit add evicted %d, want 2", n)
+	if ev, _ := c.add("exact", syntheticEntry(100)); len(ev) != 2 {
+		t.Fatalf("exact-fit add evicted %d, want 2", len(ev))
 	}
-	if got := c.bytesUsed(); got != 100 || c.len() != 1 {
-		t.Fatalf("after exact fit: %d bytes, %d entries", got, c.len())
+	accounted(100)
+	if c.Len() != 1 {
+		t.Fatalf("after exact fit: %d entries", c.Len())
 	}
 }
 

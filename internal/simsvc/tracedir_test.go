@@ -56,8 +56,8 @@ func TestTraceCacheRefreshUnderRecoderChurn(t *testing.T) {
 	if err := cp.ReplayBlocks(ctx, rcs[0], pipeline.NewBaseline32()); err != nil {
 		t.Fatal(err)
 	}
-	e := &traceEntry{rep: cp, bytes: int64(cp.SizeBytes())}
-	base := e.bytes
+	e := &traceEntry{rep: cp}
+	base := int64(cp.SizeBytes())
 
 	var m Metrics
 	// Budget fits the entry plus one more memo (a few hundred bytes for
@@ -67,8 +67,8 @@ func TestTraceCacheRefreshUnderRecoderChurn(t *testing.T) {
 	if ev, _ := c.add("dijkstra", e); len(ev) != 0 {
 		t.Fatalf("admission evicted %d entries", len(ev))
 	}
-	if c.bytesUsed() != base {
-		t.Fatalf("accounted %d bytes, want %d", c.bytesUsed(), base)
+	if c.Bytes() != base {
+		t.Fatalf("accounted %d bytes, want %d", c.Bytes(), base)
 	}
 
 	// One extra profile: the capture grows but still fits. refresh must
@@ -83,9 +83,9 @@ func TestTraceCacheRefreshUnderRecoderChurn(t *testing.T) {
 	if ev := c.refresh("dijkstra"); len(ev) != 0 {
 		t.Fatalf("in-budget refresh evicted %d entries", len(ev))
 	}
-	if c.bytesUsed() != grown || m.traceCacheBytes.Load() != grown {
+	if c.Bytes() != grown || m.traceCacheBytes.Load() != grown {
 		t.Fatalf("refresh accounted %d bytes (gauge %d), want %d",
-			c.bytesUsed(), m.traceCacheBytes.Load(), grown)
+			c.Bytes(), m.traceCacheBytes.Load(), grown)
 	}
 
 	// More profiles: the memo (bounded at maxIFBMemos inside the capture)
@@ -99,11 +99,11 @@ func TestTraceCacheRefreshUnderRecoderChurn(t *testing.T) {
 		t.Skip("memo growth under budget headroom; churn too cheap to force eviction")
 	}
 	ev := c.refresh("dijkstra")
-	if len(ev) != 1 || ev[0].key != "dijkstra" {
+	if len(ev) != 1 || ev[0].Key != "dijkstra" {
 		t.Fatalf("over-budget refresh evicted %v, want the grown entry", ev)
 	}
-	if c.len() != 0 || c.bytesUsed() != 0 {
-		t.Fatalf("after eviction: %d entries, %d bytes", c.len(), c.bytesUsed())
+	if c.Len() != 0 || c.Bytes() != 0 {
+		t.Fatalf("after eviction: %d entries, %d bytes", c.Len(), c.Bytes())
 	}
 	// A refresh for a key that is no longer cached is a no-op.
 	if ev := c.refresh("dijkstra"); ev != nil {

@@ -1,32 +1,34 @@
 package workload
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/lru"
 )
 
 // Registry is the content-addressed store of accepted user programs. It is
-// safe for concurrent use. Entries are bounded by count and bytes with LRU
-// eviction; evicted programs spill to SpillDir (when configured) and are
-// reloaded — hash-verified — on demand. Quarantined IDs are remembered
+// safe for concurrent use. Resident programs live in an lru.Cache bounded
+// by MaxPrograms and MaxStoredBytes; evicted programs spill to SpillDir
+// (when configured) and are reloaded — hash-verified — on demand.
+// Concurrent submissions of identical content share one run of the
+// validation wall through an lru.Group. Quarantined IDs are remembered
 // forever (within the process) and never re-executed.
 type Registry struct {
 	opts Options
 
 	mu          sync.Mutex
-	byID        map[string]*list.Element // -> *entry
-	lru         *list.List               // front = most recent
-	bytes       int64
-	quarantined map[string]string // id -> reason
+	progs       *lru.Cache[*Program] // by ID; its evictions are handled under mu
+	quarantined map[string]string    // id -> reason
 	tenants     map[string]*tenantState
-	inflight    map[string]*submitCall
+	submits     lru.Group[*Program] // one wall run per ID in flight
 	spill       *spillStore
 
 	// Global install-rate bucket (InstallPerMin): replica installs are not
@@ -37,10 +39,6 @@ type Registry struct {
 	accepted, rejected, quarantines uint64
 }
 
-type entry struct {
-	prog *Program
-}
-
 type tenantState struct {
 	programs int
 	// Token bucket for the submission rate limit.
@@ -48,24 +46,14 @@ type tenantState struct {
 	last   time.Time
 }
 
-// submitCall deduplicates concurrent submissions of identical content: the
-// first caller runs the wall, the rest wait for its outcome.
-type submitCall struct {
-	done chan struct{}
-	prog *Program
-	err  error
-}
-
 // NewRegistry builds a registry with opts (zero fields defaulted).
 func NewRegistry(opts Options) (*Registry, error) {
 	opts = opts.withDefaults()
 	r := &Registry{
 		opts:          opts,
-		byID:          make(map[string]*list.Element),
-		lru:           list.New(),
+		progs:         lru.New[*Program](opts.MaxPrograms, opts.MaxStoredBytes),
 		quarantined:   make(map[string]string),
 		tenants:       make(map[string]*tenantState),
-		inflight:      make(map[string]*submitCall),
 		installTokens: float64(opts.InstallPerMin),
 		installLast:   opts.Now(),
 	}
@@ -109,62 +97,73 @@ func (r *Registry) Submit(ctx context.Context, tenant, lang, source string) (*Pr
 	// The rate limit charges every submission attempt — the wall itself is
 	// the expensive thing a flooding tenant burns.
 	if err := r.takeTokenLocked(tenant); err != nil {
-		r.mu.Unlock()
 		r.rejected++
+		r.mu.Unlock()
 		return nil, err
 	}
-	if el, ok := r.byID[id]; ok {
-		r.lru.MoveToFront(el)
-		p := el.Value.(*entry).prog
+	r.mu.Unlock()
+
+	for {
+		prog, shared, err := r.submits.Do(ctx, id, func() (*Program, error) {
+			return r.lead(ctx, id, tenant, lang, source)
+		})
+		// A leader refused for its own tenant's program cap says nothing
+		// about this tenant's: try again, leading if nobody else is.
+		var qe *QuotaError
+		if shared && errors.As(err, &qe) && qe.Tenant != tenant {
+			continue
+		}
+		return prog, err
+	}
+}
+
+// lead is the one submission of id that runs the wall; identical
+// submissions arriving meanwhile wait for its outcome. A resident program
+// is returned as is.
+func (r *Registry) lead(ctx context.Context, id, tenant, lang, source string) (*Program, error) {
+	r.mu.Lock()
+	// A previous leader may have finished since Submit's quarantine check.
+	if reason, ok := r.quarantined[id]; ok {
+		r.mu.Unlock()
+		return nil, &QuarantinedError{ID: id, Reason: reason}
+	}
+	if p, ok := r.progs.Get(id); ok {
 		r.mu.Unlock()
 		return p, nil
 	}
-	if call, ok := r.inflight[id]; ok {
-		r.mu.Unlock()
-		select {
-		case <-call.done:
-			return call.prog, call.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
 	// Count quota before running the wall so a tenant at the cap cannot
-	// burn probation cycles either.
+	// burn probation cycles either. Waiters are not charged: the program
+	// lands on the leader's account.
 	ts := r.tenant(tenant)
 	if ts.programs >= r.opts.TenantPrograms {
-		r.mu.Unlock()
 		r.rejected++
+		r.mu.Unlock()
 		return nil, &QuotaError{Tenant: tenant,
 			Reason: fmt.Sprintf("%d programs registered, limit %d", ts.programs, r.opts.TenantPrograms)}
 	}
-	call := &submitCall{done: make(chan struct{})}
-	r.inflight[id] = call
 	r.mu.Unlock()
 
 	prog, err := r.runWall(ctx, id, tenant, lang, source)
 
+	// The outcome is fully stamped (quarantine ID and bookkeeping) before
+	// Do hands it to waiters, so no later mutation of the shared error
+	// races them.
 	r.mu.Lock()
-	delete(r.inflight, id)
+	defer r.mu.Unlock()
 	if err == nil {
 		r.installLocked(prog)
 		r.accepted++
-	} else {
-		switch qe := err.(type) {
-		case *QuarantinedError:
-			qe.ID = id
-			r.quarantined[id] = qe.Reason
-			r.quarantines++
-		case *RejectedError, *SourceError:
-			r.rejected++
-		}
+		return prog, nil
 	}
-	// Publish only after the outcome is fully stamped (quarantine ID and
-	// bookkeeping): waiters read call.prog/call.err the moment done closes,
-	// so any later mutation of the shared error would race them.
-	call.prog, call.err = prog, err
-	close(call.done)
-	r.mu.Unlock()
-	return prog, err
+	switch qe := err.(type) {
+	case *QuarantinedError:
+		qe.ID = id
+		r.quarantined[id] = qe.Reason
+		r.quarantines++
+	case *RejectedError, *SourceError:
+		r.rejected++
+	}
+	return nil, err
 }
 
 // runWall executes layers 1–5 outside the registry lock.
@@ -232,11 +231,9 @@ func (r *Registry) Install(p *Program) (*Program, error) {
 		r.mu.Unlock()
 		return nil, &QuarantinedError{ID: p.ID, Reason: reason}
 	}
-	if el, ok := r.byID[p.ID]; ok {
+	if got, ok := r.progs.Get(p.ID); ok {
 		// Re-pushes of a resident replica are free (and common: the gateway
 		// re-pushes before every scatter until the shard confirms).
-		r.lru.MoveToFront(el)
-		got := el.Value.(*entry).prog
 		r.mu.Unlock()
 		return got, nil
 	}
@@ -264,9 +261,8 @@ func (r *Registry) Install(p *Program) (*Program, error) {
 	if reason, ok := r.quarantined[cp.ID]; ok {
 		return nil, &QuarantinedError{ID: cp.ID, Reason: reason}
 	}
-	if el, ok := r.byID[cp.ID]; ok { // raced with another installer
-		r.lru.MoveToFront(el)
-		return el.Value.(*entry).prog, nil
+	if got, ok := r.progs.Get(cp.ID); ok { // raced with another installer
+		return got, nil
 	}
 	if ts := r.tenant(cp.Tenant); ts.programs >= r.opts.TenantPrograms {
 		return nil, &QuotaError{Tenant: cp.Tenant,
@@ -298,27 +294,21 @@ func (r *Registry) takeInstallTokenLocked() error {
 
 // installLocked assumes r.mu held and the id not present.
 func (r *Registry) installLocked(p *Program) {
-	el := r.lru.PushFront(&entry{prog: p})
-	r.byID[p.ID] = el
-	r.bytes += p.Bytes()
 	r.tenant(p.Tenant).programs++
-	r.evictLocked()
+	r.addLocked(p)
 }
 
-// evictLocked drops LRU tails until both budgets hold, spilling each victim
-// when a spill store is configured. A spilled program still counts against
-// its tenant (the bytes live on, just on disk); a dropped one does not.
-func (r *Registry) evictLocked() {
-	for (r.lru.Len() > r.opts.MaxPrograms || r.bytes > r.opts.MaxStoredBytes) && r.lru.Len() > 1 {
-		el := r.lru.Back()
-		e := el.Value.(*entry)
-		r.lru.Remove(el)
-		delete(r.byID, e.prog.ID)
-		r.bytes -= e.prog.Bytes()
-		if r.spill != nil && r.spill.save(e.prog) == nil {
+// addLocked makes p resident and handles the programs the cache evicted
+// for it: each is spilled when a spill store is configured. A spilled
+// program still counts against its tenant (the bytes live on, just on
+// disk); a dropped one does not. Caller holds r.mu.
+func (r *Registry) addLocked(p *Program) {
+	evicted, _ := r.progs.Add(p.ID, p, p.Bytes())
+	for _, e := range evicted {
+		if r.spill != nil && r.spill.save(e.Value) == nil {
 			continue
 		}
-		if ts := r.tenants[e.prog.Tenant]; ts != nil && ts.programs > 0 {
+		if ts := r.tenants[e.Value.Tenant]; ts != nil && ts.programs > 0 {
 			ts.programs--
 		}
 	}
@@ -333,9 +323,7 @@ func (r *Registry) Get(name string) (*Program, error) {
 		r.mu.Unlock()
 		return nil, &QuarantinedError{ID: id, Reason: reason}
 	}
-	if el, ok := r.byID[id]; ok {
-		r.lru.MoveToFront(el)
-		p := el.Value.(*entry).prog
+	if p, ok := r.progs.Get(id); ok {
 		r.mu.Unlock()
 		return p, nil
 	}
@@ -350,28 +338,17 @@ func (r *Registry) Get(name string) (*Program, error) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if el, ok := r.byID[id]; ok { // raced with another loader
-		return el.Value.(*entry).prog, nil
+	if got, ok := r.progs.Get(id); ok { // raced with another loader
+		return got, nil
 	}
 	// Reinstall without recharging the tenant: a spilled program stayed on
 	// its account the whole time.
-	el := r.lru.PushFront(&entry{prog: p})
-	r.byID[id] = el
-	r.bytes += p.Bytes()
-	r.evictLocked()
+	r.addLocked(p)
 	return p, nil
 }
 
 // List returns the resident programs, most recently used first.
-func (r *Registry) List() []*Program {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]*Program, 0, r.lru.Len())
-	for el := r.lru.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*entry).prog)
-	}
-	return out
-}
+func (r *Registry) List() []*Program { return r.progs.Values() }
 
 // Quarantined returns the quarantined IDs and reasons, sorted by ID.
 func (r *Registry) Quarantined() []QuarantinedError {
@@ -400,8 +377,8 @@ func (r *Registry) Stats() Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return Stats{
-		Programs:    r.lru.Len(),
-		StoredBytes: r.bytes,
+		Programs:    r.progs.Len(),
+		StoredBytes: r.progs.Bytes(),
 		Quarantined: len(r.quarantined),
 		Accepted:    r.accepted,
 		Rejected:    r.rejected,
