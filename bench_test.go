@@ -37,6 +37,17 @@ func (f pcStream) ConsumeBlock(b *trace.Block) {
 	}
 }
 
+// capture records bm's trace for one replay. Every iteration captures
+// afresh, so the interpreter run stays charged to the experiment.
+func capture(b *testing.B, bm bench.Benchmark) *trace.Capture {
+	b.Helper()
+	cp, err := trace.CaptureRun(ctx, bm)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return cp
+}
+
 // suiteRecoder builds the profile-driven recoder once per process (the
 // paper's Table 3 profiling step); its cost is charged to
 // BenchmarkTable3FunctProfile, which measures exactly that step.
@@ -62,7 +73,7 @@ func BenchmarkTable1Patterns(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ps := activity.NewPatternStats()
 		for _, bm := range bench.All() {
-			if err := trace.NewLive(bm).ReplayBlocks(ctx, rc, ps); err != nil {
+			if err := capture(b, bm).ReplayBlocks(ctx, rc, ps); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -85,7 +96,7 @@ func BenchmarkTable2PCIncrement(b *testing.B) {
 					emp.Step(pc >> 2)
 				}
 			})
-			if err := trace.NewLive(bm).ReplayBlocks(ctx, rc, consumer); err != nil {
+			if err := capture(b, bm).ReplayBlocks(ctx, rc, consumer); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -123,7 +134,7 @@ func activityBench(b *testing.B, g int) {
 		var rfSum, aluSum float64
 		suite := bench.All()
 		for _, bm := range suite {
-			src := trace.NewLive(bm)
+			src := capture(b, bm)
 			m, err := src.NewMemory()
 			if err != nil {
 				b.Fatal(err)
@@ -160,7 +171,7 @@ func cpiBench(b *testing.B, names ...string) {
 				models[j] = pipeline.New(n)
 				consumers[j] = models[j]
 			}
-			if err := trace.NewLive(bm).ReplayBlocks(ctx, rc, consumers...); err != nil {
+			if err := capture(b, bm).ReplayBlocks(ctx, rc, consumers...); err != nil {
 				b.Fatal(err)
 			}
 			for j, m := range models {
@@ -205,7 +216,7 @@ func BenchmarkBottleneckStudy(b *testing.B) {
 		var ex, total uint64
 		for _, bm := range bench.All() {
 			m := pipeline.NewByteSerial()
-			if err := trace.NewLive(bm).ReplayBlocks(ctx, rc, m); err != nil {
+			if err := capture(b, bm).ReplayBlocks(ctx, rc, m); err != nil {
 				b.Fatal(err)
 			}
 			for k, v := range m.Result().Stalls {
@@ -247,7 +258,7 @@ func BenchmarkAblationScheme(b *testing.B) {
 		var rf3, rf2 float64
 		suite := bench.All()
 		for _, bm := range suite {
-			src := trace.NewLive(bm)
+			src := capture(b, bm)
 			m, err := src.NewMemory()
 			if err != nil {
 				b.Fatal(err)
@@ -275,7 +286,7 @@ func BenchmarkAblationPrediction(b *testing.B) {
 		for _, bm := range suite {
 			m0 := pipeline.NewBaseline32()
 			m1 := pipeline.NewPredicted(pipeline.NameBaseline32)
-			if err := trace.NewLive(bm).ReplayBlocks(ctx, rc, m0, m1); err != nil {
+			if err := capture(b, bm).ReplayBlocks(ctx, rc, m0, m1); err != nil {
 				b.Fatal(err)
 			}
 			plain += m0.Result().CPI()
@@ -294,7 +305,7 @@ func BenchmarkAblationPartition(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ps := activity.NewPartitionStats()
 		for _, bm := range bench.All() {
-			if err := trace.NewLive(bm).ReplayBlocks(ctx, rc, ps); err != nil {
+			if err := capture(b, bm).ReplayBlocks(ctx, rc, ps); err != nil {
 				b.Fatal(err)
 			}
 		}

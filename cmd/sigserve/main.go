@@ -49,9 +49,7 @@
 //
 //	-trace-cache-mb N      memory budget for the LRU of captured benchmark
 //	                       traces (capture once, replay for every model;
-//	                       0 = 256 MB default; negative disables capture and
-//	                       streams each request through the interpreter,
-//	                       one 4096-row block at a time)
+//	                       0 = 256 MB default; negative is a usage error)
 //	-trace-dir DIR         back the trace cache with a capture directory
 //	                       (SIGCAP02 files): new captures persist there,
 //	                       evicted captures demote to disk, and cache misses
@@ -113,7 +111,7 @@ func main() {
 	breakerThreshold := flag.Int("breaker-threshold", simsvc.DefaultBreakerThreshold,
 		"consecutive failures before a (bench, model) pair is quarantined (0 = disabled)")
 	traceCacheMB := flag.Int("trace-cache-mb", 0,
-		"captured-trace LRU budget in MB (0 = 256 MB default, <0 streams each request through the interpreter)")
+		"captured-trace LRU budget in MB (0 = 256 MB default; must not be negative)")
 	traceDir := flag.String("trace-dir", "",
 		"directory for persisted SIGCAP02 captures (spill on evict, reload on miss; empty = in-memory only)")
 	traceMmap := flag.Bool("trace-mmap", true,
@@ -138,6 +136,13 @@ func main() {
 	chaos := flag.String("chaos", "", "DEV ONLY: fault-injection spec, seed:point=kind[(dur)][@prob],... (see internal/faultinject)")
 	flag.Parse()
 
+	if *traceCacheMB < 0 {
+		// Every request replays a capture, so no budget turns caching off;
+		// refuse a negative one instead of silently using the default.
+		fmt.Fprintf(os.Stderr, "sigserve: -trace-cache-mb %d: must not be negative (the live, uncached mode is gone; 0 selects %d MB)\n",
+			*traceCacheMB, simsvc.DefaultTraceCacheMB)
+		os.Exit(2)
+	}
 	var faults *faultinject.Injector
 	if *chaos != "" {
 		var err error

@@ -9,7 +9,6 @@
 //	sigsim -bench crc32 -model byteserial
 //	sigsim -bench crc32 -json         # machine-readable (sigserve schema)
 //	sigsim -bench all -parallel 4     # full-suite evaluation, 4 workers
-//	sigsim -bench all -replay=false   # re-interpret per model (reference path)
 //	sigsim -bench crc32 -capture-dir ./caps   # persist/reuse SIGCAP02 captures (mapped + streamed)
 //	sigsim -bench crc32 -capture-dir ./caps -mmap=false   # eager decode instead of streaming
 package main
@@ -37,8 +36,6 @@ func main() {
 	pipeDiagram := flag.Int("pipe", 0, "render a pipeline diagram of the first N instructions (requires -model)")
 	jsonOut := flag.Bool("json", false, "emit machine-readable results (the schema shared with sigserve)")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "benchmark-level worker count for -bench all (1 = sequential)")
-	replay := flag.Bool("replay", true,
-		"for -bench all: interpret each benchmark once and replay the captured trace per model (false = re-interpret, the reference path)")
 	captureDir := flag.String("capture-dir", "",
 		"capture directory (SIGCAP02 files): replay a single -bench from its persisted capture, interpreting and persisting it on first use")
 	useMmap := flag.Bool("mmap", true,
@@ -71,7 +68,7 @@ func main() {
 	}
 
 	if *benchName == "all" {
-		runSuite(*parallel, *jsonOut, *replay)
+		runSuite(*parallel, *jsonOut)
 		return
 	}
 
@@ -102,16 +99,18 @@ func main() {
 	}
 
 	// With -capture-dir the job replays a persisted capture (interpreting
-	// and persisting it on first use); otherwise it streams the live
-	// interpretation. All sources are bit-identical, and so are the
-	// streaming (mapped SIGCAP02) and eager replay tiers.
-	var src trace.Replayer = trace.NewLive(b)
+	// and persisting it on first use); otherwise it replays a fresh one.
+	// The streaming (mapped SIGCAP02) and eager replay tiers are
+	// bit-identical.
+	var src trace.Replayer
 	if *captureDir != "" {
 		src, err = loadOrCapture(*captureDir, b, *useMmap)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sigsim: %v\n", err)
-			os.Exit(1)
-		}
+	} else {
+		src, err = trace.CaptureRun(context.Background(), b)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sigsim: %v\n", err)
+		os.Exit(1)
 	}
 	// The collectors read program memory; give them a fresh image the
 	// trace's stores are applied to.
@@ -257,17 +256,12 @@ func loadOrCapture(dir string, b bench.Benchmark, useMmap bool) (trace.Replayer,
 
 // runSuite executes the full evaluation (every benchmark through every
 // model) with benchmark-level parallelism and prints a per-benchmark CPI
-// table, or the complete machine-readable evaluation with -json. With
-// replay (the default) each benchmark is interpreted once into a captured
-// trace that is replayed per model; both paths produce byte-identical
-// output.
-func runSuite(workers int, jsonOut, replay bool) {
-	fmt.Fprintf(os.Stderr, "sigsim: running the full suite (%d workers, replay=%v)...\n", workers, replay)
-	run := experiments.RunSuite
-	if !replay {
-		run = experiments.RunSuiteLive
-	}
-	r, err := run(context.Background(), bench.All(), workers)
+// table, or the complete machine-readable evaluation with -json. Each
+// benchmark is interpreted once into a captured trace that is replayed per
+// model.
+func runSuite(workers int, jsonOut bool) {
+	fmt.Fprintf(os.Stderr, "sigsim: running the full suite (%d workers)...\n", workers)
+	r, err := experiments.RunSuite(context.Background(), bench.All(), workers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sigsim: %v\n", err)
 		os.Exit(1)

@@ -31,9 +31,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Interpret the benchmark live; the collectors read cache-line
-	// contents from a fresh image the trace's stores are applied to.
-	src := trace.NewLive(b)
+	// Capture the benchmark's trace once; the collectors read cache-line
+	// contents from a fresh image the replayed stores are applied to.
+	src, err := trace.CaptureRun(context.Background(), b)
+	if err != nil {
+		log.Fatal(err)
+	}
 	image, err := src.NewMemory()
 	if err != nil {
 		log.Fatal(err)

@@ -30,7 +30,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	src := trace.NewLive(b)
+	src, err := trace.CaptureRun(context.Background(), b)
+	if err != nil {
+		log.Fatal(err)
+	}
 	image, err := src.NewMemory()
 	if err != nil {
 		log.Fatal(err)

@@ -29,7 +29,10 @@ func runSuite(t testing.TB) {
 	suiteResults.patterns = NewPatternStats()
 	suiteResults.fetch = &FetchStats{}
 	for _, b := range bench.All() {
-		src := trace.NewLive(b)
+		src, err := trace.CaptureRun(context.Background(), b)
+		if err != nil {
+			t.Fatal(err)
+		}
 		m, err := src.NewMemory()
 		if err != nil {
 			t.Fatal(err)

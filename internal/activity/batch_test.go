@@ -101,7 +101,10 @@ func TestSuiteCollectorsBatchIdentical(t *testing.T) {
 	rc := icomp.MustNewRecoder(icomp.DefaultTopFuncts())
 	for _, bn := range []string{"dijkstra", "g711dec", "rawdaudio"} {
 		b, _ := bench.ByName(bn)
-		src := trace.NewLive(b)
+		src, err := trace.CaptureRun(ctx, b)
+		if err != nil {
+			t.Fatal(err)
+		}
 		type pair struct {
 			kernel trace.Consumer
 			oracle func(trace.Event)

@@ -763,6 +763,37 @@ func TestGatewayReplicaStoreBounded(t *testing.T) {
 	}
 }
 
+// A name stored again (a resubmission) swaps the replica's program under
+// progMu while lookups of the same name read it: under -race this fails if
+// any read of the stored program skips the lock. The lookup answers from
+// the store, so no shard is contacted.
+func TestClusterReplicaStoreConcurrentStore(t *testing.T) {
+	g, _ := newGateway(t, newFleet(t, 1), nil)
+	name := "user:" + strings.Repeat("ab", 32)
+	g.storeReplica(&workload.Program{Name: name, Source: "first"})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			g.storeReplica(&workload.Program{Name: name, Source: fmt.Sprintf("v%d", i)})
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		p, err := g.GetProgram(context.Background(), name)
+		if err != nil {
+			t.Fatalf("GetProgram: %v", err)
+		}
+		if p.Name != name {
+			t.Fatalf("GetProgram returned %q, want %q", p.Name, name)
+		}
+	}
+	<-done
+	p, err := g.GetProgram(context.Background(), name)
+	if err != nil || p.Source != "v199" {
+		t.Fatalf("after the stores: program %+v, err %v; want the last one stored (v199)", p, err)
+	}
+}
+
 // With a fleet install token configured, replica pushes authenticate: a
 // gateway holding the secret replicates across token-gated shards, while a
 // gateway without it has its pushes refused (and the refusal is permanent —

@@ -68,6 +68,14 @@ func (g *Gateway) replicaOf(name string) *replica {
 	return rep
 }
 
+// programOf returns rep's program, the one most recently stored under its
+// name: storeReplica swaps it under progMu.
+func (g *Gateway) programOf(rep *replica) *workload.Program {
+	g.progMu.Lock()
+	defer g.progMu.Unlock()
+	return rep.p
+}
+
 // GetProgram answers a program lookup from the gateway's replica store,
 // falling back to the fleet (content-hash owner first). An unknown id is a
 // permanent 404: content addressing means no other shard can have it under
@@ -79,7 +87,7 @@ func (g *Gateway) GetProgram(ctx context.Context, id string) (*workload.Program,
 		name = "user:" + name
 	}
 	if rep := g.replicaOf(name); rep != nil {
-		return rep.p, nil
+		return g.programOf(rep), nil
 	}
 	bare := strings.TrimPrefix(name, "user:")
 	p, err := dispatch(ctx, g, "program|"+bare, func(ctx context.Context, b *backend) (*workload.Program, error) {
@@ -129,7 +137,7 @@ func (g *Gateway) ensurePrograms(ctx context.Context, names []string) {
 			if done {
 				continue
 			}
-			if err := g.postJSON(ctx, b, "/v1/program/install", hdr, rep.p, nil); err != nil {
+			if err := g.postJSON(ctx, b, "/v1/program/install", hdr, g.programOf(rep), nil); err != nil {
 				g.metrics.replicaErrors.Add(1)
 				continue
 			}

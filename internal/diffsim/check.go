@@ -259,7 +259,7 @@ func widthMask(w int) uint32 {
 
 // timingResults runs the program through one fresh instance of every
 // pipeline model, for at most maxSteps instructions. Sequentially, the
-// models consume the live interpretation together; when concurrent is true
+// models consume one streaming interpretation (trace.Interpret) together; when concurrent is true
 // the program is recorded once and each model replays the capture on its
 // own goroutine, mirroring the parallel-suite execution. Results must not
 // depend on that choice.

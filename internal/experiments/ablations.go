@@ -150,7 +150,11 @@ func AblationInterpretation() (*stats.Table, error) {
 		compOcc := pipeline.NewParallelCompressedOccupancy()
 		skew := pipeline.New(pipeline.NameParallelSkewed)
 		skewLate := pipeline.NewParallelSkewedLateBranch()
-		if err := trace.NewLive(b).ReplayBlocks(ctx, rc, base, comp, compOcc, skew, skewLate); err != nil {
+		cp, err := trace.CaptureRun(ctx, b)
+		if err != nil {
+			return nil, err
+		}
+		if err := cp.ReplayBlocks(ctx, rc, base, comp, compOcc, skew, skewLate); err != nil {
 			return nil, err
 		}
 		baseSum += base.Result().CPI()

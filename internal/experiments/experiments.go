@@ -136,15 +136,15 @@ func (sc *SuiteCollectors) Merge(other *SuiteCollectors) {
 	}
 }
 
-// RunBenchReplay executes one benchmark's trace, from any source (a
-// resident *trace.Capture, a streaming *trace.MappedCapture, or a
-// *trace.Live interpretation), through every pipeline model (including the
-// branch-prediction ablation variants) and every activity collector,
-// honoring ctx cancellation, and returns its BenchResult. When suite is
+// RunBenchReplay executes one benchmark's trace, from either source (a
+// resident *trace.Capture or a streaming *trace.MappedCapture), through
+// every pipeline model (including the branch-prediction ablation variants)
+// and every activity collector, honoring ctx cancellation, and returns its
+// BenchResult. When suite is
 // non-nil the suite-level collectors accumulate this benchmark's trace too.
 // The trace is emitted once, over a fresh memory image the collectors read
 // cache-line contents from; one capture serves any number of calls,
-// concurrently if desired, and every source gives the same result by
+// concurrently if desired, and both sources give the same result by
 // construction and by test. This is the per-benchmark unit of work the
 // full evaluation (sequential or parallel) fans out over and the serving
 // layer (internal/simsvc) reuses instead of recomputing the whole suite.
@@ -210,13 +210,8 @@ func RunBenchReplay(ctx context.Context, rep trace.Replayer, rc *icomp.Recoder, 
 	return br, nil
 }
 
-// RunBenchCtx is RunBenchReplay over the live interpretation of b.
-func RunBenchCtx(ctx context.Context, b bench.Benchmark, rc *icomp.Recoder, suite *SuiteCollectors) (BenchResult, error) {
-	return RunBenchReplay(ctx, trace.NewLive(b), rc, suite)
-}
-
 // RunParallel executes the full evaluation with benchmark-level parallelism:
-// every benchmark runs through RunBenchCtx with its own SuiteCollectors on a
+// every benchmark runs through RunBenchReplay with its own SuiteCollectors on a
 // bounded worker group (first error cancels the rest), and the per-run
 // collectors are merged in suite order. Because collector merging is pure
 // count addition, the Results — including every rendered table and figure —
@@ -229,10 +224,8 @@ func RunParallel(ctx context.Context, workers int) (*Results, error) {
 // worker count, on the capture-once / replay-many path: each benchmark is
 // interpreted exactly once into a trace.Capture, the instruction recoder is
 // profiled from the captures for free, and every model/collector pass is a
-// replay. Results are bit-identical to RunSuiteLive (asserted by test);
-// only the interpreter redundancy is gone. Peak transient memory is the
-// captured suite, ~24 B per dynamic instruction (~90 MB for the full
-// 16-benchmark suite). workers <= 1 selects the sequential path (one shared
+// replay. Peak transient memory is the captured suite, ~24 B per dynamic
+// instruction (~90 MB for the full 16-benchmark suite). workers <= 1 selects the sequential path (one shared
 // collector set, no goroutines); workers > 1 fans benchmarks across that
 // many goroutines with per-run collectors merged afterwards.
 func RunSuite(ctx context.Context, suite []bench.Benchmark, workers int) (*Results, error) {
@@ -250,26 +243,53 @@ func RunSuite(ctx context.Context, suite []bench.Benchmark, workers int) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	return assembleSuite(ctx, rc, functs, len(caps), workers,
-		func(ctx context.Context, i int, cols *SuiteCollectors) (BenchResult, error) {
-			return RunBenchReplay(ctx, caps[i], rc, cols)
-		})
-}
+	collectors := NewSuiteCollectors()
+	res := &Results{
+		Recoder:    rc,
+		Functs:     functs,
+		Patterns:   collectors.Patterns,
+		Fetch:      collectors.Fetch,
+		Partitions: collectors.Partitions,
+		Width64:    collectors.Width64,
+		Frontend:   collectors.Frontend,
+		BM:         collectors.BM,
+	}
+	if workers <= 1 {
+		for _, cp := range caps {
+			br, err := RunBenchReplay(ctx, cp, rc, collectors)
+			if err != nil {
+				return nil, err
+			}
+			res.Bench = append(res.Bench, br)
+		}
+		return res, nil
+	}
 
-// RunSuiteLive is the evaluation without captures: the recoder is profiled
-// by stepping the suite and every benchmark streams through the live
-// source for its model/collector pass, holding one block of its trace at a
-// time. It is equivalence-tested against the capture-backed RunSuite and
-// serves callers that must not hold captured traces in memory.
-func RunSuiteLive(ctx context.Context, suite []bench.Benchmark, workers int) (*Results, error) {
-	rc, functs, err := trace.SuiteRecoder(suite)
+	// Per-run collectors merge in suite order afterwards (merging is
+	// order-independent for the counts; Bench rows must follow suite order
+	// for the tables).
+	type benchOut struct {
+		br   BenchResult
+		cols *SuiteCollectors
+	}
+	outs := make([]benchOut, len(caps))
+	err = forEachBench(ctx, len(caps), workers, func(ctx context.Context, i int) error {
+		cols := NewSuiteCollectors()
+		br, err := RunBenchReplay(ctx, caps[i], rc, cols)
+		if err != nil {
+			return err
+		}
+		outs[i] = benchOut{br: br, cols: cols}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	return assembleSuite(ctx, rc, functs, len(suite), workers,
-		func(ctx context.Context, i int, cols *SuiteCollectors) (BenchResult, error) {
-			return RunBenchCtx(ctx, suite[i], rc, cols)
-		})
+	for i := range outs {
+		res.Bench = append(res.Bench, outs[i].br)
+		collectors.Merge(outs[i].cols)
+	}
+	return res, nil
 }
 
 // CaptureSuite records each benchmark's trace, fanning the interpreter runs
@@ -335,59 +355,6 @@ func forEachBench(ctx context.Context, n, workers int, fn func(context.Context, 
 		return firstErr
 	}
 	return ctx.Err()
-}
-
-// assembleSuite drives the per-benchmark evaluation unit (live or replay)
-// over n benchmarks and assembles the Results. workers <= 1 shares one
-// collector set sequentially; otherwise per-run collectors merge in suite
-// order afterwards (merging is order-independent for the counts; Bench rows
-// must follow suite order for the tables).
-func assembleSuite(ctx context.Context, rc *icomp.Recoder, functs map[isa.Funct]uint64, n, workers int,
-	runOne func(context.Context, int, *SuiteCollectors) (BenchResult, error)) (*Results, error) {
-	collectors := NewSuiteCollectors()
-	res := &Results{
-		Recoder:    rc,
-		Functs:     functs,
-		Patterns:   collectors.Patterns,
-		Fetch:      collectors.Fetch,
-		Partitions: collectors.Partitions,
-		Width64:    collectors.Width64,
-		Frontend:   collectors.Frontend,
-		BM:         collectors.BM,
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			br, err := runOne(ctx, i, collectors)
-			if err != nil {
-				return nil, err
-			}
-			res.Bench = append(res.Bench, br)
-		}
-		return res, nil
-	}
-
-	type benchOut struct {
-		br   BenchResult
-		cols *SuiteCollectors
-	}
-	outs := make([]benchOut, n)
-	err := forEachBench(ctx, n, workers, func(ctx context.Context, i int) error {
-		cols := NewSuiteCollectors()
-		br, err := runOne(ctx, i, cols)
-		if err != nil {
-			return err
-		}
-		outs[i] = benchOut{br: br, cols: cols}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i := range outs {
-		res.Bench = append(res.Bench, outs[i].br)
-		collectors.Merge(outs[i].cols)
-	}
-	return res, nil
 }
 
 // MeanCPI returns the arithmetic-mean CPI of one model over the suite.

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/icomp"
+	"repro/internal/trace"
 )
 
 // TestParallelSequentialEquivalence is the tentpole acceptance check: the
@@ -99,13 +100,16 @@ func TestMemoRetriesAfterError(t *testing.T) {
 
 // Regression for suite-map poisoning: a failed benchmark run must not leave
 // a partially-filled Brooks-Martonosi collector in the suite results.
-func TestRunBenchCtxFailureLeavesNoBMCollector(t *testing.T) {
-	b := bench.All()[0]
+func TestRunBenchReplayFailureLeavesNoBMCollector(t *testing.T) {
+	cp, err := trace.CaptureRun(context.Background(), bench.All()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
 	rc := icomp.MustNewRecoder(icomp.DefaultTopFuncts())
 	cols := NewSuiteCollectors()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunBenchCtx(ctx, b, rc, cols); err == nil {
+	if _, err := RunBenchReplay(ctx, cp, rc, cols); err == nil {
 		t.Fatal("expected an error from a cancelled context")
 	}
 	if len(cols.BM) != 0 {

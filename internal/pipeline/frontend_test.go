@@ -47,16 +47,20 @@ func TestByteFetchRawMatchesBaseline32(t *testing.T) {
 }
 
 // TestByteFetchLiveReplayBatchIdentical pins, for every byte-fetch model,
-// the kernel over the live source and over a capture against the oracle:
-// all three must produce the same Result.
+// the kernel over the streaming interpreter (trace.Interpret) and over a
+// capture against the oracle: all three must produce the same Result.
 func TestByteFetchLiveReplayBatchIdentical(t *testing.T) {
 	ctx := context.Background()
 	b, _ := bench.ByName("g711dec")
 	cp := captureBench(t, "g711dec")
 	for _, name := range byteFetchTestNames {
 		live, scalar, batch := New(name), New(name), New(name)
-		if err := trace.NewLive(b).ReplayBlocks(ctx, testRecoder, live); err != nil {
-			t.Fatalf("%s live: %v", name, err)
+		c, err := b.NewCPU()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := trace.Interpret(ctx, c, b.MaxInsts, nil, testRecoder, live); err != nil || !c.Done {
+			t.Fatalf("%s live: %v (halted %v)", name, err, c.Done)
 		}
 		if err := oracleReplay(cp, scalar); err != nil {
 			t.Fatalf("%s oracle replay: %v", name, err)

@@ -9,20 +9,20 @@ import (
 	"repro/internal/pipeline"
 )
 
-// BenchmarkSweepReplayVsExecute compares a 3-benchmark × 3-model sweep on
-// the capture/replay path (warm trace cache) against the live path that
-// re-interprets every job. CacheSize 1 defeats the result LRU in both arms
-// so every job really runs; each arm gets one untimed warm-up sweep (which
-// fills the replay arm's trace cache — steady-state serving, the case the
-// engine exists for). Scalar against batch replay of one model is
+// BenchmarkSweepColdVsWarm compares a 3-benchmark × 3-model sweep on a
+// cold service (a new one per sweep: recoder profile, one capture per
+// benchmark, then a replay per job) against a warm one whose trace cache
+// already holds every capture (steady-state serving, the case the engine
+// exists for). CacheSize 1 defeats the result LRU, so every job really
+// runs. Scalar against batch replay of one model is
 // pipeline.BenchmarkModelReplay.
-func BenchmarkSweepReplayVsExecute(b *testing.B) {
+func BenchmarkSweepColdVsWarm(b *testing.B) {
 	benches := []string{"dijkstra", "g711dec", "rawdaudio"}
 	models := []string{pipeline.NameBaseline32, pipeline.NameByteSerial, pipeline.NameParallelCompressed}
 
-	newSvc := func(b *testing.B, traceCacheMB int) *Service {
+	newSvc := func(b *testing.B) *Service {
 		b.Helper()
-		cfg := Config{Workers: 1, CacheSize: 1, TraceCacheMB: traceCacheMB}
+		cfg := Config{Workers: 1, CacheSize: 1}
 		for _, n := range benches {
 			bm, ok := bench.ByName(n)
 			if !ok {
@@ -30,9 +30,7 @@ func BenchmarkSweepReplayVsExecute(b *testing.B) {
 			}
 			cfg.Benchmarks = append(cfg.Benchmarks, bm)
 		}
-		s := New(cfg)
-		b.Cleanup(s.Close)
-		return s
+		return New(cfg)
 	}
 
 	sweep := func(b *testing.B, s *Service) {
@@ -46,21 +44,23 @@ func BenchmarkSweepReplayVsExecute(b *testing.B) {
 		}
 	}
 
-	for _, arm := range []struct {
-		name         string
-		traceCacheMB int
-	}{
-		{"execute", -1}, // live reference path: interpret every job
-		{"replay", 0},   // replay each job over column blocks
-	} {
-		b.Run(fmt.Sprintf("%s/benches=%d/models=%d", arm.name, len(benches), len(models)), func(b *testing.B) {
-			s := newSvc(b, arm.traceCacheMB)
-			sweep(b, s) // warm-up: recoder profile + (replay arm) trace captures
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sweep(b, s)
-			}
-		})
-	}
+	name := fmt.Sprintf("benches=%d/models=%d", len(benches), len(models))
+	b.Run("cold/"+name, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s := newSvc(b)
+			sweep(b, s)
+			s.Close()
+		}
+	})
+	b.Run("warm/"+name, func(b *testing.B) {
+		s := newSvc(b)
+		b.Cleanup(s.Close)
+		sweep(b, s) // warm-up: recoder profile + trace captures
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sweep(b, s)
+		}
+	})
 }

@@ -77,11 +77,8 @@ type Config struct {
 	// DefaultBreakerCooldown).
 	BreakerCooldown time.Duration
 	// TraceCacheMB budgets the in-memory LRU of captured benchmark traces
-	// (the capture-once/replay-many engine, internal/trace). 0 selects
-	// DefaultTraceCacheMB; negative disables capture/replay entirely, so
-	// every request streams its benchmark through the interpreter
-	// (trace.Live: one interpretation per request, holding one block of
-	// the trace at a time; bit-identical by construction and by test).
+	// (the capture-once/replay-many engine, internal/trace). Zero or
+	// negative selects DefaultTraceCacheMB.
 	TraceCacheMB int
 	// TraceDir, when set, backs the trace cache with a capture directory
 	// (SIGCAP02 files): newly captured traces are persisted there, evicted
@@ -90,11 +87,10 @@ type Config struct {
 	// freshly sharded services start warm from each other's captures.
 	// Loads are mapped read-only and replayed by streaming frames, so a
 	// warm start costs the footer index (not a full decode) and co-located
-	// shards share the file pages through the OS page cache. Ignored when
-	// the trace cache is disabled. All directory I/O is best-effort: a
-	// missing, corrupt, stale or other-format file degrades to a miss, and
-	// the fresh capture replaces it; an unwritable dir degrades to the
-	// in-memory path.
+	// shards share the file pages through the OS page cache. All directory
+	// I/O is best-effort: a missing, corrupt, stale or other-format file
+	// degrades to a miss, and the fresh capture replaces it; an unwritable
+	// dir degrades to the in-memory path.
 	TraceDir string
 	// TraceNoMmap disables the mapped residency tier: spilled captures
 	// are always eagerly decoded into memory. For platforms or operators
@@ -133,7 +129,7 @@ type Service struct {
 	installToken string
 	pool         *pool
 	cache        *lru.Cache[*Response]
-	traces       *traceCache            // nil when capture/replay is disabled
+	traces       *traceCache
 	traceDir     string                 // capture spill directory ("" = in-memory only)
 	traceNoMmap  bool                   // true = spill loads always eagerly decode
 	tflight      lru.Group[*traceEntry] // one capture per benchmark in flight
@@ -172,6 +168,9 @@ func New(cfg Config) *Service {
 	if cfg.Retries < 0 {
 		cfg.Retries = 0
 	}
+	if cfg.TraceCacheMB <= 0 {
+		cfg.TraceCacheMB = DefaultTraceCacheMB
+	}
 	if cfg.Programs == nil {
 		// Cannot fail: the only construction error is a spill directory,
 		// and the default options have none.
@@ -186,19 +185,13 @@ func New(cfg Config) *Service {
 		programs:     cfg.Programs,
 		installToken: cfg.InstallToken,
 		cache:        lru.New[*Response](cfg.CacheSize, 0),
+		traceDir:     cfg.TraceDir,
+		traceNoMmap:  cfg.TraceNoMmap,
 		faults:       cfg.Faults,
 		start:        time.Now(),
 	}
 	s.pool = newPool(cfg.Workers, cfg.MaxQueued, &s.metrics, cfg.Faults)
-	if cfg.TraceCacheMB >= 0 {
-		mb := cfg.TraceCacheMB
-		if mb == 0 {
-			mb = DefaultTraceCacheMB
-		}
-		s.traces = newTraceCache(int64(mb)<<20, &s.metrics)
-		s.traceDir = cfg.TraceDir
-		s.traceNoMmap = cfg.TraceNoMmap
-	}
+	s.traces = newTraceCache(int64(cfg.TraceCacheMB)<<20, &s.metrics)
 	// A fault at the join seam fails only the joining waiter; the leader's
 	// execution (and every other waiter) is untouched.
 	s.flight.Join = func(ctx context.Context) error { return s.faults.Fire(ctx, faultinject.PointFlightJoin) }
@@ -313,7 +306,7 @@ type Request struct {
 	// Bench names the benchmark (see Service.Benchmarks).
 	Bench string `json:"bench"`
 	// Model names the pipeline model; empty runs the full per-benchmark
-	// evaluation (every model and collector, experiments.RunBenchCtx).
+	// evaluation (every model and collector, experiments.RunBenchReplay).
 	Model string `json:"model,omitempty"`
 	// Gran is the activity-collector granularity: 1 = byte (default),
 	// 2 = halfword. Ignored (both collected) for full evaluations.

@@ -124,11 +124,8 @@ func (s *Service) evalBenches(ctx context.Context, rc *icomp.Recoder, benches []
 						br       experiments.BenchResult
 						benchErr error
 					)
-					// Replay the benchmark's trace source: the shared capture
-					// (one interpreter run per benchmark, whoever asked
-					// first), or the live interpreter with the trace cache
-					// off; bit-identical either way by construction and by
-					// test. A mapped entry evicted (and closed) between the
+					// Replay the benchmark's shared capture (one interpreter
+					// run per benchmark, whoever asked first). A mapped entry evicted (and closed) between the
 					// cache hit and the replay fails before consuming any
 					// row, so one retry — which misses and re-maps — is safe
 					// and sufficient.

@@ -17,8 +17,8 @@ import (
 )
 
 // DefaultTraceCacheMB is the captured-trace budget when Config.TraceCacheMB
-// is zero: enough for the whole served suite (~90 MB at 24 B/instruction)
-// with headroom.
+// is not positive: enough for the whole served suite (~90 MB at
+// 24 B/instruction) with headroom.
 const DefaultTraceCacheMB = 256
 
 // traceEntry is one benchmark's captured trace as held by the trace cache,
@@ -142,39 +142,26 @@ func (c *traceCache) refresh(key string) []lru.Entry[*traceEntry] {
 	return evicted
 }
 
-// TraceCacheLen returns the number of cached captures (0 when disabled).
-func (s *Service) TraceCacheLen() int {
-	if s.traces == nil {
-		return 0
-	}
-	return s.traces.Len()
-}
+// TraceCacheLen returns the number of cached captures.
+func (s *Service) TraceCacheLen() int { return s.traces.Len() }
 
 // TraceCacheBytes returns the cached captures' accounted bytes.
-func (s *Service) TraceCacheBytes() int64 {
-	if s.traces == nil {
-		return 0
-	}
-	return s.traces.Bytes()
-}
+func (s *Service) TraceCacheBytes() int64 { return s.traces.Bytes() }
 
 // TraceMappedEntries returns how many cached captures are on the mapped
 // (streaming SIGCAP02) residency tier rather than fully decoded.
 func (s *Service) TraceMappedEntries() int {
 	n := 0
-	if s.traces != nil {
-		for _, e := range s.traces.Values() {
-			if e.mapped != nil {
-				n++
-			}
+	for _, e := range s.traces.Values() {
+		if e.mapped != nil {
+			n++
 		}
 	}
 	return n
 }
 
 // captureFor returns b's captured trace, from the trace cache when
-// possible. With the trace cache disabled it returns a transient entry
-// over the live interpreter instead, cached nowhere; concurrent misses for the same benchmark share one interpreter
+// possible. Concurrent misses for the same benchmark share one interpreter
 // run via the capture singleflight. With a trace dir configured, a miss
 // tries the persisted capture before re-interpreting, and a fresh capture
 // is persisted for future shards/restarts. The result-cache fault points
@@ -182,9 +169,6 @@ func (s *Service) TraceMappedEntries() int {
 // injected get failure degrades to a miss (re-capture), an injected put
 // failure skips caching — neither fails the request.
 func (s *Service) captureFor(ctx context.Context, b bench.Benchmark) (*traceEntry, error) {
-	if s.traces == nil {
-		return &traceEntry{rep: trace.NewLive(b)}, nil
-	}
 	if e, ok := s.traceGet(ctx, b.Name); ok {
 		s.metrics.traceCacheHits.Add(1)
 		return e, nil
@@ -276,9 +260,6 @@ func (s *Service) spillEvicted(evicted []lru.Entry[*traceEntry]) {
 // its capture's memos (each new recoder profile adds a per-slot fetch-size
 // table), evicting and demoting if the growth breaks the budget.
 func (s *Service) traceRefresh(key string) {
-	if s.traces == nil {
-		return
-	}
 	s.spillEvicted(s.traces.refresh(key))
 }
 
@@ -302,10 +283,9 @@ func (s *Service) tracePut(ctx context.Context, key string, e *traceEntry) {
 	s.spillEvicted(evicted)
 }
 
-// executeReplay runs one request: it resolves the benchmark's trace source
-// (a cached capture shared across concurrent requests and models, or the
-// live interpreter when the trace cache is off) and replays it. Responses
-// are bit-identical whatever the source. A mapped
+// executeReplay runs one request: it resolves the benchmark's capture
+// (shared across concurrent requests and models, resident or mapped) and
+// replays it. Responses are bit-identical whatever the tier. A mapped
 // entry can be evicted — and its handle closed — between our cache hit and
 // the replay; that loses nothing but the mapping, so it is retried exactly
 // once: the retry's captureFor misses and re-maps (or re-captures) fresh.
@@ -338,30 +318,16 @@ func (s *Service) replayOnce(ctx context.Context, req Request, rc *icomp.Recoder
 	}
 
 	m := pipeline.New(req.Model)
-	var counts activity.Counts
-	if _, live := e.rep.(*trace.Live); live {
-		// Nothing is kept between live passes, so interpret once with the
-		// model and the collector riding the same pass.
-		mem, err := e.rep.NewMemory()
-		if err != nil {
-			return nil, err
-		}
-		col := activity.NewCollector(req.Gran, rc, mem)
-		if err := e.rep.ReplayBlocksOn(ctx, mem, rc, m, col); err != nil {
-			return nil, err
-		}
-		counts = col.Counts()
-	} else {
-		// Pipeline models never read program memory, so the model replay
-		// skips the shadow image entirely; the activity counts come from
-		// the per-entry memo (one memory-backed replay per granularity,
-		// shared by every model of a sweep).
-		if err := e.rep.ReplayBlocks(ctx, rc, m); err != nil {
-			return nil, err
-		}
-		if counts, err = e.activityCounts(ctx, req.Gran, rc); err != nil {
-			return nil, err
-		}
+	// Pipeline models never read program memory, so the model replay skips
+	// the shadow image entirely; the activity counts come from the
+	// per-entry memo (one memory-backed replay per granularity, shared by
+	// every model of a sweep).
+	if err := e.rep.ReplayBlocks(ctx, rc, m); err != nil {
+		return nil, err
+	}
+	counts, err := e.activityCounts(ctx, req.Gran, rc)
+	if err != nil {
+		return nil, err
 	}
 	// Replaying under a new recoder profile grows the capture's memo; keep
 	// the byte-budgeted LRU's ledger honest.

@@ -7,7 +7,11 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/activity"
+	"repro/internal/bench"
+	"repro/internal/experiments"
 	"repro/internal/faultinject"
+	"repro/internal/icomp"
 	"repro/internal/pipeline"
 	"repro/internal/trace"
 )
@@ -170,15 +174,88 @@ func TestCaptureSingleflightDedup(t *testing.T) {
 	}
 }
 
-// The acceptance criterion: suite output must be byte-identical with the
-// trace cache enabled (capture/replay) versus disabled (live reference
-// path).
+// reference computes answers outside the service, as the independent side
+// of the byte-identity checks: fresh captures of the served benchmarks
+// under the recoder profiled over them, as the service profiles its own.
+type reference struct {
+	rc   *icomp.Recoder
+	caps map[string]*trace.Capture
+}
+
+func newReference(t *testing.T, served ...string) *reference {
+	t.Helper()
+	var suite []bench.Benchmark
+	ref := &reference{caps: make(map[string]*trace.Capture)}
+	for _, name := range served {
+		b := mustTestBench(t, name)
+		suite = append(suite, b)
+		cp, err := trace.CaptureRun(context.Background(), b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.caps[name] = cp
+	}
+	rc, _, err := trace.SuiteRecoder(suite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.rc = rc
+	return ref
+}
+
+// response replays req's capture through a new model and activity
+// collector and returns the normalized JSON a service answer must equal.
+func (ref *reference) response(t *testing.T, req Request) string {
+	t.Helper()
+	cp := ref.caps[req.Bench]
+	image, err := cp.NewMemory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gran := req.Gran
+	if gran == 0 {
+		gran = 1
+	}
+	m := pipeline.New(req.Model)
+	col := activity.NewCollector(gran, ref.rc, image)
+	if err := cp.ReplayBlocksOn(context.Background(), image, ref.rc, m, col); err != nil {
+		t.Fatal(err)
+	}
+	r := m.Result()
+	stalls := make(map[string]uint64, len(r.Stalls))
+	for k, v := range r.Stalls {
+		stalls[string(k)] = v
+	}
+	return normalized(t, &Response{
+		Bench: req.Bench, Model: req.Model, Granularity: gran,
+		Insts: r.Insts, Cycles: r.Cycles, CPI: r.CPI(), Stalls: stalls,
+		Activity: experiments.SavingMap(col.Counts()),
+	})
+}
+
+// normalized marshals r with the non-deterministic envelope fields zeroed;
+// everything else must match bit for bit.
+func normalized(t *testing.T, r *Response) string {
+	t.Helper()
+	c := *r
+	c.ElapsedMS = 0
+	c.Cached = false
+	j, err := json.Marshal(&c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(j)
+}
+
+// The acceptance criterion: the service's suite (captured once per
+// benchmark, replayed from its trace cache) must be byte-identical to
+// experiments.RunSuite over the same benchmarks, outside the service. A
+// negative budget selects the default: no value turns capture off.
 func TestSuiteByteIdenticalReplayVsLive(t *testing.T) {
 	benches := []string{"dijkstra", "g711dec", "rawdaudio"}
-	replaySvc := testService(t, Config{Workers: 4}, benches...)
-	liveSvc := testService(t, Config{Workers: 4, TraceCacheMB: -1}, benches...)
-	if replaySvc.traces == nil || liveSvc.traces != nil {
-		t.Fatal("trace-cache enablement wiring is wrong")
+	replaySvc := testService(t, Config{Workers: 4, TraceCacheMB: -1}, benches...)
+	if replaySvc.traces.maxBytes != DefaultTraceCacheMB<<20 {
+		t.Fatalf("TraceCacheMB -1 budgets %d bytes, want the default %d", replaySvc.traces.maxBytes, DefaultTraceCacheMB<<20)
 	}
 	ctx := context.Background()
 
@@ -186,72 +263,65 @@ func TestSuiteByteIdenticalReplayVsLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	liveResp, err := liveSvc.Suite(ctx)
+	var suite []bench.Benchmark
+	for _, name := range benches {
+		suite = append(suite, mustTestBench(t, name))
+	}
+	want, err := experiments.RunSuite(ctx, suite, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if replayResp.Insts != liveResp.Insts {
-		t.Fatalf("insts: replay %d vs live %d", replayResp.Insts, liveResp.Insts)
+	var wantInsts uint64
+	for _, br := range want.Bench {
+		wantInsts += br.Insts
+	}
+	if replayResp.Insts != wantInsts {
+		t.Fatalf("insts: service %d vs RunSuite %d", replayResp.Insts, wantInsts)
 	}
 	replayJSON, err := json.Marshal(replayResp.Suite)
 	if err != nil {
 		t.Fatal(err)
 	}
-	liveJSON, err := json.Marshal(liveResp.Suite)
+	wantJSON, err := json.Marshal(want.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(replayJSON) != string(liveJSON) {
-		t.Fatalf("suite JSON differs between replay and live paths:\nreplay: %.400s\nlive:   %.400s", replayJSON, liveJSON)
+	if string(replayJSON) != string(wantJSON) {
+		t.Fatalf("suite JSON differs between the service and RunSuite:\nservice:  %.400s\nRunSuite: %.400s", replayJSON, wantJSON)
 	}
 	if m := replaySvc.Metrics().Snapshot(); m.Captures != uint64(len(benches)) {
 		t.Fatalf("replay suite captured %d traces, want %d", m.Captures, len(benches))
 	}
 }
 
-// Per-job sweep responses must also be byte-identical between the replay and
-// live paths, at both granularities.
+// Per-job sweep responses must also be byte-identical to the same jobs
+// computed outside the service, at both granularities.
 func TestSweepByteIdenticalReplayVsLive(t *testing.T) {
 	benches := []string{"dijkstra", "g711dec"}
 	models := []string{pipeline.NameBaseline32, pipeline.NameByteSerial, pipeline.NameParallelCompressed}
 	ctx := context.Background()
+	ref := newReference(t, benches...)
 
-	collect := func(s *Service, gran int) map[string]string {
-		t.Helper()
-		out := make(map[string]string)
-		_, err := s.Sweep(ctx, gran, benches, models, func(r *Response) error {
+	for _, gran := range []int{1, 2} {
+		replaySvc := testService(t, Config{Workers: 4}, benches...)
+		var jobs []*Response
+		_, err := replaySvc.Sweep(ctx, gran, benches, models, func(r *Response) error {
 			if r.Error != "" {
 				return fmt.Errorf("job %s/%s: %s", r.Bench, r.Model, r.Error)
 			}
-			// Normalize the non-deterministic envelope fields; everything
-			// else must match bit for bit.
-			c := *r
-			c.ElapsedMS = 0
-			c.Cached = false
-			j, err := json.Marshal(&c)
-			if err != nil {
-				return err
-			}
-			out[r.Bench+"|"+r.Model] = string(j)
+			jobs = append(jobs, r)
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out
-	}
-
-	for _, gran := range []int{1, 2} {
-		replaySvc := testService(t, Config{Workers: 4}, benches...)
-		liveSvc := testService(t, Config{Workers: 4, TraceCacheMB: -1}, benches...)
-		replayJobs := collect(replaySvc, gran)
-		liveJobs := collect(liveSvc, gran)
-		if len(replayJobs) != len(benches)*len(models) {
-			t.Fatalf("gran %d: %d jobs, want %d", gran, len(replayJobs), len(benches)*len(models))
+		if len(jobs) != len(benches)*len(models) {
+			t.Fatalf("gran %d: %d jobs, want %d", gran, len(jobs), len(benches)*len(models))
 		}
-		for k, rj := range replayJobs {
-			if lj, ok := liveJobs[k]; !ok || lj != rj {
-				t.Fatalf("gran %d, job %s differs:\nreplay: %s\nlive:   %s", gran, k, rj, lj)
+		for _, r := range jobs {
+			got := normalized(t, r)
+			if want := ref.response(t, Request{Bench: r.Bench, Model: r.Model, Gran: gran}); got != want {
+				t.Errorf("gran %d, job %s/%s differs:\nservice:   %s\nreference: %s", gran, r.Bench, r.Model, got, want)
 			}
 		}
 		// One capture per benchmark serves every model of the sweep.
@@ -270,21 +340,17 @@ func TestTraceCacheChaosDegradesGracefully(t *testing.T) {
 		faultinject.Rule{Point: faultinject.PointCachePut, Kind: faultinject.KindError, Prob: 1},
 	)
 	s := chaosService(t, Config{Workers: 2}, inj, "g711dec")
-	clean := testService(t, Config{Workers: 2, TraceCacheMB: -1})
 	ctx := context.Background()
 
 	req := Request{Bench: "g711dec", Model: pipeline.NameByteSerial}
-	want, err := clean.Simulate(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := newReference(t, "g711dec").response(t, req)
 	for i := 0; i < 3; i++ {
-		got, err := s.Simulate(ctx, Request{Bench: "g711dec", Model: pipeline.NameByteSerial, Gran: 0})
+		got, err := s.Simulate(ctx, req)
 		if err != nil {
 			t.Fatalf("request %d under cache faults: %v", i, err)
 		}
-		if got.CPI != want.CPI || got.Cycles != want.Cycles || got.Insts != want.Insts {
-			t.Fatalf("request %d diverged under cache faults: %+v vs %+v", i, got, want)
+		if normalized(t, got) != want {
+			t.Fatalf("request %d diverged under cache faults:\ngot:  %s\nwant: %s", i, normalized(t, got), want)
 		}
 	}
 	// Puts were all skipped, so nothing was ever cached...

@@ -3,7 +3,6 @@ package simsvc
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"os"
 	"testing"
 
@@ -114,14 +113,14 @@ func TestTraceCacheRefreshUnderRecoderChurn(t *testing.T) {
 // TestTraceDirSpillAndReload drives the full demote/promote cycle through
 // the service: captures persist to the trace dir, an evicted benchmark
 // reloads from disk instead of re-interpreting, and the reloaded capture's
-// responses are byte-identical to the live path.
+// responses are byte-identical to the same job computed outside the
+// service.
 func TestTraceDirSpillAndReload(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
 	// 2 MB holds one ~1.4 MB capture at a time, so the two benchmarks
 	// evict each other.
 	s := testService(t, Config{Workers: 2, TraceCacheMB: 2, TraceDir: dir}, "dijkstra", "g711dec")
-	live := testService(t, Config{Workers: 2, TraceCacheMB: -1}, "dijkstra", "g711dec")
 
 	req1 := Request{Bench: "dijkstra", Model: pipeline.NameByteSerial}
 	req2 := Request{Bench: "g711dec", Model: pipeline.NameByteSerial}
@@ -159,22 +158,9 @@ func TestTraceDirSpillAndReload(t *testing.T) {
 	}
 
 	// The reloaded capture must serve byte-identical responses.
-	want, err := live.Simulate(ctx, req1b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	normalize := func(r *Response) string {
-		c := *r
-		c.ElapsedMS = 0
-		c.Cached = false
-		j, err := json.Marshal(&c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(j)
-	}
-	if normalize(got) != normalize(want) {
-		t.Fatalf("reloaded capture diverges from live path:\nreplay: %s\nlive:   %s", normalize(got), normalize(want))
+	want := newReference(t, "dijkstra", "g711dec").response(t, req1b)
+	if normalized(t, got) != want {
+		t.Fatalf("reloaded capture diverges from the reference:\nreplay:    %s\nreference: %s", normalized(t, got), want)
 	}
 }
 
@@ -286,17 +272,6 @@ func TestTraceDirMappedTier(t *testing.T) {
 	req1 := Request{Bench: "dijkstra", Model: pipeline.NameByteSerial, Gran: 1}
 	req2 := Request{Bench: "g711dec", Model: pipeline.NameByteSerial, Gran: 1}
 
-	normalize := func(r *Response) string {
-		c := *r
-		c.ElapsedMS = 0
-		c.Cached = false
-		j, err := json.Marshal(&c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(j)
-	}
-
 	// Cold shard: interprets and spills; the 2 MB budget holds only one
 	// decoded (~1.4 MB) capture at a time, so the second bench evicts the
 	// first.
@@ -345,9 +320,9 @@ func TestTraceDirMappedTier(t *testing.T) {
 		t.Fatalf("two mapped entries account %d bytes, one resident capture %d: mapped tier is not cheap",
 			wb, coldBytes)
 	}
-	if normalize(g1) != normalize(w1) || normalize(g2) != normalize(w2) {
+	if normalized(t, g1) != normalized(t, w1) || normalized(t, g2) != normalized(t, w2) {
 		t.Fatalf("mapped replay diverges from resident replay:\nmapped:   %s\nresident: %s",
-			normalize(g1), normalize(w1))
+			normalized(t, g1), normalized(t, w1))
 	}
 
 	// TraceNoMmap: same warm start, eager tier only, same answers.
@@ -363,7 +338,7 @@ func TestTraceDirMappedTier(t *testing.T) {
 	if n := eager.TraceMappedEntries(); n != 0 {
 		t.Fatalf("TraceNoMmap shard mapped entries = %d, want 0", n)
 	}
-	if normalize(e1) != normalize(w1) {
-		t.Fatalf("eager warm replay diverges:\neager: %s\ncold:  %s", normalize(e1), normalize(w1))
+	if normalized(t, e1) != normalized(t, w1) {
+		t.Fatalf("eager warm replay diverges:\neager: %s\ncold:  %s", normalized(t, e1), normalized(t, w1))
 	}
 }

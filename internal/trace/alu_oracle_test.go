@@ -372,7 +372,7 @@ func FuzzALUActivityClosedForm(f *testing.F) {
 }
 
 // TestSigWordAllocFree guards the per-instruction annotate-and-pack step:
-// it runs once per retired instruction on every capture and live window.
+// it runs once per retired instruction on every capture and Interpret window.
 func TestSigWordAllocFree(t *testing.T) {
 	raw := isa.EncodeI(isa.OpSW, isa.RegT0, isa.RegT1, -4)
 	e := cpu.Exec{

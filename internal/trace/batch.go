@@ -226,9 +226,9 @@ func (cp *Capture) ReplayBlocksOn(ctx context.Context, m *mem.Memory, rc *icomp.
 // splitting at store rows when a memory image is present: rows [lo, i) are
 // emitted, store i is applied, and the next span starts at i — the store
 // row is observed only after its store has landed, and before any later
-// one. All three sources (ReplayBlocksOn, the streaming frame replayer and
-// the live window) share this, so their memory ordering cannot diverge. start is the trace-global index
-// of span row 0; endNextPC is the NextPC of the span's final row; misses
+// one. Both sources' replays (ReplayBlocksOn and the streaming frame
+// replayer) and Interpret's window share this, so their memory ordering
+// cannot diverge. start is the trace-global index of span row 0; endNextPC is the NextPC of the span's final row; misses
 // are the miss-stream events of the span's rows, sliced per emitted block.
 // blk carries the Statics/IFB annotation tables and is reused across calls.
 func emitSpans(blk *Block, m *mem.Memory, consumers []Consumer, start int,

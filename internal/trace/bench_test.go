@@ -18,16 +18,21 @@ func benchRecoder(b *testing.B) *icomp.Recoder {
 	return rc
 }
 
-// BenchmarkStepAnnotate measures the live source: interpret the benchmark,
-// annotate every retired instruction into the reused window, and emit its
-// blocks (miss events included) to a discarding consumer.
+// BenchmarkStepAnnotate measures the streaming interpreter (Interpret):
+// step the benchmark, annotate every retired instruction into the reused
+// window, and emit its blocks (miss events included) to a discarding
+// consumer.
 func BenchmarkStepAnnotate(b *testing.B) {
 	bm := mustBench(b, "dijkstra")
 	rc := benchRecoder(b)
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := trace.NewLive(bm).ReplayBlocks(ctx, rc, nopConsumer); err != nil {
+		c, err := bm.NewCPU()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := trace.Interpret(ctx, c, bm.MaxInsts, nil, rc, nopConsumer); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -31,14 +31,14 @@ func replayEvents(t *testing.T, cp *trace.Capture) []trace.Event {
 
 // TestRecordReplayEquivalence records a benchmark to a capture file, loads
 // it back, and demands the replay reproduce the exact pipeline result of
-// the live run: the record-once, study-many contract sigtrace serves.
+// the streaming interpreter: the record-once, study-many contract sigtrace serves.
 func TestRecordReplayEquivalence(t *testing.T) {
 	ctx := context.Background()
 	b := mustBench(t, "g711dec")
 	rc := defaultRecoder(t)
 
-	live := pipeline.NewByteSerial()
-	if err := trace.NewLive(b).ReplayBlocks(ctx, rc, live); err != nil {
+	interpreted := pipeline.NewByteSerial()
+	if err := interpretOn(ctx, b, nil, rc, interpreted); err != nil {
 		t.Fatal(err)
 	}
 	cp, err := trace.CaptureRun(ctx, b)
@@ -57,8 +57,8 @@ func TestRecordReplayEquivalence(t *testing.T) {
 	if err := loaded.ReplayBlocks(ctx, rc, replayed); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := replayed.Result(), live.Result(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("replay: %+v\nlive:   %+v", got, want)
+	if got, want := replayed.Result(), interpreted.Result(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replay: %+v\ninterpreted: %+v", got, want)
 	}
 }
 

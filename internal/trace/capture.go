@@ -33,8 +33,8 @@
 // memory during a run (syscalls write the CPU's output buffer, never
 // memory). Replay therefore rebuilds the initial image and applies each
 // captured store before any consumer sees its row, and no later store
-// before it (see emitSpans) — making replay bit-identical to live
-// interpretation, which the equivalence tests assert.
+// before it (see emitSpans) — making replay bit-identical to streaming
+// interpretation (Interpret), which the equivalence tests assert.
 package trace
 
 import (
@@ -111,11 +111,10 @@ const maxIFBMemos = 4
 
 // Replayer is the read side of a trace: everything the serving and
 // evaluation layers need to fan a benchmark out to consumers. It is
-// satisfied by the three block sources — the fully decoded in-memory
-// Capture, the mmap-backed MappedCapture (stream.go), whose replay memory is
-// O(frame) instead of O(trace), and Live interpretation (live.go), which
-// holds no trace at all. All three are byte-identical by test, so callers
-// choose one purely on memory/latency grounds.
+// satisfied by the two block sources — the fully decoded in-memory Capture
+// and the mmap-backed MappedCapture (stream.go), whose replay memory is
+// O(frame) instead of O(trace). The two are byte-identical by test, so
+// callers choose one purely on memory/latency grounds.
 type Replayer interface {
 	// Bench returns the benchmark the trace belongs to.
 	Bench() bench.Benchmark
@@ -319,7 +318,7 @@ func (cp *Capture) cols() [6]*[]uint32 {
 	return [6]*[]uint32{&cp.slot, &cp.pc, &cp.srcA, &cp.srcB, &cp.result, &cp.sig}
 }
 
-// grow gives the empty dynamic columns room for n rows: the live source's
+// grow gives the empty dynamic columns room for n rows: Interpret's
 // window, which is emptied whenever it fills.
 func (cp *Capture) grow(n int) {
 	for _, col := range cp.cols() {
@@ -344,7 +343,7 @@ func (cp *Capture) Finalize() {
 }
 
 // truncate empties the dynamic columns, keeping their storage and the
-// statics table: the live source's window reuse.
+// statics table: Interpret's window reuse.
 func (cp *Capture) truncate() {
 	for _, col := range cp.cols() {
 		*col = (*col)[:0]

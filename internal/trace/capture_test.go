@@ -58,7 +58,8 @@ func fullReplay(ctx context.Context, rep trace.Replayer, rc *icomp.Recoder, cons
 var nopConsumer = blockCollector(func(*trace.Block) {})
 
 // TestReplayBitIdentical demands exact Event equality — every cpu.Exec
-// field and every significance quantity — between the live source and
+// field and every significance quantity — between the streaming
+// interpreter (trace.Interpret) and
 // replays of a capture built by CaptureRun and of one recorded by hand
 // through Capture.Record; and checks the Exec fields against the
 // interpreter stepped directly.
@@ -66,9 +67,9 @@ func TestReplayBitIdentical(t *testing.T) {
 	rc := defaultRecoder(t)
 	for _, name := range captureTestBenches {
 		b := mustBench(t, name)
-		live := &eventRecorder{}
-		if err := trace.NewLive(b).ReplayBlocks(context.Background(), rc, live); err != nil {
-			t.Fatalf("%s: live run: %v", name, err)
+		interpreted := &eventRecorder{}
+		if err := interpretOn(context.Background(), b, nil, rc, interpreted); err != nil {
+			t.Fatalf("%s: interpretation: %v", name, err)
 		}
 		c, err := b.NewCPU()
 		if err != nil {
@@ -80,8 +81,8 @@ func TestReplayBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: step: %v", name, err)
 			}
-			if i >= len(live.events) || !reflect.DeepEqual(live.events[i].Exec, e) {
-				t.Fatalf("%s: live row %d differs from the interpreter's %+v", name, i, e)
+			if i >= len(interpreted.events) || !reflect.DeepEqual(interpreted.events[i].Exec, e) {
+				t.Fatalf("%s: interpreted row %d differs from the stepped interpreter's %+v", name, i, e)
 			}
 			byHand.Record(e)
 		}
@@ -91,8 +92,8 @@ func TestReplayBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: CaptureRun: %v", name, err)
 		}
-		if captured.Len() != len(live.events) {
-			t.Fatalf("%s: capture has %d events, live run %d", name, captured.Len(), len(live.events))
+		if captured.Len() != len(interpreted.events) {
+			t.Fatalf("%s: capture has %d events, interpretation %d", name, captured.Len(), len(interpreted.events))
 		}
 
 		for whose, cp := range map[string]*trace.Capture{"CaptureRun": captured, "Record": byHand} {
@@ -100,14 +101,14 @@ func TestReplayBitIdentical(t *testing.T) {
 			if err := cp.ReplayBlocks(context.Background(), rc, replayed); err != nil {
 				t.Fatalf("%s: replay (%s): %v", name, whose, err)
 			}
-			if len(replayed.events) != len(live.events) {
-				t.Fatalf("%s: replay (%s) produced %d events, live %d",
-					name, whose, len(replayed.events), len(live.events))
+			if len(replayed.events) != len(interpreted.events) {
+				t.Fatalf("%s: replay (%s) produced %d events, interpretation %d",
+					name, whose, len(replayed.events), len(interpreted.events))
 			}
-			for i := range live.events {
-				if !reflect.DeepEqual(replayed.events[i], live.events[i]) {
-					t.Fatalf("%s: replay (%s) event %d differs:\n live   %+v\n replay %+v",
-						name, whose, i, live.events[i], replayed.events[i])
+			for i := range interpreted.events {
+				if !reflect.DeepEqual(replayed.events[i], interpreted.events[i]) {
+					t.Fatalf("%s: replay (%s) event %d differs:\n interpreted %+v\n replay      %+v",
+						name, whose, i, interpreted.events[i], replayed.events[i])
 				}
 			}
 		}
@@ -115,21 +116,21 @@ func TestReplayBitIdentical(t *testing.T) {
 }
 
 // TestReplayActivityIdentical runs the activity collector (which reads
-// program memory at cache-fill time) over the live source and over a
+// program memory at cache-fill time) over the streaming interpreter and
+// over a
 // replayed capture, and demands identical counts at both granularities.
 func TestReplayActivityIdentical(t *testing.T) {
 	rc := defaultRecoder(t)
 	for _, name := range captureTestBenches {
 		b := mustBench(t, name)
 		for _, gran := range []int{1, 2} {
-			live := trace.NewLive(b)
-			lm, err := live.NewMemory()
+			c, err := b.NewCPU()
 			if err != nil {
-				t.Fatalf("%s: NewMemory: %v", name, err)
+				t.Fatalf("%s: NewCPU: %v", name, err)
 			}
-			liveCol := activity.NewCollector(gran, rc, lm)
-			if err := live.ReplayBlocksOn(context.Background(), lm, rc, liveCol); err != nil {
-				t.Fatalf("%s: live run: %v", name, err)
+			interpCol := activity.NewCollector(gran, rc, c.Mem)
+			if err := interpretOn(context.Background(), b, c.Mem, rc, interpCol); err != nil {
+				t.Fatalf("%s: interpretation: %v", name, err)
 			}
 
 			cp, err := trace.CaptureRun(context.Background(), b)
@@ -144,8 +145,8 @@ func TestReplayActivityIdentical(t *testing.T) {
 			if err := cp.ReplayBlocksOn(context.Background(), m, rc, replayCol); err != nil {
 				t.Fatalf("%s: replay: %v", name, err)
 			}
-			if got, want := replayCol.Counts(), liveCol.Counts(); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s gran %d: replayed activity differs:\n live   %+v\n replay %+v",
+			if got, want := replayCol.Counts(), interpCol.Counts(); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s gran %d: replayed activity differs:\n interpreted %+v\n replay      %+v",
 					name, gran, want, got)
 			}
 		}

@@ -17,7 +17,7 @@
 // already emitting, and publishes it only once the replay completes: a
 // cancelled or failed replay publishes nothing, and concurrent first
 // replays each build their own (identical) copy, the first finisher's
-// winning. Every later replay reads the published stream. A Live source
+// winning. Every later replay reads the published stream. Interpret
 // builds each window's events as it emits the window and keeps none.
 package trace
 

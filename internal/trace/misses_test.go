@@ -69,15 +69,21 @@ func (s *missConsumers) results() missResults {
 	return r
 }
 
-// liveMissResults runs the reference: the live source, which simulates the
-// hierarchy afresh for every window it emits and publishes nothing.
-func liveMissResults(t *testing.T, cp *trace.Capture, rc *icomp.Recoder) missResults {
+// interpretMissResults runs the reference: the streaming interpreter, which
+// simulates the hierarchy afresh for every window it emits and publishes
+// nothing.
+func interpretMissResults(t *testing.T, cp *trace.Capture, rc *icomp.Recoder) missResults {
 	t.Helper()
-	got, err := batchMissResults(context.Background(), trace.NewLive(cp.Bench()), rc)
+	b := cp.Bench()
+	m, err := cp.NewMemory()
 	if err != nil {
-		t.Fatalf("%s live replay: %v", cp.Bench().Name, err)
+		t.Fatal(err)
 	}
-	return got
+	s := newMissConsumers(rc, m)
+	if err := interpretOn(context.Background(), b, m, rc, s.all()...); err != nil {
+		t.Fatalf("%s interpretation: %v", b.Name, err)
+	}
+	return s.results()
 }
 
 // oracleMissStream recomputes a capture's miss stream without the engine:
@@ -149,7 +155,7 @@ func missStreamBenches(t *testing.T) []string {
 // TestMissStreamEquivalence pins the memoized hierarchy outcome: for every
 // benchmark the published stream must equal one recomputed by a private
 // mem.Hierarchy, and every consumer must report exactly what it reports
-// over the live source (which builds each window's events afresh) — with
+// over the streaming interpreter (which builds each window's events afresh) — with
 // the stream built inline by the replay (cold), read back from the capture
 // (warm), and built inline by the mapped SIGCAP02 tier, whose blocks are
 // decoded frames (so the stream is cut at every frame seam). The kernels
@@ -161,7 +167,7 @@ func TestMissStreamEquivalence(t *testing.T) {
 	var rows, events int
 	for _, name := range missStreamBenches(t) {
 		cp, mc := mappedForTest(t, name)
-		want := liveMissResults(t, cp, rc)
+		want := interpretMissResults(t, cp, rc)
 
 		if cp.MissStream() != nil {
 			t.Fatalf("%s: fresh capture already has a miss stream", name)
@@ -180,7 +186,7 @@ func TestMissStreamEquivalence(t *testing.T) {
 				t.Fatalf("%s %s batch replay: %v", name, pass, err)
 			}
 			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("%s: %s-stream results diverge from live\nlive:  %+v\nbatch: %+v", name, pass, want, got)
+				t.Fatalf("%s: %s-stream results diverge from interpretation\ninterpreted: %+v\nbatch:       %+v", name, pass, want, got)
 			}
 		}
 		stream := cp.MissStream()
@@ -204,7 +210,7 @@ func TestMissStreamEquivalence(t *testing.T) {
 			t.Fatalf("%s mapped replay: %v", name, err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("%s: mapped-tier results diverge from live\nlive:   %+v\nmapped: %+v", name, want, got)
+			t.Fatalf("%s: mapped-tier results diverge from interpretation\ninterpreted: %+v\nmapped:      %+v", name, want, got)
 		}
 		if !reflect.DeepEqual(stream, mc.MissStream()) {
 			t.Fatalf("%s: mapped tier built a different miss stream", name)
@@ -223,14 +229,14 @@ func TestMissStreamEquivalence(t *testing.T) {
 
 // TestMissStreamCancelledReplay cancels the first replay of each tier
 // partway: no partial stream may be published, and the next replay must
-// build it again with results identical to the live reference.
+// build it again with results identical to the interpreted reference.
 func TestMissStreamCancelledReplay(t *testing.T) {
 	rc := icomp.MustNewRecoder(icomp.DefaultTopFuncts())
 	cp, mc := mappedForTest(t, captureTestBenches[0])
 	if cp.Len() <= trace.BlockRows {
 		t.Fatalf("trace too short (%d rows) to cancel between blocks", cp.Len())
 	}
-	want := liveMissResults(t, cp, rc)
+	want := interpretMissResults(t, cp, rc)
 	for _, tier := range []struct {
 		name string
 		rep  interface {
@@ -252,7 +258,7 @@ func TestMissStreamCancelledReplay(t *testing.T) {
 			t.Fatalf("%s: replay after cancellation: %v", tier.name, err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("%s: rebuilt-stream results diverge from live", tier.name)
+			t.Fatalf("%s: rebuilt-stream results diverge from interpretation", tier.name)
 		}
 		if tier.rep.MissStream() == nil {
 			t.Fatalf("%s: completed replay published no miss stream", tier.name)
@@ -267,11 +273,11 @@ func TestMissStreamCancelledReplay(t *testing.T) {
 // capture together, the way two clients priming a fresh shard do, and holds
 // both inside their first block until the other has started: both must
 // build the stream, neither may see the other's half-built copy, and both
-// must match the live reference. Run with -race.
+// must match the interpreted reference. Run with -race.
 func TestMissStreamConcurrentFirstReplays(t *testing.T) {
 	rc := icomp.MustNewRecoder(icomp.DefaultTopFuncts())
 	cp, mc := mappedForTest(t, captureTestBenches[1])
-	want := liveMissResults(t, cp, rc)
+	want := interpretMissResults(t, cp, rc)
 	for _, rep := range []trace.Replayer{cp, mc} {
 		const replays = 2
 		var arrived sync.WaitGroup
@@ -296,7 +302,7 @@ func TestMissStreamConcurrentFirstReplays(t *testing.T) {
 				t.Fatalf("%T replay %d: %v", rep, i, errs[i])
 			}
 			if !reflect.DeepEqual(want, got[i]) {
-				t.Fatalf("%T replay %d diverges from live", rep, i)
+				t.Fatalf("%T replay %d diverges from interpretation", rep, i)
 			}
 		}
 	}

@@ -226,7 +226,8 @@ func newFrameDec(nStatics int) *frameDec {
 }
 
 // frameDecSizeBytes is the resident estimate of one replay's decode
-// buffers, charged by SizeBytes so the cache accounts for a live replay.
+// buffers, charged by SizeBytes so the cache accounts for an in-flight
+// replay.
 func frameDecSizeBytes(nStatics int) int {
 	return 6*FrameRows*4 + 4*nStatics*4
 }
@@ -294,9 +295,8 @@ func (mc *MappedCapture) ReplayBlocksOn(ctx context.Context, m *mem.Memory, rc *
 	return mc.replayFrames(ctx, m, rc, consumers)
 }
 
-// Interface conformance for the three block sources.
+// Interface conformance for the two block sources.
 var (
 	_ Replayer = (*Capture)(nil)
 	_ Replayer = (*MappedCapture)(nil)
-	_ Replayer = (*Live)(nil)
 )

@@ -32,8 +32,8 @@ func mappedForTest(t *testing.T, name string) (*trace.Capture, *trace.MappedCapt
 	return cp, mc
 }
 
-// TestStreamReplayIdentical is the equivalence gate of the three sources:
-// streaming replay off the mapped file and the live interpreter must
+// TestStreamReplayIdentical is the equivalence gate of the two sources and
+// the streaming interpreter: replay off the mapped file and Interpret must
 // produce exactly the event stream the fully resident capture produces,
 // including the memory-dependent fields whose store ordering crosses frame
 // boundaries (the suite's traces span many 4096-row frames, so store spans
@@ -67,16 +67,20 @@ func TestStreamReplayIdentical(t *testing.T) {
 					resident.events[i], streamed.events[i])
 			}
 		}
-		var live eventRecorder
-		if err := fullReplay(ctx, trace.NewLive(cp.Bench()), rc, &live); err != nil {
-			t.Fatalf("%s live replay: %v", name, err)
+		var interpreted eventRecorder
+		image, err := cp.NewMemory()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(live.events) != len(resident.events) {
-			t.Fatalf("%s: live %d events, resident %d", name, len(live.events), len(resident.events))
+		if err := interpretOn(ctx, cp.Bench(), image, rc, &interpreted); err != nil {
+			t.Fatalf("%s interpretation: %v", name, err)
+		}
+		if len(interpreted.events) != len(resident.events) {
+			t.Fatalf("%s: interpreted %d events, resident %d", name, len(interpreted.events), len(resident.events))
 		}
 		for i := range resident.events {
-			if resident.events[i] != live.events[i] {
-				t.Fatalf("%s: live event %d diverges", name, i)
+			if resident.events[i] != interpreted.events[i] {
+				t.Fatalf("%s: interpreted event %d diverges", name, i)
 			}
 		}
 	}

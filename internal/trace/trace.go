@@ -7,8 +7,10 @@
 // A benchmark's trace is produced once and fanned out to any number of
 // consumers, exactly as the paper feeds one Mediabench trace to its
 // trace-driven studies. Consumers see it only as column blocks (Block),
-// from one of three sources behind Replayer: a resident Capture, a
-// MappedCapture streaming SIGCAP02 frames, or Live interpretation.
+// from one of two sources behind Replayer: a resident Capture or a
+// MappedCapture streaming SIGCAP02 frames. Programs that are not registered
+// benchmarks stream straight from the interpreter instead (Interpret),
+// holding one block of their trace at a time.
 package trace
 
 import (
@@ -215,7 +217,7 @@ func sigWord(e *cpu.Exec) uint32 {
 
 // Consumer receives a trace as column blocks (see Block), from whichever
 // source produced it: a resident Capture, a MappedCapture streaming frames,
-// or a Live interpretation. Every timing model and activity collector
+// or Interpret's window. Every timing model and activity collector
 // implements exactly this one method.
 type Consumer interface {
 	ConsumeBlock(b *Block)

@@ -114,23 +114,31 @@ func TestRunVerifiesChecksum(t *testing.T) {
 	b, _ := bench.ByName("rawcaudio")
 	bad := b
 	bad.Checksum++ // corrupt the expectation
-	if err := NewLive(bad).ReplayBlocks(ctx, rc); err == nil {
-		t.Fatal("live replay must fail on checksum mismatch")
+	if _, err := CaptureRun(ctx, bad); err == nil {
+		t.Fatal("capture must fail on checksum mismatch")
 	}
-	if err := NewLive(b).ReplayBlocks(ctx, rc); err != nil {
-		t.Fatalf("live replay failed on valid benchmark: %v", err)
+	cp, err := CaptureRun(ctx, b)
+	if err != nil {
+		t.Fatalf("capture failed on valid benchmark: %v", err)
+	}
+	if err := cp.ReplayBlocks(ctx, rc); err != nil {
+		t.Fatalf("replay failed on valid benchmark: %v", err)
 	}
 }
 
-// TestRunFanOut checks every consumer of a live replay sees every retired
+// TestRunFanOut checks every consumer of a replay sees every retired
 // instruction.
 func TestRunFanOut(t *testing.T) {
 	ctx := context.Background()
 	b, _ := bench.ByName("g711dec")
+	cp, err := CaptureRun(ctx, b)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var n1, n2 int
 	c1 := blockFunc(func(blk *Block) { n1 += blk.Len() })
 	c2 := blockFunc(func(blk *Block) { n2 += blk.Len() })
-	if err := NewLive(b).ReplayBlocks(ctx, rc, c1, c2); err != nil {
+	if err := cp.ReplayBlocks(ctx, rc, c1, c2); err != nil {
 		t.Fatal(err)
 	}
 	c, err := b.RunVerified()
@@ -144,15 +152,26 @@ func TestRunFanOut(t *testing.T) {
 
 func TestRunCtxCancelled(t *testing.T) {
 	b, _ := bench.ByName("crc32")
+	cp, err := CaptureRun(context.Background(), b)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // already cancelled: the run must abort at the first poll
-	if err := NewLive(b).ReplayBlocks(ctx, rc); !errors.Is(err, context.Canceled) {
-		t.Fatalf("live replay on cancelled context: err = %v, want context.Canceled", err)
+	cancel() // already cancelled: both must abort at the first poll
+	if _, err := CaptureRun(ctx, b); !errors.Is(err, context.Canceled) {
+		t.Fatalf("capture on cancelled context: err = %v, want context.Canceled", err)
+	}
+	if err := cp.ReplayBlocks(ctx, rc); !errors.Is(err, context.Canceled) {
+		t.Fatalf("replay on cancelled context: err = %v, want context.Canceled", err)
 	}
 }
 
 func TestRunCtxMidRunCancel(t *testing.T) {
 	b, _ := bench.ByName("crc32")
+	cp, err := CaptureRun(context.Background(), b)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var n int
 	stop := blockFunc(func(blk *Block) {
@@ -161,21 +180,18 @@ func TestRunCtxMidRunCancel(t *testing.T) {
 			cancel()
 		}
 	})
-	err := NewLive(b).ReplayBlocks(ctx, rc, stop)
+	err = cp.ReplayBlocks(ctx, rc, stop)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-run cancel: err = %v, want context.Canceled", err)
 	}
 	if n >= 100_000 {
-		t.Fatalf("run consumed %d rows after cancellation", n)
+		t.Fatalf("replay consumed %d rows after cancellation", n)
 	}
 }
 
 func TestRunInstructionLimit(t *testing.T) {
 	b, _ := bench.ByName("crc32")
 	b.MaxInsts = 100
-	if err := NewLive(b).ReplayBlocks(context.Background(), rc); err == nil {
-		t.Fatal("expected instruction-limit error")
-	}
 	if _, err := CaptureRun(context.Background(), b); err == nil {
 		t.Fatal("expected instruction-limit error from CaptureRun")
 	}
