@@ -17,6 +17,7 @@ import (
 	"os"
 	"runtime"
 
+	"repro/internal/bench"
 	"repro/internal/experiments"
 	"repro/internal/stats"
 )
@@ -29,7 +30,15 @@ func main() {
 	flag.Parse()
 
 	fmt.Fprintf(os.Stderr, "running the full suite through every model (%d workers)...\n", *parallel)
-	r, err := experiments.RunParallel(context.Background(), *parallel)
+	// The suite is interpreted once: the ablation and the cache sweep
+	// replay the evaluation's captures under its recoder.
+	ctx := context.Background()
+	caps, err := experiments.CaptureSuite(ctx, bench.All(), *parallel)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sigtables: %v\n", err)
+		os.Exit(1)
+	}
+	r, err := experiments.RunCaptures(ctx, caps, *parallel)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sigtables: %v\n", err)
 		os.Exit(1)
@@ -82,7 +91,7 @@ func main() {
 		return
 	}
 	if *exp == "interpretation" || *exp == "all" {
-		tbl, err := experiments.AblationInterpretation()
+		tbl, err := experiments.AblationInterpretation(ctx, caps, r.Recoder)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sigtables: %v\n", err)
 			os.Exit(1)
@@ -93,7 +102,7 @@ func main() {
 		}
 	}
 	if *exp == "cachesweep" || *exp == "all" {
-		sweep, err := experiments.CacheSweep(experiments.DefaultCacheSweepSizes())
+		sweep, err := experiments.CacheSweep(ctx, caps, r.Recoder, experiments.DefaultCacheSweepSizes())
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sigtables: %v\n", err)
 			os.Exit(1)

@@ -323,7 +323,7 @@ done:
 
 	var recs []Exec
 	for !c.Done {
-		e, err := c.Step()
+		e, err := step(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -383,7 +383,7 @@ func TestErrorsSurface(t *testing.T) {
 
 func TestStepAfterExitFails(t *testing.T) {
 	c := run(t, "main:\n"+exitSeq, 10)
-	if _, err := c.Step(); err == nil {
+	if _, err := step(c); err == nil {
 		t.Fatal("step after exit should fail")
 	}
 }

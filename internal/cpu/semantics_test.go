@@ -18,7 +18,7 @@ func execOne(t *testing.T, raw uint32, setup func(c *CPU)) (*CPU, Exec) {
 	if setup != nil {
 		setup(c)
 	}
-	e, err := c.Step()
+	e, err := step(c)
 	if err != nil {
 		t.Fatalf("step %s: %v", isa.Decode(raw).Disassemble(0x400000), err)
 	}
@@ -204,7 +204,7 @@ func TestLoadSemanticsProperty(t *testing.T) {
 			m.Store32(base, word)
 			cpu := New(m, 0x0040_0000, 0x7fff_f000)
 			cpu.Regs[isa.RegT0] = base
-			e, err := cpu.Step()
+			e, err := step(cpu)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -227,14 +227,14 @@ func TestStoreWidths(t *testing.T) {
 	c := New(m, 0x0040_0000, 0x7fff_f000)
 	c.Regs[isa.RegT0] = 0x1000_0000
 	c.Regs[isa.RegT1] = 0x11223344
-	if _, err := c.Step(); err != nil {
+	if _, err := step(c); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Load32(0x1000_0000); got != 0xaaaa44aa {
 		t.Fatalf("sb result: %#x", got)
 	}
 	m.Store32(0x0040_0004, isa.EncodeI(isa.OpSH, isa.RegT0, isa.RegT1, 2))
-	if _, err := c.Step(); err != nil {
+	if _, err := step(c); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Load32(0x1000_0000); got != 0x3344_44aa {
@@ -276,7 +276,7 @@ func TestMultDivCorners(t *testing.T) {
 	cc := New(m, 0x0040_0000, 0x7fff_f000)
 	cc.Regs[isa.RegT0] = 0x80000000
 	cc.Regs[isa.RegT1] = 0xffffffff
-	if _, err := cc.Step(); err != nil {
+	if _, err := step(cc); err != nil {
 		t.Fatalf("INT_MIN/-1 must not fault the host: %v", err)
 	}
 }
@@ -288,11 +288,18 @@ func TestDivOverflowGoSemantics(t *testing.T) {
 	c := New(m, 0x0040_0000, 0x7fff_f000)
 	c.Regs[isa.RegT0] = 0x80000000
 	c.Regs[isa.RegT1] = 0xffffffff
-	_, err := c.Step()
+	_, err := step(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.LO != 0x80000000 || c.HI != 0 {
 		t.Fatalf("INT_MIN/-1: lo=%#x hi=%#x", c.LO, c.HI)
 	}
+}
+
+// step runs one Step and returns its record.
+func step(c *CPU) (Exec, error) {
+	var e Exec
+	err := c.Step(&e)
+	return e, err
 }

@@ -150,6 +150,7 @@ func CheckBinary(words []uint32, data []byte, or *Oracle, opts CheckOpts) Report
 	sh.pc = opts.Entry
 	sh.allowPrints = opts.AllowPrints
 
+	var e cpu.Exec
 	for !golden.Done {
 		if rep.Steps >= opts.MaxSteps {
 			if opts.StopAtCap {
@@ -160,8 +161,7 @@ func CheckBinary(words []uint32, data []byte, or *Oracle, opts CheckOpts) Report
 		if sh.pc != golden.PC {
 			return fail("pc", rep.Steps, golden.PC, "shadow PC %#08x, golden %#08x", sh.pc, golden.PC)
 		}
-		e, err := golden.Step()
-		if err != nil {
+		if err := golden.Step(&e); err != nil {
 			return fail("golden", rep.Steps, golden.PC, "golden interpreter error: %v", err)
 		}
 		// Sandbox invariant: data accesses stay inside the allowed

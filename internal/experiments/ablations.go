@@ -4,8 +4,8 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/bench"
 	"repro/internal/energy"
+	"repro/internal/icomp"
 	"repro/internal/pipeline"
 	"repro/internal/sigalu"
 	"repro/internal/stats"
@@ -131,29 +131,20 @@ func (r *Results) EnergySummary() *stats.Table {
 // AblationInterpretation quantifies the modeling decisions recorded in
 // DESIGN.md §5 by also running the readings we rejected: the compressed
 // design with strictly-blocking two-cycle stages, and the skewed design
-// with branch resolution only after the last byte slice. It runs its own
-// traces (the alternates are not part of the cached one-pass evaluation).
-func AblationInterpretation() (*stats.Table, error) {
-	ctx := context.Background()
-	suite := bench.All()
-	rc, _, err := trace.SuiteRecoder(suite)
-	if err != nil {
-		return nil, err
-	}
+// with branch resolution only after the last byte slice. The alternates
+// are not part of the one-pass evaluation, so it replays the suite's
+// captures again under rc, the evaluation's recoder (RunCaptures).
+func AblationInterpretation(ctx context.Context, caps []*trace.Capture, rc *icomp.Recoder) (*stats.Table, error) {
 	t := stats.NewTable(
 		"Ablation (DESIGN.md §5): adopted vs rejected model interpretations (mean CPI)",
 		"model", "adopted", "rejected", "penalty of rejected reading")
 	var baseSum, compSum, compOccSum, skewSum, skewLateSum float64
-	for _, b := range suite {
+	for _, cp := range caps {
 		base := pipeline.NewBaseline32()
 		comp := pipeline.New(pipeline.NameParallelCompressed)
 		compOcc := pipeline.NewParallelCompressedOccupancy()
 		skew := pipeline.New(pipeline.NameParallelSkewed)
 		skewLate := pipeline.NewParallelSkewedLateBranch()
-		cp, err := trace.CaptureRun(ctx, b)
-		if err != nil {
-			return nil, err
-		}
 		if err := cp.ReplayBlocks(ctx, rc, base, comp, compOcc, skew, skewLate); err != nil {
 			return nil, err
 		}
@@ -163,7 +154,7 @@ func AblationInterpretation() (*stats.Table, error) {
 		skewSum += skew.Result().CPI()
 		skewLateSum += skewLate.Result().CPI()
 	}
-	n := float64(len(suite))
+	n := float64(len(caps))
 	t.AddStringRow("compressed (banked latency vs blocking occupancy)",
 		fmt.Sprintf("%.3f (%+.1f%%)", compSum/n, 100*(compSum/baseSum-1)),
 		fmt.Sprintf("%.3f (%+.1f%%)", compOccSum/n, 100*(compOccSum/baseSum-1)),

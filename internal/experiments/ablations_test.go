@@ -1,11 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/energy"
 	"repro/internal/pipeline"
 )
@@ -96,9 +99,15 @@ func TestAblationPartitionRenderer(t *testing.T) {
 
 func TestCacheSweep(t *testing.T) {
 	if testing.Short() {
-		t.Skip("cache sweep runs its own traces")
+		t.Skip("cache sweep captures the suite")
 	}
-	tbl, err := CacheSweep([]int{4 << 10, 8 << 10})
+	ctx := context.Background()
+	caps, err := CaptureSuite(ctx, bench.All(), runtime.GOMAXPROCS(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := load(t)
+	tbl, err := CacheSweep(ctx, caps, r.Recoder, []int{4 << 10, 8 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +117,6 @@ func TestCacheSweep(t *testing.T) {
 	// The 8 KB row is the paper's geometry set through SetHierarchy, so its
 	// models simulate their own caches. It must agree with the suite
 	// evaluation, whose kernels read the trace's shared miss stream.
-	r := load(t)
 	row := tbl.JSON().Rows[1]
 	for i, model := range []string{pipeline.NameBaseline32, pipeline.NameByteSerial} {
 		if want := fmt.Sprintf("%.3f", r.MeanCPI(model)); row[i+1] != want {

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/bench"
+	"repro/internal/icomp"
 	"repro/internal/mem"
 	"repro/internal/pipeline"
 	"repro/internal/stats"
@@ -15,23 +15,12 @@ import (
 // geometry (§2.3 notes the fill overhead argument "assumes a reasonable
 // instruction cache miss rate"): baseline and byte-serial mean CPI at
 // several split-L1 sizes. Geometry is a model parameter, not part of the
-// cached one-pass evaluation, so the sweep runs its own traces — but each
-// benchmark is interpreted exactly once and replayed per geometry (one
-// capture live at a time, so the sweep's footprint stays one trace).
-func CacheSweep(sizes []int) (*stats.Table, error) {
-	ctx := context.Background()
-	suite := bench.All()
-	rc, _, err := trace.SuiteRecoder(suite)
-	if err != nil {
-		return nil, err
-	}
+// one-pass evaluation, so the sweep replays the suite's captures once per
+// geometry under rc, the evaluation's recoder (RunCaptures).
+func CacheSweep(ctx context.Context, caps []*trace.Capture, rc *icomp.Recoder, sizes []int) (*stats.Table, error) {
 	baseSums := make([]float64, len(sizes))
 	serialSums := make([]float64, len(sizes))
-	for _, b := range suite {
-		cp, err := trace.CaptureRun(ctx, b)
-		if err != nil {
-			return nil, err
-		}
+	for _, cp := range caps {
 		for i, size := range sizes {
 			cfg := mem.DefaultHierarchyConfig()
 			cfg.L1I.Size = size
@@ -51,7 +40,7 @@ func CacheSweep(sizes []int) (*stats.Table, error) {
 	t := stats.NewTable(
 		"Sensitivity: L1 size (split I/D) vs mean CPI",
 		"L1 size", "baseline32", "byteserial", "serial overhead")
-	n := float64(len(suite))
+	n := float64(len(caps))
 	for i, size := range sizes {
 		t.AddStringRow(
 			fmt.Sprintf("%d KB", size>>10),

@@ -222,24 +222,28 @@ func RunParallel(ctx context.Context, workers int) (*Results, error) {
 
 // RunSuite executes the evaluation over the given benchmarks with the given
 // worker count, on the capture-once / replay-many path: each benchmark is
-// interpreted exactly once into a trace.Capture, the instruction recoder is
-// profiled from the captures for free, and every model/collector pass is a
-// replay. Peak transient memory is the captured suite, ~24 B per dynamic
-// instruction (~90 MB for the full 16-benchmark suite). workers <= 1 selects the sequential path (one shared
-// collector set, no goroutines); workers > 1 fans benchmarks across that
-// many goroutines with per-run collectors merged afterwards.
+// interpreted exactly once into a trace.Capture (CaptureSuite) and the
+// captures are evaluated by RunCaptures. Peak transient memory is the
+// captured suite, ~24 B per dynamic instruction (~90 MB for the full
+// 16-benchmark suite).
 func RunSuite(ctx context.Context, suite []bench.Benchmark, workers int) (*Results, error) {
 	caps, err := CaptureSuite(ctx, suite, workers)
 	if err != nil {
 		return nil, err
 	}
-	functs := make(map[isa.Funct]uint64)
-	for _, cp := range caps {
-		for fn, n := range cp.FunctCounts() {
-			functs[fn] += n
-		}
-	}
-	rc, err := icomp.NewRecoder(icomp.TopFuncts(functs, 8))
+	return RunCaptures(ctx, caps, workers)
+}
+
+// RunCaptures evaluates captured benchmarks, in the order given: the
+// instruction recoder is profiled from the captures for free, and every
+// model/collector pass is a replay. Callers that run further studies over
+// the same suite (cmd/sigtables' ablation and cache sweep) keep the
+// captures and Results.Recoder instead of interpreting the suite again.
+// workers <= 1 selects the sequential path (one shared collector set, no
+// goroutines); workers > 1 fans benchmarks across that many goroutines
+// with per-run collectors merged afterwards.
+func RunCaptures(ctx context.Context, caps []*trace.Capture, workers int) (*Results, error) {
+	rc, functs, err := capturesRecoder(caps)
 	if err != nil {
 		return nil, err
 	}
@@ -290,6 +294,23 @@ func RunSuite(ctx context.Context, suite []bench.Benchmark, workers int) (*Resul
 		collectors.Merge(outs[i].cols)
 	}
 	return res, nil
+}
+
+// capturesRecoder builds the profile-driven instruction recoder from the
+// captures' dynamic function-code counts: the recoder trace.SuiteRecoder
+// builds by stepping the same benchmarks again.
+func capturesRecoder(caps []*trace.Capture) (*icomp.Recoder, map[isa.Funct]uint64, error) {
+	functs := make(map[isa.Funct]uint64)
+	for _, cp := range caps {
+		for fn, n := range cp.FunctCounts() {
+			functs[fn] += n
+		}
+	}
+	rc, err := icomp.NewRecoder(icomp.TopFuncts(functs, 8))
+	if err != nil {
+		return nil, nil, err
+	}
+	return rc, functs, nil
 }
 
 // CaptureSuite records each benchmark's trace, fanning the interpreter runs

@@ -3,11 +3,11 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"runtime"
 
 	"repro/internal/bench"
 	"repro/internal/pipeline"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // FetchSweepResult is one (bandwidth, benchmark) cell of the fetch sweep:
@@ -25,22 +25,22 @@ type FetchSweepResult struct {
 
 // FetchSweep sweeps fetch bandwidth (bytes per cycle) over the whole suite
 // through the three byte-fetch frontends — the CPI-vs-fetch-bytes axis of
-// the compressed-fetch study. Each benchmark is interpreted exactly once
-// and batch-replayed per width (one capture live at a time, like
-// CacheSweep).
+// the compressed-fetch study. Each benchmark is interpreted exactly once,
+// the recoder is profiled from the captures as RunCaptures does, and every
+// capture is batch-replayed per width.
 func FetchSweep(widths []int) ([]FetchSweepResult, error) {
 	ctx := context.Background()
-	suite := bench.All()
-	rc, _, err := trace.SuiteRecoder(suite)
+	caps, err := CaptureSuite(ctx, bench.All(), runtime.GOMAXPROCS(0))
+	if err != nil {
+		return nil, err
+	}
+	rc, _, err := capturesRecoder(caps)
 	if err != nil {
 		return nil, err
 	}
 	var out []FetchSweepResult
-	for _, b := range suite {
-		cp, err := trace.CaptureRun(ctx, b)
-		if err != nil {
-			return nil, err
-		}
+	for _, cp := range caps {
+		b := cp.Bench()
 		for _, w := range widths {
 			comp := pipeline.NewByteFetch(w, false, false)
 			raw := pipeline.NewByteFetch(w, false, true)

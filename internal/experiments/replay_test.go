@@ -35,7 +35,6 @@ type interpreted struct{ b bench.Benchmark }
 
 func (s interpreted) Bench() bench.Benchmark { return s.b }
 func (s interpreted) SizeBytes() int         { return 0 }
-func (s interpreted) ClearMemos()            {}
 
 func (s interpreted) NewMemory() (*mem.Memory, error) {
 	c, err := s.b.NewCPU()

@@ -15,6 +15,10 @@ const (
 	pageMask  = pageSize - 1
 )
 
+// PageShift is log2 of the page size: addresses a and b share a page
+// exactly when a>>PageShift == b>>PageShift.
+const PageShift = pageShift
+
 // Memory is a sparse, page-granular byte-addressable memory. Reads of
 // untouched locations return zero, matching a zero-initialized address
 // space. All multi-byte accesses are little-endian (the simulator's MIPS is
@@ -37,6 +41,13 @@ func (m *Memory) page(addr uint32, create bool) []byte {
 	}
 	return p
 }
+
+// Page returns the live backing store of the page holding addr, or nil if
+// nothing has been stored to that page yet. A page, once created, is never
+// replaced or freed, so a caller may keep the returned slice: it sees every
+// later store to the page (the interpreter caches its current fetch page
+// this way).
+func (m *Memory) Page(addr uint32) []byte { return m.page(addr, false) }
 
 // Load8 returns the byte at addr.
 func (m *Memory) Load8(addr uint32) byte {

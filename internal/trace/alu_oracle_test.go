@@ -320,7 +320,7 @@ func TestSigWordMatchesReferenceOnSuite(t *testing.T) {
 				t.Fatal(err)
 			}
 			var n, bad int
-			_, err = interpret(context.Background(), c, b.Name, b.MaxInsts, func(e *cpu.Exec) {
+			_, err = interpret(context.Background(), c, b.Name, b.MaxInsts, func(e *cpu.Exec, d *cpu.Decoded) {
 				n++
 				if got, want := sigWord(e), refSigWord(*e); got != want {
 					if bad++; bad <= 5 {
@@ -405,7 +405,7 @@ func TestFunctProfileMatchesMapTally(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := interpret(context.Background(), c, b.Name, b.MaxInsts, func(e *cpu.Exec) {
+		if _, err := interpret(context.Background(), c, b.Name, b.MaxInsts, func(e *cpu.Exec, _ *cpu.Decoded) {
 			if e.Inst.Op == isa.OpSpecial {
 				want[e.Inst.Funct]++
 			}

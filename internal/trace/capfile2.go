@@ -52,6 +52,7 @@ import (
 	"slices"
 
 	"repro/internal/bench"
+	"repro/internal/cpu"
 	"repro/internal/isa"
 )
 
@@ -437,7 +438,7 @@ func openCap2Index(ra io.ReaderAt, size int64) (*cap2Index, error) {
 	ix := &cap2Index{b: b, frames: frames, size: size}
 	ix.statics = make([]Static, nStatics)
 	for i := range ix.statics {
-		ix.statics[i] = staticFor(isa.Decode(binary.LittleEndian.Uint32(p[i*4:])))
+		ix.statics[i] = cpu.StaticOf(isa.Decode(binary.LittleEndian.Uint32(p[i*4:])))
 	}
 	p = p[nStatics*4:]
 	rows, err := next("row count")

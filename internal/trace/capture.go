@@ -79,18 +79,10 @@ const (
 )
 
 // Static is everything about an instruction word that never changes between
-// dynamic instances. The statics table is exposed to consumers as the
-// per-block annotation table (Block.Statics), so its fields are exported.
-type Static struct {
-	Inst     isa.Inst
-	Simm     uint32 // sign-extended immediate (effective-address offset)
-	Dest     isa.Reg
-	MemWidth uint8 // 0 for non-memory instructions
-	ReadsA   bool
-	ReadsB   bool
-	HasDest  bool
-	IsStore  bool
-}
+// dynamic instances: the interpreter's decode-table facts, recorded once per
+// distinct word. The statics table is exposed to consumers as the per-block
+// annotation table (Block.Statics).
+type Static = cpu.Static
 
 // staticSize estimates the resident bytes of one statics entry: the struct
 // itself plus its raw→slot map entry (key, value, bucket overhead).
@@ -124,8 +116,6 @@ type Replayer interface {
 	// NewMemory rebuilds the benchmark's initial memory image, for
 	// consumers that read program memory during replay.
 	NewMemory() (*mem.Memory, error)
-	// ClearMemos drops memoized per-recoder fetch-size tables.
-	ClearMemos()
 	// ReplayBlocks emits the trace without a memory image.
 	ReplayBlocks(ctx context.Context, rc *icomp.Recoder, consumers ...Consumer) error
 	// ReplayBlocksOn emits the trace over a caller memory image; see
@@ -170,14 +160,6 @@ func (mm *ifbMemo) tableFor(rc *icomp.Recoder, statics []Static) []uint8 {
 	return t
 }
 
-// clear drops every memoized table; replays rebuild them on demand.
-func (mm *ifbMemo) clear() {
-	mm.mu.Lock()
-	mm.tabs = nil
-	mm.order = nil
-	mm.mu.Unlock()
-}
-
 // sizeBytes estimates the memo's resident footprint for a statics table of
 // nStatics entries.
 func (mm *ifbMemo) sizeBytes(nStatics int) int {
@@ -187,15 +169,6 @@ func (mm *ifbMemo) sizeBytes(nStatics int) int {
 	return n * (nStatics + ifbMemoOverhead)
 }
 
-// slotCacheBits sizes the PC-indexed slot cache in front of slotOf: 1024
-// direct-mapped entries cover a benchmark's hot code.
-const slotCacheBits = 10
-
-// slotCacheEntry remembers the statics slot of the word last retired from
-// one cache line's PCs. slot holds the index plus one, so the zero entry is
-// empty.
-type slotCacheEntry struct{ raw, slot uint32 }
-
 // Capture is one benchmark's recorded trace. Record it by running the
 // benchmark to completion (CaptureRun); once complete it is immutable and
 // safe for concurrent replays.
@@ -203,10 +176,6 @@ type Capture struct {
 	bench   bench.Benchmark
 	statics []Static
 	slotOf  map[uint32]uint32 // raw instruction word -> statics index
-
-	// slotCache is a direct-mapped, PC-indexed cache of slotOf for
-	// recording, allocated by the first record.
-	slotCache *[1 << slotCacheBits]slotCacheEntry
 
 	slot   []uint32 // statics index | TakenBit
 	pc     []uint32
@@ -274,11 +243,11 @@ type recorder struct {
 	rows int           // rows in full
 }
 
-func (r *recorder) record(e *cpu.Exec) {
+func (r *recorder) record(e *cpu.Exec, d *cpu.Decoded) {
 	if len(r.cp.slot) == cap(r.cp.slot) {
 		r.next()
 	}
-	r.cp.record(e)
+	r.cp.record(e, d)
 }
 
 // next files the current chunk, if any, and starts one twice its size.
@@ -350,35 +319,15 @@ func (cp *Capture) truncate() {
 	}
 }
 
-// staticFor derives the statics-table entry for one decoded instruction.
-// Record and the capture-file index reader (capfile2.go) share it, so a
-// capture decoded from disk rebuilds exactly the table the original
-// recording held.
-func staticFor(in isa.Inst) Static {
-	dest, hasDest := in.DestReg()
-	st := Static{
-		Inst:    in,
-		Simm:    uint32(int32(in.Imm)),
-		Dest:    dest,
-		HasDest: hasDest,
-		ReadsA:  in.ReadsRs(),
-		ReadsB:  in.ReadsRt(),
-		IsStore: in.IsStore(),
-	}
-	if in.IsMem() {
-		st.MemWidth = uint8(in.MemBytes())
-	}
-	return st
-}
-
 // Record appends one retired instruction, annotating its significance.
 // Instructions must arrive in retirement order.
-func (cp *Capture) Record(e cpu.Exec) { cp.record(&e) }
+func (cp *Capture) Record(e cpu.Exec) { cp.record(&e, nil) }
 
 // record is Record without copying the Exec: the interpreter loop retires
-// every instruction through it.
-func (cp *Capture) record(e *cpu.Exec) {
-	idx := cp.slotFor(e)
+// every instruction through it, with d the interpreter's decode-table entry
+// for the instruction (nil for a record built by hand).
+func (cp *Capture) record(e *cpu.Exec, d *cpu.Decoded) {
+	idx := cp.slotFor(e, d)
 	sw := idx
 	if e.Taken {
 		sw |= TakenBit
@@ -401,25 +350,31 @@ func (cp *Capture) record(e *cpu.Exec) {
 
 // slotFor returns the statics slot of e's instruction word, appending a new
 // entry the first time the word is seen. The slot is a function of the raw
-// word alone; the PC only picks the cache entry, and an entry is used only
-// when it holds the same raw word, so aliasing, self-modifying code and the
-// first-appearance order of the statics table are exactly those of the
-// slotOf map, which every cache miss consults.
-func (cp *Capture) slotFor(e *cpu.Exec) uint32 {
-	if cp.slotCache == nil {
-		cp.slotCache = new([1 << slotCacheBits]slotCacheEntry)
-	}
-	ent := &cp.slotCache[e.PC>>2&(1<<slotCacheBits-1)]
-	if ent.slot != 0 && ent.raw == e.Raw {
-		return ent.slot - 1
+// word alone, so aliasing, self-modifying code and the first-appearance
+// order of the statics table are exactly those of the slotOf map. A decode
+// entry d remembers the slot in d.Slot, and is trusted only while that slot
+// holds the same word in this capture: raw words are unique in the table,
+// so a match cannot be another word's slot, and an entry left by another
+// capture or refilled by the interpreter falls back to the map.
+func (cp *Capture) slotFor(e *cpu.Exec, d *cpu.Decoded) uint32 {
+	if d != nil {
+		if s := d.Slot; s != 0 && int(s) <= len(cp.statics) && cp.statics[s-1].Inst.Raw == e.Raw {
+			return s - 1
+		}
 	}
 	idx, ok := cp.slotOf[e.Raw]
 	if !ok {
 		idx = uint32(len(cp.statics))
-		cp.statics = append(cp.statics, staticFor(e.Inst))
+		if d != nil {
+			cp.statics = append(cp.statics, d.Static)
+		} else {
+			cp.statics = append(cp.statics, cpu.StaticOf(e.Inst))
+		}
 		cp.slotOf[e.Raw] = idx
 	}
-	*ent = slotCacheEntry{raw: e.Raw, slot: idx + 1}
+	if d != nil {
+		d.Slot = idx + 1
+	}
 	return idx
 }
 
@@ -449,12 +404,6 @@ func (cp *Capture) SizeBytes() int {
 // or nil before the first replay has completed. Callers must not
 // modify it.
 func (cp *Capture) MissStream() []MissEvent { return cp.misses.stream() }
-
-// ClearMemos drops every memoized per-recoder fetch-size table, releasing
-// the memory SizeBytes attributes to them. Replays rebuild tables on demand;
-// the capture itself is untouched, and so is its recoder-independent miss
-// stream.
-func (cp *Capture) ClearMemos() { cp.memo.clear() }
 
 // FunctCounts tallies the dynamic R-format function-code frequencies of the
 // recorded trace — the per-benchmark input to the paper's Table 3 recoding,

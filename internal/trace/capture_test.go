@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/activity"
 	"repro/internal/bench"
+	"repro/internal/cpu"
 	"repro/internal/icomp"
 	"repro/internal/trace"
 )
@@ -76,9 +77,9 @@ func TestReplayBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		byHand := trace.NewCapture(b)
+		var e cpu.Exec
 		for i := 0; !c.Done; i++ {
-			e, err := c.Step()
-			if err != nil {
+			if err := c.Step(&e); err != nil {
 				t.Fatalf("%s: step: %v", name, err)
 			}
 			if i >= len(interpreted.events) || !reflect.DeepEqual(interpreted.events[i].Exec, e) {

@@ -50,8 +50,8 @@ func Interpret(ctx context.Context, c *cpu.CPU, limit uint64, m *mem.Memory, rc 
 		base += len(win.slot)
 		win.truncate()
 	}
-	n, err := interpret(ctx, c, "program", limit, func(e *cpu.Exec) {
-		win.record(e)
+	n, err := interpret(ctx, c, "program", limit, func(e *cpu.Exec, d *cpu.Decoded) {
+		win.record(e, d)
 		if len(win.slot) == BlockRows {
 			flush()
 		}

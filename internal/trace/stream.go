@@ -140,9 +140,6 @@ func (mc *MappedCapture) SizeBytes() int {
 // re-opened file builds it again.
 func (mc *MappedCapture) MissStream() []MissEvent { return mc.misses.stream() }
 
-// ClearMemos drops memoized per-recoder fetch-size tables.
-func (mc *MappedCapture) ClearMemos() { mc.memo.clear() }
-
 // NewMemory rebuilds the benchmark's initial memory image.
 func (mc *MappedCapture) NewMemory() (*mem.Memory, error) {
 	c, err := mc.ix.b.NewCPU()

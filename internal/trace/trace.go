@@ -229,17 +229,16 @@ type Consumer interface {
 const ctxCheckMask = 0xFFF
 
 // interpret is the one interpreter loop. It steps c until the program halts
-// or limit instructions have retired, handing every retired instruction to
-// retire, and returns the number retired. The record is reused for every
-// instruction, so retire must not keep the pointer. It fails only on
-// cancellation and on a faulting instruction; what names the run in those
-// errors. Reaching limit is not an error here: callers decide (benchDone,
-// Interpret).
-func interpret(ctx context.Context, c *cpu.CPU, what string, limit uint64, retire func(*cpu.Exec)) (uint64, error) {
+// or limit instructions have retired, handing every retired instruction and
+// its decode-table entry to retire, and returns the number retired. The
+// record is reused for every instruction, so retire must not keep either
+// pointer. It fails only on cancellation and on a faulting instruction;
+// what names the run in those errors. Reaching limit is not an error here:
+// callers decide (benchDone, Interpret).
+func interpret(ctx context.Context, c *cpu.CPU, what string, limit uint64, retire func(*cpu.Exec, *cpu.Decoded)) (uint64, error) {
 	var (
-		n   uint64
-		e   cpu.Exec
-		err error
+		n uint64
+		e cpu.Exec
 	)
 	for !c.Done && n < limit {
 		if n&ctxCheckMask == 0 {
@@ -249,10 +248,10 @@ func interpret(ctx context.Context, c *cpu.CPU, what string, limit uint64, retir
 			default:
 			}
 		}
-		if e, err = c.Step(); err != nil {
+		if err := c.Step(&e); err != nil {
 			return n, fmt.Errorf("trace: %s: %w", what, err)
 		}
-		retire(&e)
+		retire(&e, c.Decoded())
 		n++
 	}
 	return n, nil
@@ -282,7 +281,7 @@ func FunctProfile(benchmarks []bench.Benchmark) (map[isa.Funct]uint64, error) {
 func FunctProfileCtx(ctx context.Context, benchmarks []bench.Benchmark) (map[isa.Funct]uint64, error) {
 	// Tally by function code (a 6-bit field) and build the map once.
 	var tally [64]uint64
-	count := func(e *cpu.Exec) {
+	count := func(e *cpu.Exec, _ *cpu.Decoded) {
 		if e.Inst.Op == isa.OpSpecial {
 			tally[e.Inst.Funct&63]++
 		}

@@ -88,6 +88,7 @@ func probation(ctx context.Context, prog *asm.Program, opts Options) (out probat
 		return false
 	}
 
+	var e cpu.Exec
 	for !c.Done {
 		if out.insts >= opts.MaxInsts {
 			return out, reject("budget exhausted: %d instructions without halting", opts.MaxInsts)
@@ -107,8 +108,7 @@ func probation(ctx context.Context, prog *asm.Program, opts Options) (out probat
 			return out, reject("PC %#x left the text segment [%#x, %#x) after %d instructions",
 				c.PC, prog.TextBase, textEnd, out.insts)
 		}
-		e, serr := c.Step()
-		if serr != nil {
+		if serr := c.Step(&e); serr != nil {
 			return out, reject("step %d: %v", out.insts, serr)
 		}
 		if e.MemWidth > 0 && !inWindow(e.Addr, e.MemWidth) {
