@@ -10,7 +10,7 @@
 // Default weights follow standard first-order CMOS reasoning: array
 // accesses (caches, register file) cost more per bit than random logic
 // because of word/bit-line and sense-amplifier capacitance (see
-// internal/rfmodel for the §2.4 decomposition); latches cost less per bit
+// the §2.4 decomposition in internal/rfmodel/rfmodel_test.go); latches cost less per bit
 // but include their share of clock load; the PC incrementer is narrow
 // ripple logic. Users with real technology data substitute their own
 // Weights.

@@ -243,7 +243,7 @@ func RunSuite(ctx context.Context, suite []bench.Benchmark, workers int) (*Resul
 // goroutines); workers > 1 fans benchmarks across that many goroutines
 // with per-run collectors merged afterwards.
 func RunCaptures(ctx context.Context, caps []*trace.Capture, workers int) (*Results, error) {
-	rc, functs, err := capturesRecoder(caps)
+	rc, functs, err := capturesRecoder(ctx, caps)
 	if err != nil {
 		return nil, err
 	}
@@ -296,14 +296,26 @@ func RunCaptures(ctx context.Context, caps []*trace.Capture, workers int) (*Resu
 	return res, nil
 }
 
-// capturesRecoder builds the profile-driven instruction recoder from the
-// captures' dynamic function-code counts: the recoder trace.SuiteRecoder
-// builds by stepping the same benchmarks again.
-func capturesRecoder(caps []*trace.Capture) (*icomp.Recoder, map[isa.Funct]uint64, error) {
+// CapturesRecoder is the one counts-to-recoder step: it sums n captures'
+// dynamic function-code counts, fetching capture i's through counts(ctx, i)
+// on up to workers goroutines (first error cancels the rest), and builds
+// the profile-driven instruction recoder from the total. That is the
+// recoder trace.SuiteRecoder builds by stepping the same benchmarks again.
+func CapturesRecoder(ctx context.Context, n, workers int,
+	counts func(ctx context.Context, i int) (map[isa.Funct]uint64, error)) (*icomp.Recoder, map[isa.Funct]uint64, error) {
+	per := make([]map[isa.Funct]uint64, n)
+	err := forEachBench(ctx, n, workers, func(ctx context.Context, i int) error {
+		var err error
+		per[i], err = counts(ctx, i)
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
 	functs := make(map[isa.Funct]uint64)
-	for _, cp := range caps {
-		for fn, n := range cp.FunctCounts() {
-			functs[fn] += n
+	for _, c := range per {
+		for fn, k := range c {
+			functs[fn] += k
 		}
 	}
 	rc, err := icomp.NewRecoder(icomp.TopFuncts(functs, 8))
@@ -313,20 +325,17 @@ func capturesRecoder(caps []*trace.Capture) (*icomp.Recoder, map[isa.Funct]uint6
 	return rc, functs, nil
 }
 
+// capturesRecoder is CapturesRecoder over resident captures.
+func capturesRecoder(ctx context.Context, caps []*trace.Capture) (*icomp.Recoder, map[isa.Funct]uint64, error) {
+	return CapturesRecoder(ctx, len(caps), 1, func(_ context.Context, i int) (map[isa.Funct]uint64, error) {
+		return caps[i].FunctCounts()
+	})
+}
+
 // CaptureSuite records each benchmark's trace, fanning the interpreter runs
 // across up to workers goroutines (first error cancels the rest).
 func CaptureSuite(ctx context.Context, suite []bench.Benchmark, workers int) ([]*trace.Capture, error) {
 	caps := make([]*trace.Capture, len(suite))
-	if workers <= 1 {
-		for i, b := range suite {
-			cp, err := trace.CaptureRun(ctx, b)
-			if err != nil {
-				return nil, err
-			}
-			caps[i] = cp
-		}
-		return caps, nil
-	}
 	err := forEachBench(ctx, len(suite), workers, func(ctx context.Context, i int) error {
 		cp, err := trace.CaptureRun(ctx, suite[i])
 		if err != nil {
@@ -342,8 +351,17 @@ func CaptureSuite(ctx context.Context, suite []bench.Benchmark, workers int) ([]
 }
 
 // forEachBench runs fn(i) for every index across up to workers goroutines;
-// the first error cancels the remaining work and is returned.
+// the first error cancels the remaining work and is returned. workers <= 1
+// runs the indices in order on the calling goroutine.
 func forEachBench(ctx context.Context, n, workers int, fn func(context.Context, int) error) error {
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			if err := fn(ctx, i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	sem := make(chan struct{}, workers)

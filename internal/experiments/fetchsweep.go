@@ -34,7 +34,7 @@ func FetchSweep(widths []int) ([]FetchSweepResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rc, _, err := capturesRecoder(caps)
+	rc, _, err := capturesRecoder(ctx, caps)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/icomp"
+	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/trace"
 )
@@ -42,6 +43,10 @@ func (s interpreted) NewMemory() (*mem.Memory, error) {
 		return nil, err
 	}
 	return c.Mem, nil
+}
+
+func (s interpreted) FunctCounts() (map[isa.Funct]uint64, error) {
+	return trace.FunctProfile([]bench.Benchmark{s.b})
 }
 
 func (s interpreted) ReplayBlocks(ctx context.Context, rc *icomp.Recoder, consumers ...trace.Consumer) error {

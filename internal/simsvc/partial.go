@@ -60,7 +60,7 @@ func (s *Service) Partial(ctx context.Context, benches []string) (*Response, err
 // runPartial evaluates the subset through the same per-benchmark unit as
 // the full suite and packages the mergeable share.
 func (s *Service) runPartial(ctx context.Context, subset []bench.Benchmark) (*Response, error) {
-	rc, functs, err := s.recoderProfile()
+	rc, functs, err := s.recoderProfile(ctx)
 	if err != nil {
 		return nil, err
 	}

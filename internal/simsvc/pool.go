@@ -119,15 +119,7 @@ func (p *pool) submit(ctx context.Context, fn func(), admit bool) error {
 	done := make(chan struct{})
 	wrapped := func() {
 		defer close(done)
-		defer func() {
-			if v := recover(); v != nil {
-				stack := make([]byte, 64<<10)
-				stack = stack[:runtime.Stack(stack, false)]
-				jobErr = &PanicError{Val: v, Stack: stack}
-				p.m.panics.Add(1)
-				log.Printf("simsvc: contained job panic: %v\n%s", v, stack)
-			}
-		}()
+		defer containPanic(p.m, &jobErr)
 		if err := p.faults.Fire(ctx, faultinject.PointPoolPickup); err != nil {
 			jobErr = err
 			return
@@ -146,6 +138,19 @@ func (p *pool) submit(ctx context.Context, fn func(), admit bool) error {
 	}
 	<-done
 	return jobErr
+}
+
+// containPanic, deferred, turns a panic on its goroutine into a
+// *PanicError in *errp, counted in m and logged with its stack, so the
+// goroutine returns instead of taking the process down.
+func containPanic(m *Metrics, errp *error) {
+	if v := recover(); v != nil {
+		stack := make([]byte, 64<<10)
+		stack = stack[:runtime.Stack(stack, false)]
+		*errp = &PanicError{Val: v, Stack: stack}
+		m.panics.Add(1)
+		log.Printf("simsvc: contained job panic: %v\n%s", v, stack)
+	}
 }
 
 // retryAfterHint estimates how long a shed client should wait before the

@@ -24,7 +24,6 @@ import (
 	"repro/internal/isa"
 	"repro/internal/lru"
 	"repro/internal/pipeline"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -60,7 +59,9 @@ type Config struct {
 	// Timeout bounds each simulation request (0 = no service-side limit).
 	Timeout time.Duration
 	// Benchmarks restricts the served suite (default bench.All()). The
-	// instruction recoder is profiled over exactly this suite.
+	// instruction recoder is derived from the captures of exactly this
+	// suite, so the first request that needs it captures (or maps) every
+	// benchmark in it.
 	Benchmarks []bench.Benchmark
 	// MaxQueued bounds submissions waiting for a free worker; beyond it
 	// externally-admitted jobs are shed with ErrOverloaded (HTTP 429).
@@ -142,10 +143,11 @@ type Service struct {
 	draining     atomic.Bool
 	inflight     sync.WaitGroup
 
-	rcOnce   sync.Once
-	rc       *icomp.Recoder
-	rcFuncts map[isa.Funct]uint64
-	rcErr    error
+	// profile is the served suite's recoder once derived; pflight shares
+	// one derivation among concurrent first requests. Only a success is
+	// stored, so a cancelled or failed derivation is retried by the next.
+	profile atomic.Pointer[suiteProfile]
+	pflight lru.Group[*suiteProfile]
 
 	// failHook injects per-request faults in tests (nil in production).
 	failHook func(Request) error
@@ -285,20 +287,64 @@ func (s *Service) Uptime() time.Duration { return time.Since(s.start) }
 // CacheLen returns the number of cached results.
 func (s *Service) CacheLen() int { return s.cache.Len() }
 
-// recoder lazily builds the profile-driven instruction recoder over the
-// served suite, once per Service.
-func (s *Service) recoder() (*icomp.Recoder, error) {
-	rc, _, err := s.recoderProfile()
-	return rc, err
+// suiteProfile is the served suite's profile-driven instruction recoder and
+// the dynamic function-code counts it ranks (the input to the paper's
+// Table 3).
+type suiteProfile struct {
+	rc     *icomp.Recoder
+	functs map[isa.Funct]uint64
 }
 
-// recoderProfile is recoder plus the dynamic function-code profile the
-// recoding was derived from (the input to the paper's Table 3).
-func (s *Service) recoderProfile() (*icomp.Recoder, map[isa.Funct]uint64, error) {
-	s.rcOnce.Do(func() {
-		s.rc, s.rcFuncts, s.rcErr = trace.SuiteRecoder(s.benches)
-	})
-	return s.rc, s.rcFuncts, s.rcErr
+// recoderProfile returns the served suite's recoder and function-code
+// counts, deriving them on first need from the suite's own captures: every
+// served benchmark's capture comes through captureFor, at most Workers at a
+// time, so a resident shard captures the suite once (and later requests
+// replay those captures) and a trace-dir shard tallies its mapped files'
+// slot columns. The capture goroutines are not pool jobs, so each
+// contains its own panics. A waiter whose own context is live does not
+// inherit the cancellation of the derivation it joined; it derives again.
+func (s *Service) recoderProfile(ctx context.Context) (*icomp.Recoder, map[isa.Funct]uint64, error) {
+	for {
+		if p := s.profile.Load(); p != nil {
+			return p.rc, p.functs, nil
+		}
+		p, shared, err := s.pflight.Do(ctx, "", func() (*suiteProfile, error) {
+			if p := s.profile.Load(); p != nil {
+				return p, nil
+			}
+			p, err := s.deriveProfile(ctx)
+			if err == nil {
+				s.profile.Store(p)
+			}
+			return p, err
+		})
+		if err == nil {
+			return p.rc, p.functs, nil
+		}
+		if shared && ctx.Err() == nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+			continue
+		}
+		return nil, nil, err
+	}
+}
+
+// deriveProfile sums the function-code counts of the served suite's
+// captures into its recoder.
+func (s *Service) deriveProfile(ctx context.Context) (*suiteProfile, error) {
+	rc, functs, err := experiments.CapturesRecoder(ctx, len(s.benches), s.workers,
+		func(ctx context.Context, i int) (counts map[isa.Funct]uint64, err error) {
+			// Not a pool job: contain a panic here.
+			defer containPanic(&s.metrics, &err)
+			err = s.withEntry(ctx, s.benches[i], func(e *traceEntry) (err error) {
+				counts, err = e.rep.FunctCounts()
+				return err
+			})
+			return counts, err
+		})
+	if err != nil {
+		return nil, err
+	}
+	return &suiteProfile{rc: rc, functs: functs}, nil
 }
 
 // Request identifies one simulation job.
@@ -533,7 +579,7 @@ func (s *Service) execute(ctx context.Context, req Request) (*Response, error) {
 			return nil, err
 		}
 	}
-	rc, err := s.recoder()
+	rc, _, err := s.recoderProfile(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -547,7 +593,11 @@ func (s *Service) execute(ctx context.Context, req Request) (*Response, error) {
 	s.metrics.executions.Add(1)
 	start := time.Now()
 
-	resp, err := s.executeReplay(ctx, req, rc, b)
+	var resp *Response
+	err = s.withEntry(ctx, b, func(e *traceEntry) (err error) {
+		resp, err = s.replayOn(ctx, e, req, rc, b)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}

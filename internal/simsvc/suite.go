@@ -11,7 +11,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/faultinject"
 	"repro/internal/icomp"
-	"repro/internal/trace"
 )
 
 // suiteKey is the cache/singleflight identity of the full-suite evaluation.
@@ -119,29 +118,19 @@ func (s *Service) evalBenches(ctx context.Context, rc *icomp.Recoder, benches []
 						}
 					}
 					s.metrics.executions.Add(1)
-					cols := experiments.NewSuiteCollectors()
-					var (
-						br       experiments.BenchResult
-						benchErr error
-					)
 					// Replay the benchmark's shared capture (one interpreter
-					// run per benchmark, whoever asked first). A mapped entry evicted (and closed) between the
-					// cache hit and the replay fails before consuming any
-					// row, so one retry — which misses and re-maps — is safe
-					// and sufficient.
-					replay := func() (experiments.BenchResult, error) {
-						e, err := s.captureFor(ctx, b)
-						if err != nil {
-							return experiments.BenchResult{}, err
-						}
-						return experiments.RunBenchReplay(ctx, e.rep, rc, cols)
-					}
-					br, benchErr = replay()
-					if benchErr != nil && errors.Is(benchErr, trace.ErrMappedClosed) {
-						br, benchErr = replay()
-					}
-					if benchErr != nil {
-						runErr = benchErr
+					// run per benchmark, whoever asked first), with fresh
+					// collectors on each attempt.
+					var (
+						br   experiments.BenchResult
+						cols *experiments.SuiteCollectors
+					)
+					runErr = s.withEntry(ctx, b, func(e *traceEntry) (err error) {
+						cols = experiments.NewSuiteCollectors()
+						br, err = experiments.RunBenchReplay(ctx, e.rep, rc, cols)
+						return err
+					})
+					if runErr != nil {
 						return
 					}
 					outs[i] = benchOut{br: br, cols: cols}
@@ -183,7 +172,7 @@ func (s *Service) evalBenches(ctx context.Context, rc *icomp.Recoder, benches []
 // runSuite performs the parallel full evaluation over the benchmark list
 // and assembles the complete results document.
 func (s *Service) runSuite(ctx context.Context, benches []bench.Benchmark) (*Response, error) {
-	rc, functs, err := s.recoderProfile()
+	rc, functs, err := s.recoderProfile(ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -283,26 +283,58 @@ func (s *Service) tracePut(ctx context.Context, key string, e *traceEntry) {
 	s.spillEvicted(evicted)
 }
 
-// executeReplay runs one request: it resolves the benchmark's capture
-// (shared across concurrent requests and models, resident or mapped) and
-// replays it. Responses are bit-identical whatever the tier. A mapped
-// entry can be evicted — and its handle closed — between our cache hit and
-// the replay; that loses nothing but the mapping, so it is retried exactly
-// once: the retry's captureFor misses and re-maps (or re-captures) fresh.
-func (s *Service) executeReplay(ctx context.Context, req Request, rc *icomp.Recoder, b bench.Benchmark) (*Response, error) {
-	resp, err := s.replayOnce(ctx, req, rc, b)
-	if err != nil && errors.Is(err, trace.ErrMappedClosed) {
-		resp, err = s.replayOnce(ctx, req, rc, b)
+// withEntry runs fn on b's trace entry (captureFor), shared across
+// concurrent requests and models, resident or mapped, and retries it once
+// when the entry rather than the request failed. fn must build its
+// consumers afresh on each call.
+//
+//   - A mapped entry can be evicted — and its handle closed — between the
+//     cache hit and fn's use of it. That loses nothing but the mapping:
+//     the retry's captureFor misses and re-maps (or re-captures) fresh.
+//   - A mapped file can hold a damaged frame, which only a read of that
+//     frame finds (*trace.CorruptError). The entry and the file are
+//     dropped, so the retry re-interprets the benchmark and writes a
+//     fresh file: a damaged file costs one capture, never every later
+//     request. It matters most to the recoder derivation, which reads
+//     every served benchmark's file.
+func (s *Service) withEntry(ctx context.Context, b bench.Benchmark, fn func(*traceEntry) error) error {
+	var e *traceEntry
+	run := func() (err error) {
+		if e, err = s.captureFor(ctx, b); err != nil {
+			return err
+		}
+		return fn(e)
 	}
-	return resp, err
+	err := run()
+	var ce *trace.CorruptError
+	switch {
+	case errors.Is(err, trace.ErrMappedClosed):
+		err = run()
+	case errors.As(err, &ce) && e != nil && e.mapped != nil:
+		s.dropDamaged(b.Name, e)
+		err = run()
+	}
+	return err
 }
 
-func (s *Service) replayOnce(ctx context.Context, req Request, rc *icomp.Recoder, b bench.Benchmark) (*Response, error) {
-	e, err := s.captureFor(ctx, b)
-	if err != nil {
-		return nil, err
+// dropDamaged removes e, a mapped entry whose file failed a frame check,
+// from the trace cache (unless a fresh entry has replaced it already),
+// closes it and deletes its file, so the next miss for name interprets
+// and spills afresh.
+func (s *Service) dropDamaged(name string, e *traceEntry) {
+	s.traces.mu.Lock()
+	if cur, ok := s.traces.Peek(name); ok && cur == e {
+		s.traces.Remove(name)
+		s.metrics.traceCacheBytes.Store(s.traces.Bytes())
 	}
+	s.traces.mu.Unlock()
+	e.close()
+	os.Remove(trace.CaptureFilePath(s.traceDir, name))
+}
 
+// replayOn runs one request on the benchmark's trace entry. Responses are
+// bit-identical whatever the tier.
+func (s *Service) replayOn(ctx context.Context, e *traceEntry, req Request, rc *icomp.Recoder, b bench.Benchmark) (*Response, error) {
 	if req.Model == "" {
 		br, err := experiments.RunBenchReplay(ctx, e.rep, rc, nil)
 		if err != nil {

@@ -93,9 +93,13 @@ func TestTraceCacheLRUUnit(t *testing.T) {
 
 // Service-level memory accounting: a 2 MB budget holds one ~1.3-1.5 MB
 // capture at a time, so touching a second benchmark evicts the first and the
-// eviction/byte metrics track it.
+// eviction/byte metrics track it. One worker makes the recoder derivation
+// capture the served suite in order, so every count is exact: the first
+// request captures dijkstra and g711dec for the recoder (g711dec evicts
+// dijkstra), then re-captures dijkstra for its own replay (evicting
+// g711dec).
 func TestTraceCacheEvictionUnderBudget(t *testing.T) {
-	s := testService(t, Config{Workers: 2, TraceCacheMB: 2}, "dijkstra", "g711dec")
+	s := testService(t, Config{Workers: 1, TraceCacheMB: 2}, "dijkstra", "g711dec")
 	ctx := context.Background()
 
 	if _, err := s.Simulate(ctx, Request{Bench: "dijkstra", Model: pipeline.NameBaseline32}); err != nil {
@@ -103,6 +107,10 @@ func TestTraceCacheEvictionUnderBudget(t *testing.T) {
 	}
 	if s.TraceCacheLen() != 1 {
 		t.Fatalf("after first bench: %d cached traces, want 1", s.TraceCacheLen())
+	}
+	if m := s.Metrics().Snapshot(); m.Captures != 3 || m.TraceCacheEvict != 2 {
+		t.Fatalf("after first bench: captures = %d, evictions = %d, want 3/2 (both for the recoder, dijkstra again)",
+			m.Captures, m.TraceCacheEvict)
 	}
 	firstBytes := s.TraceCacheBytes()
 	if firstBytes <= 0 || firstBytes > 2<<20 {
@@ -116,8 +124,8 @@ func TestTraceCacheEvictionUnderBudget(t *testing.T) {
 	if s.TraceCacheLen() != 1 {
 		t.Fatalf("after second bench: %d cached traces, want 1 (budget fits one)", s.TraceCacheLen())
 	}
-	if m.TraceCacheEvict != 1 {
-		t.Fatalf("evictions = %d, want 1", m.TraceCacheEvict)
+	if m.TraceCacheEvict != 3 {
+		t.Fatalf("evictions = %d, want 3", m.TraceCacheEvict)
 	}
 	if got := s.TraceCacheBytes(); got > 2<<20 || got != m.TraceCacheBytes {
 		t.Fatalf("accounted bytes %d (gauge %d) exceed the 2 MB budget", got, m.TraceCacheBytes)
@@ -127,8 +135,8 @@ func TestTraceCacheEvictionUnderBudget(t *testing.T) {
 	if _, err := s.Simulate(ctx, Request{Bench: "dijkstra", Model: pipeline.NameByteSerial}); err != nil {
 		t.Fatal(err)
 	}
-	if m := s.Metrics().Snapshot(); m.Captures != 3 {
-		t.Fatalf("captures = %d, want 3 (dijkstra twice, g711dec once)", m.Captures)
+	if m := s.Metrics().Snapshot(); m.Captures != 5 {
+		t.Fatalf("captures = %d, want 5 (dijkstra three times, g711dec twice)", m.Captures)
 	}
 }
 
@@ -358,8 +366,9 @@ func TestTraceCacheChaosDegradesGracefully(t *testing.T) {
 		t.Fatalf("cached traces = %d, want 0 (every put was injected away)", s.TraceCacheLen())
 	}
 	// ...but the result cache also dropped its puts, so each request
-	// re-executed and re-captured: degraded, never wrong.
-	if m := s.Metrics().Snapshot(); m.Captures != 3 || m.Executions != 3 {
-		t.Fatalf("captures = %d, executions = %d, want 3/3", m.Captures, m.Executions)
+	// re-executed and re-captured, and the first request captured once more
+	// to derive the recoder: degraded, never wrong.
+	if m := s.Metrics().Snapshot(); m.Captures != 4 || m.Executions != 3 {
+		t.Fatalf("captures = %d, executions = %d, want 4/3 (one for the recoder, one per request)", m.Captures, m.Executions)
 	}
 }

@@ -257,6 +257,58 @@ func TestTraceDirCorruptFileDegrades(t *testing.T) {
 	}
 }
 
+// TestTraceDirDamagedFrameHeals damages one frame of a trace-dir file. The
+// file still opens (opening checks only the header and the footer index),
+// so the damage surfaces when the recoder derivation counts the file's slot
+// columns. The shard must drop the entry and the file, re-interpret that
+// one benchmark, write a fresh file, and answer exactly as an undamaged
+// shard does.
+func TestTraceDirDamagedFrameHeals(t *testing.T) {
+	ctx := context.Background()
+	served := []string{"dijkstra", "g711dec"}
+	dir := t.TempDir()
+	for _, name := range served {
+		cp, err := trace.CaptureRun(ctx, mustTestBench(t, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := trace.WriteCaptureFile(dir, cp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := trace.CaptureFilePath(dir, "dijkstra")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0x10 // mid-file: inside some frame payload
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s := testService(t, Config{Workers: 2, TraceDir: dir}, served...)
+	req := Request{Bench: "dijkstra", Model: pipeline.NameByteSerial, Gran: 1}
+	got, err := s.Simulate(ctx, req)
+	if err != nil {
+		t.Fatalf("request on a shard with a damaged frame: %v", err)
+	}
+	if want := newReference(t, served...).response(t, req); normalized(t, got) != want {
+		t.Fatalf("healed shard diverged:\ngot:  %s\nwant: %s", normalized(t, got), want)
+	}
+	if m := s.Metrics().Snapshot(); m.Captures != 1 || m.TraceSpills != 1 {
+		t.Fatalf("captures = %d, spills = %d, want 1/1 (only the damaged benchmark re-interpreted and rewritten)",
+			m.Captures, m.TraceSpills)
+	}
+	mc, err := trace.OpenMappedCapture(path)
+	if err != nil {
+		t.Fatalf("rewritten file: %v", err)
+	}
+	defer mc.Close()
+	if _, err := mc.FunctCounts(); err != nil {
+		t.Fatalf("rewritten file still damaged: %v", err)
+	}
+}
+
 // TestTraceDirMappedTier pins the mapped residency tier: a shard warm-started
 // from another shard's SIGCAP02 spills maps the files instead of decoding
 // them, so (a) no interpreter runs, (b) every load is a map load, (c) both
@@ -273,8 +325,9 @@ func TestTraceDirMappedTier(t *testing.T) {
 	req2 := Request{Bench: "g711dec", Model: pipeline.NameByteSerial, Gran: 1}
 
 	// Cold shard: interprets and spills; the 2 MB budget holds only one
-	// decoded (~1.4 MB) capture at a time, so the second bench evicts the
-	// first.
+	// decoded (~1.4 MB) capture at a time, so deriving the recoder, which
+	// captures both benchmarks, evicts one of them. Whichever it is comes
+	// back on the mapped tier, from the file this shard spilled.
 	cold := testService(t, Config{Workers: 2, TraceCacheMB: 2, TraceDir: dir}, "dijkstra", "g711dec")
 	w1, err := cold.Simulate(ctx, req1)
 	if err != nil {
@@ -284,13 +337,13 @@ func TestTraceDirMappedTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := cold.TraceMappedEntries(); n != 0 {
-		t.Fatalf("cold shard reports %d mapped entries, want 0 (captures are resident)", n)
+	if n := cold.TraceMappedEntries(); n != 1 {
+		t.Fatalf("cold shard reports %d mapped entries, want 1 (the evicted capture, re-mapped)", n)
 	}
 	if m := cold.Metrics().Snapshot(); m.TraceCacheEvict != 1 {
 		t.Fatalf("cold shard evictions = %d, want 1 (budget fits one decoded capture)", m.TraceCacheEvict)
 	}
-	coldBytes := cold.TraceCacheBytes() // one resident capture
+	coldBytes := cold.TraceCacheBytes() // one resident capture and one mapped entry
 
 	// Warm shard sharing the dir under the same budget: both entries are
 	// mapped, nothing is interpreted, nothing is evicted.
@@ -325,15 +378,17 @@ func TestTraceDirMappedTier(t *testing.T) {
 			normalized(t, g1), normalized(t, w1))
 	}
 
-	// TraceNoMmap: same warm start, eager tier only, same answers.
-	eager := testService(t, Config{Workers: 2, TraceCacheMB: 2, TraceDir: dir, TraceNoMmap: true}, "dijkstra", "g711dec")
+	// TraceNoMmap: same warm start, eager tier only, same answers. One
+	// worker loads the suite for the recoder in order: g711dec evicts
+	// dijkstra, which req1 then loads a second time.
+	eager := testService(t, Config{Workers: 1, TraceCacheMB: 2, TraceDir: dir, TraceNoMmap: true}, "dijkstra", "g711dec")
 	e1, err := eager.Simulate(ctx, req1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m = eager.Metrics().Snapshot()
-	if m.TraceMapLoads != 0 || m.TraceSpillLoads != 1 {
-		t.Fatalf("TraceNoMmap loads: spill=%d map=%d, want 1/0", m.TraceSpillLoads, m.TraceMapLoads)
+	if m.TraceMapLoads != 0 || m.TraceSpillLoads != 3 || m.Captures != 0 {
+		t.Fatalf("TraceNoMmap loads: spill=%d map=%d captures=%d, want 3/0/0", m.TraceSpillLoads, m.TraceMapLoads, m.Captures)
 	}
 	if n := eager.TraceMappedEntries(); n != 0 {
 		t.Fatalf("TraceNoMmap shard mapped entries = %d, want 0", n)

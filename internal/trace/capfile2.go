@@ -261,24 +261,54 @@ func readUvarints(p []byte, off int, dst []uint32) (next int, wide uint32) {
 	return off, wide
 }
 
-// decodeCap2Frame decodes one frame payload into the caller's column
-// slices (each len == the frame's row count), verifying the footer CRC
-// first. Each column is one readUvarints pass; the predictors (PC prefix
-// sum, per-slot add, per-slot XOR) then run in place, after the slot
-// column has been checked against nStatics. sc provides the per-slot
-// predictor scratch; it is cleared here, never carried between frames.
-// Returns a *CorruptError on any structural violation — decode never
-// panics on arbitrary bytes.
-func decodeCap2Frame(payload []byte, fr cap2Frame, nStatics uint64,
-	slot, pc, srcA, srcB, result, sig []uint32, sc *cap2Scratch) error {
+// decodeCap2Slots is the prefix every frame decode shares: it verifies the
+// payload against the footer CRC, decodes the slot column into slot (len ==
+// the frame's row count), checks every slot against nStatics, and ORs in the
+// branch outcomes from the taken bitmap. It returns the offset of the pc
+// column. A caller that needs only the slots (MappedCapture.FunctCounts)
+// stops here and never decodes the other columns.
+func decodeCap2Slots(payload []byte, fr cap2Frame, nStatics uint64, slot []uint32) (int, error) {
 	if crc32.ChecksumIEEE(payload) != fr.crc {
-		return cap2Corrupt("frame at offset %d fails CRC", fr.off)
+		return 0, cap2Corrupt("frame at offset %d fails CRC", fr.off)
 	}
 	bm := (len(slot) + 7) / 8
 	if len(payload) < bm {
-		return cap2Corrupt("frame at offset %d truncated", fr.off)
+		return 0, cap2Corrupt("frame at offset %d truncated", fr.off)
 	}
 	off, wide := readUvarints(payload, bm, slot)
+	if off < 0 {
+		return 0, cap2Corrupt("frame at offset %d truncated", fr.off)
+	}
+	if wide != 0 {
+		return 0, cap2Corrupt("frame at offset %d references a slot beyond 32 bits", fr.off)
+	}
+	var top uint32
+	for _, s := range slot {
+		top = max(top, s)
+	}
+	if uint64(top) >= nStatics {
+		return 0, cap2Corrupt("frame row %d references slot %d of %d", slices.Index(slot, top), top, nStatics)
+	}
+	taken := payload[:bm]
+	for i := range slot {
+		slot[i] |= uint32(taken[i>>3]>>(i&7)&1) * TakenBit
+	}
+	return off, nil
+}
+
+// decodeCap2Frame decodes one frame payload into the caller's column
+// slices (each len == the frame's row count): decodeCap2Slots first, then
+// each remaining column in one readUvarints pass, and then the predictors
+// (PC prefix sum, per-slot add, per-slot XOR) run in place. sc provides the
+// per-slot predictor scratch; it is cleared here, never carried between
+// frames. Returns a *CorruptError on any structural violation — decode
+// never panics on arbitrary bytes.
+func decodeCap2Frame(payload []byte, fr cap2Frame, nStatics uint64,
+	slot, pc, srcA, srcB, result, sig []uint32, sc *cap2Scratch) error {
+	off, err := decodeCap2Slots(payload, fr, nStatics, slot)
+	if err != nil {
+		return err
+	}
 	for _, col := range [...][]uint32{pc, srcA, srcB, result, sig} {
 		if off < 0 {
 			break
@@ -290,20 +320,6 @@ func decodeCap2Frame(payload []byte, fr cap2Frame, nStatics uint64,
 	}
 	if off != len(payload) {
 		return cap2Corrupt("frame at offset %d carries %d trailing bytes", fr.off, len(payload)-off)
-	}
-	if wide != 0 {
-		return cap2Corrupt("frame at offset %d references a slot beyond 32 bits", fr.off)
-	}
-	var top uint32
-	for _, s := range slot {
-		top = max(top, s)
-	}
-	if uint64(top) >= nStatics {
-		return cap2Corrupt("frame row %d references slot %d of %d", slices.Index(slot, top), top, nStatics)
-	}
-	taken := payload[:bm]
-	for i := range slot {
-		slot[i] |= uint32(taken[i>>3]>>(i&7)&1) * TakenBit
 	}
 	var prevPC uint32
 	for i, d := range pc {

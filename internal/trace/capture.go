@@ -31,10 +31,11 @@
 // Memory. Consumers may read the program's memory image (the activity
 // collectors read cache-line contents at fill time), and only stores mutate
 // memory during a run (syscalls write the CPU's output buffer, never
-// memory). Replay therefore rebuilds the initial image and applies each
-// captured store before any consumer sees its row, and no later store
-// before it (see emitSpans) — making replay bit-identical to streaming
-// interpretation (Interpret), which the equivalence tests assert.
+// memory). Replay therefore rebuilds the initial image and applies the
+// captured stores so that at every row that moves a cache line the image
+// holds exactly the stores of that row and the rows before it (see
+// emitSpans) — making replay bit-identical to streaming interpretation
+// (Interpret), which the equivalence tests assert.
 package trace
 
 import (
@@ -121,6 +122,10 @@ type Replayer interface {
 	// ReplayBlocksOn emits the trace over a caller memory image; see
 	// Capture.ReplayBlocksOn for the memory-ordering contract.
 	ReplayBlocksOn(ctx context.Context, m *mem.Memory, rc *icomp.Recoder, consumers ...Consumer) error
+	// FunctCounts tallies the trace's dynamic R-format function-code
+	// frequencies, the per-benchmark input to the Table 3 recoding, without
+	// replaying it to any consumer.
+	FunctCounts() (map[isa.Funct]uint64, error)
 }
 
 // ifbMemo memoizes per-slot compressed fetch sizes per recoder profile:
@@ -407,15 +412,27 @@ func (cp *Capture) MissStream() []MissEvent { return cp.misses.stream() }
 
 // FunctCounts tallies the dynamic R-format function-code frequencies of the
 // recorded trace — the per-benchmark input to the paper's Table 3 recoding,
-// for free from the capture (no re-execution, no annotation).
-func (cp *Capture) FunctCounts() map[isa.Funct]uint64 {
+// for free from the capture (no re-execution, no annotation). A resident
+// capture's tally never fails.
+func (cp *Capture) FunctCounts() (map[isa.Funct]uint64, error) {
 	perSlot := make([]uint64, len(cp.statics))
-	for _, sw := range cp.slot {
+	tallySlots(perSlot, cp.slot)
+	return functsOf(cp.statics, perSlot), nil
+}
+
+// tallySlots counts each slot column entry against its statics slot.
+func tallySlots(perSlot []uint64, slot []uint32) {
+	for _, sw := range slot {
 		perSlot[sw&SlotMask]++
 	}
+}
+
+// functsOf folds per-statics-slot dynamic counts into per-function-code
+// counts of the R-format (SPECIAL) instructions.
+func functsOf(statics []Static, perSlot []uint64) map[isa.Funct]uint64 {
 	counts := make(map[isa.Funct]uint64)
-	for i := range cp.statics {
-		if st := &cp.statics[i]; st.Inst.Op == isa.OpSpecial && perSlot[i] > 0 {
+	for i := range statics {
+		if st := &statics[i]; st.Inst.Op == isa.OpSpecial && perSlot[i] > 0 {
 			counts[st.Inst.Funct] += perSlot[i]
 		}
 	}

@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -175,20 +176,38 @@ func TestCaptureSizeBound(t *testing.T) {
 	}
 }
 
-// TestCaptureFunctCounts checks that the capture's dynamic funct tally
-// matches the interpreter-based profile.
+// TestCaptureFunctCounts checks both tiers' dynamic funct tallies against
+// the interpreter-based profile for every suite benchmark: the resident
+// capture's, and the mapped file's, which decodes only the slot columns.
 func TestCaptureFunctCounts(t *testing.T) {
-	b := mustBench(t, captureTestBenches[0])
-	want, err := trace.FunctProfile([]bench.Benchmark{b})
-	if err != nil {
-		t.Fatalf("FunctProfile: %v", err)
-	}
-	cp, err := trace.CaptureRun(context.Background(), b)
-	if err != nil {
-		t.Fatalf("CaptureRun: %v", err)
-	}
-	if got := cp.FunctCounts(); !reflect.DeepEqual(got, want) {
-		t.Errorf("FunctCounts = %v, want %v", got, want)
+	dir := t.TempDir()
+	for _, b := range bench.All() {
+		want, err := trace.FunctProfile([]bench.Benchmark{b})
+		if err != nil {
+			t.Fatalf("FunctProfile(%s): %v", b.Name, err)
+		}
+		cp, err := trace.CaptureRun(context.Background(), b)
+		if err != nil {
+			t.Fatalf("CaptureRun(%s): %v", b.Name, err)
+		}
+		if got, err := cp.FunctCounts(); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Capture.FunctCounts = %v, %v; want %v", b.Name, got, err, want)
+		}
+		path, err := trace.WriteCaptureFile(dir, cp)
+		if err != nil {
+			t.Fatalf("WriteCaptureFile(%s): %v", b.Name, err)
+		}
+		mc, err := trace.OpenMappedCapture(path)
+		if err != nil {
+			t.Fatalf("OpenMappedCapture(%s): %v", b.Name, err)
+		}
+		if got, err := mc.FunctCounts(); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: MappedCapture.FunctCounts = %v, %v; want %v", b.Name, got, err, want)
+		}
+		mc.Close()
+		if _, err := mc.FunctCounts(); !errors.Is(err, trace.ErrMappedClosed) {
+			t.Errorf("%s: FunctCounts after Close = %v, want ErrMappedClosed", b.Name, err)
+		}
 	}
 }
 

@@ -27,6 +27,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/icomp"
+	"repro/internal/isa"
 	"repro/internal/mem"
 )
 
@@ -139,6 +140,34 @@ func (mc *MappedCapture) SizeBytes() int {
 // its first replay has completed. The stream lives with the handle: a
 // re-opened file builds it again.
 func (mc *MappedCapture) MissStream() []MissEvent { return mc.misses.stream() }
+
+// FunctCounts tallies the dynamic R-format function-code frequencies, as
+// Capture.FunctCounts does, from the frames' slot columns alone. Each frame
+// is read positionally, never through the mapping, so the scan leaves no
+// file pages in the process's resident set; it is CRC-checked and then only
+// its taken bitmap and slot column are decoded (decodeCap2Slots). A damaged
+// frame is an error, never a different count.
+func (mc *MappedCapture) FunctCounts() (map[isa.Funct]uint64, error) {
+	if err := mc.acquire(); err != nil {
+		return nil, err
+	}
+	defer mc.release()
+	perSlot := make([]uint64, len(mc.ix.statics))
+	slot := make([]uint32, FrameRows)
+	var raw []byte
+	for f := range mc.ix.frames {
+		lo, hi := mc.ix.frameSpan(f)
+		p, err := readFrame(mc.f, mc.ix.frames[f], &raw)
+		if err != nil {
+			return nil, fmt.Errorf("trace: reading %s frame %d: %w", mc.ix.b.Name, f, err)
+		}
+		if _, err := decodeCap2Slots(p, mc.ix.frames[f], uint64(len(perSlot)), slot[:hi-lo]); err != nil {
+			return nil, fmt.Errorf("trace: counting %s: %w", mc.ix.b.Name, err)
+		}
+		tallySlots(perSlot, slot[:hi-lo])
+	}
+	return functsOf(mc.ix.statics, perSlot), nil
+}
 
 // NewMemory rebuilds the benchmark's initial memory image.
 func (mc *MappedCapture) NewMemory() (*mem.Memory, error) {
