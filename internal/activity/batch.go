@@ -7,14 +7,10 @@
 //
 // Collectors read cache-line contents from the program memory image at fill
 // time, so they must be fed over the benchmark's initial image
-// (ReplayBlocksOn). They read it only at rows whose miss event carries
-// MissIFill, MissDFill or MissDWriteback, the only rows at which the
-// replay engine guarantees the image: it holds the stores of that row and
-// every earlier row, and no later store (trace's package comment on memory
-// ordering). At any other row it may already hold later stores of the
-// same block, so a collector must never read memory there. Which rows fill
-// or write back comes from the block's miss stream (trace.Block.Misses), so
-// the collector runs no cache simulation of its own.
+// (ReplayBlocksOn): the engine's store-delimited spans guarantee a row's
+// fill never observes a later row's store. Which rows fill or write back
+// comes from the block's miss stream (trace.Block.Misses), so the collector
+// runs no cache simulation of its own.
 package activity
 
 import (

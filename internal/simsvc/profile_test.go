@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/faultinject"
@@ -94,9 +93,12 @@ func TestRecoderFromCaptures(t *testing.T) {
 	})
 }
 
-// TestRecoderDerivationRetried checks that a failed derivation is not
-// remembered: after a cancelled one and after one whose capture panicked,
-// the next request derives again and gets the oracle's recoder.
+// TestRecoderDerivationRetried checks what a derivation keeps. Requests
+// whose contexts are already cancelled, racing live ones, do not cancel
+// the derivation: the live requests get its recoder, the suite is captured
+// once and the recoder is kept. A derivation whose capture panicked is not
+// remembered: the next request derives again and gets the oracle's
+// recoder.
 func TestRecoderDerivationRetried(t *testing.T) {
 	ctx := context.Background()
 
@@ -104,10 +106,29 @@ func TestRecoderDerivationRetried(t *testing.T) {
 		s := testService(t, Config{Workers: 2}, "dijkstra", "g711dec")
 		cancelled, cancel := context.WithCancel(ctx)
 		cancel()
-		if _, _, err := s.recoderProfile(cancelled); !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled derivation: %v, want context.Canceled", err)
+		var wg sync.WaitGroup
+		for i := 0; i < 4; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if i%2 == 0 {
+					// Leading, it waits for the derivation; joining, it
+					// may give up with its own cancellation.
+					if _, _, err := s.recoderProfile(cancelled); err != nil && !errors.Is(err, context.Canceled) {
+						t.Errorf("cancelled request: %v", err)
+					}
+					return
+				}
+				if _, _, err := s.recoderProfile(ctx); err != nil {
+					t.Errorf("live request racing cancelled ones: %v", err)
+				}
+			}()
 		}
+		wg.Wait()
 		checkProfile(t, s, s.Benchmarks())
+		if m := s.Metrics().Snapshot(); m.Captures != 2 {
+			t.Fatalf("captures = %d, want 2 (one derivation, kept)", m.Captures)
+		}
 	})
 
 	t.Run("panicked", func(t *testing.T) {
@@ -125,28 +146,6 @@ func TestRecoderDerivationRetried(t *testing.T) {
 		if _, err := s.Simulate(ctx, Request{Bench: "dijkstra", Model: pipeline.NameBaseline32}); err != nil {
 			t.Fatalf("request after the fault cleared: %v", err)
 		}
-		checkProfile(t, s, s.Benchmarks())
-	})
-
-	// A request that joins a derivation whose leader is cancelled derives
-	// again under its own live context instead of failing with the
-	// leader's cancellation.
-	t.Run("joined leader cancelled", func(t *testing.T) {
-		inj := faultinject.MustNew(5, faultinject.Rule{Point: faultinject.PointCacheGet, Kind: faultinject.KindLatency, Latency: 50 * time.Millisecond, Prob: 1})
-		s := chaosService(t, Config{Workers: 2}, inj, "dijkstra", "g711dec")
-		leaderCtx, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
-		defer cancel()
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.recoderProfile(leaderCtx)
-		}()
-		time.Sleep(5 * time.Millisecond)
-		if _, _, err := s.recoderProfile(ctx); err != nil {
-			t.Fatalf("joined derivation: %v", err)
-		}
-		wg.Wait()
 		checkProfile(t, s, s.Benchmarks())
 	})
 }

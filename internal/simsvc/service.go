@@ -300,32 +300,30 @@ type suiteProfile struct {
 // served benchmark's capture comes through captureFor, at most Workers at a
 // time, so a resident shard captures the suite once (and later requests
 // replay those captures) and a trace-dir shard tallies its mapped files'
-// slot columns. The capture goroutines are not pool jobs, so each
-// contains its own panics. A waiter whose own context is live does not
-// inherit the cancellation of the derivation it joined; it derives again.
+// slot columns. The derivation runs detached from the cancellation of the
+// request that starts it, so a client that goes away neither wastes the
+// captures the trace cache keeps nor hands its cancellation to the
+// requests that joined; only a real failure reaches them, and it is not
+// stored, so the next request derives again. The capture goroutines are
+// not pool jobs, so each contains its own panics.
 func (s *Service) recoderProfile(ctx context.Context) (*icomp.Recoder, map[isa.Funct]uint64, error) {
-	for {
+	if p := s.profile.Load(); p != nil {
+		return p.rc, p.functs, nil
+	}
+	p, _, err := s.pflight.Do(ctx, "", func() (*suiteProfile, error) {
 		if p := s.profile.Load(); p != nil {
-			return p.rc, p.functs, nil
+			return p, nil
 		}
-		p, shared, err := s.pflight.Do(ctx, "", func() (*suiteProfile, error) {
-			if p := s.profile.Load(); p != nil {
-				return p, nil
-			}
-			p, err := s.deriveProfile(ctx)
-			if err == nil {
-				s.profile.Store(p)
-			}
-			return p, err
-		})
+		p, err := s.deriveProfile(context.WithoutCancel(ctx))
 		if err == nil {
-			return p.rc, p.functs, nil
+			s.profile.Store(p)
 		}
-		if shared && ctx.Err() == nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-			continue
-		}
+		return p, err
+	})
+	if err != nil {
 		return nil, nil, err
 	}
+	return p.rc, p.functs, nil
 }
 
 // deriveProfile sums the function-code counts of the served suite's

@@ -317,11 +317,17 @@ func (s *Service) withEntry(ctx context.Context, b bench.Benchmark, fn func(*tra
 	return err
 }
 
-// dropDamaged removes e, a mapped entry whose file failed a frame check,
-// from the trace cache (unless a fresh entry has replaced it already),
-// closes it and deletes its file, so the next miss for name interprets
-// and spills afresh.
+// dropDamaged drops e, a mapped entry whose file failed a frame check, so
+// the next miss for name interprets and spills afresh. The file is deleted
+// only while its path still names the file e reads: a request that hit the
+// same damaged entry earlier may already have dropped it and spilled a
+// fresh file, as may another shard sharing the trace dir, and that file
+// must survive. e leaves the trace cache unless a fresh entry has replaced
+// it already.
 func (s *Service) dropDamaged(name string, e *traceEntry) {
+	if path := trace.CaptureFilePath(s.traceDir, name); e.mapped.IsFile(path) {
+		os.Remove(path)
+	}
 	s.traces.mu.Lock()
 	if cur, ok := s.traces.Peek(name); ok && cur == e {
 		s.traces.Remove(name)
@@ -329,7 +335,6 @@ func (s *Service) dropDamaged(name string, e *traceEntry) {
 	}
 	s.traces.mu.Unlock()
 	e.close()
-	os.Remove(trace.CaptureFilePath(s.traceDir, name))
 }
 
 // replayOn runs one request on the benchmark's trace entry. Responses are

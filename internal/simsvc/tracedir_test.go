@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"os"
+	"sync"
 	"testing"
 
 	"repro/internal/bench"
@@ -306,6 +307,66 @@ func TestTraceDirDamagedFrameHeals(t *testing.T) {
 	defer mc.Close()
 	if _, err := mc.FunctCounts(); err != nil {
 		t.Fatalf("rewritten file still damaged: %v", err)
+	}
+
+	// Two requests on one damaged entry. A second shard maps both healed
+	// files for its recoder; then dijkstra's file is damaged in place, so
+	// the cached mapping reads the damage. Two requests for different
+	// models replay that entry at once: one drops it and spills a fresh
+	// file; the other must not delete that file, however their drops
+	// interleave. A drop of the stale entry after the heal must not either.
+	s2 := testService(t, Config{Workers: 2, TraceDir: dir}, served...)
+	if _, _, err := s2.recoderProfile(ctx); err != nil {
+		t.Fatal(err)
+	}
+	stale, ok := s2.traces.Peek("dijkstra")
+	if !ok || stale.mapped == nil {
+		t.Fatal("second shard did not map dijkstra")
+	}
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]byte, 1)
+	off := int64(len(raw) / 2)
+	if _, err := f.ReadAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x10
+	if _, err := f.WriteAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	reqs := []Request{req, {Bench: "dijkstra", Model: pipeline.NameBaseline32, Gran: 1}}
+	ref := newReference(t, served...)
+	var wg sync.WaitGroup
+	for _, r := range reqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := s2.Simulate(ctx, r)
+			if err != nil {
+				t.Errorf("%s on a damaged mapped entry: %v", r.Model, err)
+				return
+			}
+			if want := ref.response(t, r); normalized(t, got) != want {
+				t.Errorf("%s diverged:\ngot:  %s\nwant: %s", r.Model, normalized(t, got), want)
+			}
+		}()
+	}
+	wg.Wait()
+	healed, _ := s2.traces.Peek("dijkstra")
+	s2.dropDamaged("dijkstra", stale)
+	if cur, _ := s2.traces.Peek("dijkstra"); cur != healed {
+		t.Fatal("dropping the stale entry removed its replacement from the trace cache")
+	}
+	mc, err = trace.OpenMappedCapture(path)
+	if err != nil {
+		t.Fatalf("fresh file after both drops: %v", err)
+	}
+	defer mc.Close()
+	if _, err := mc.FunctCounts(); err != nil {
+		t.Fatalf("fresh file after both drops still damaged: %v", err)
 	}
 }
 

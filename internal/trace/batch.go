@@ -7,17 +7,15 @@
 // ever built on this path; Block.EventAt reconstructs one on demand for
 // reference oracles and tests.
 //
-// Memory ordering. A memory image, when the replay has one, is read only
-// at the rows that move a cache line: the rows whose miss event carries
-// MissIFill, MissDFill or MissDWriteback (the activity collectors read the
-// line's contents there). The contract is stated at those rows alone: when
-// a consumer sees such a row, the image holds the stores of that row and of
-// every earlier row, and no later store. At any other row the image may
-// already hold later stores of the same span, so a consumer must not read
-// memory there. emitSpans therefore splits a block only at line-moving
-// rows: it applies the stores of rows [lo, r] and then emits [lo, r+1), and
-// the next span starts at r+1. Over the suite about 0.06% of rows move a
-// line, so a block goes out in a few spans rather than one per store. With
+// Memory ordering. Memory-reading consumers (the activity collectors read
+// cache-line contents at fill time) must observe each row's store before
+// the row itself and no later store. A block of rows spanning a store
+// cannot simply be fanned out after applying all its stores — a consumer
+// filling a cache line at row i must not observe a store from row j > i.
+// emitSpans therefore splits each block at store rows: rows [lo, i) are
+// emitted, store i is applied, and the next span starts at i (the store
+// row itself is emitted in the following span, after its own store has
+// landed — the state-then-consume order of stepping the interpreter). With
 // a nil memory image no splitting is needed and blocks are emitted whole.
 package trace
 
@@ -193,10 +191,9 @@ func (cp *Capture) ReplayBlocks(ctx context.Context, rc *icomp.Recoder, consumer
 
 // ReplayBlocksOn fans the capture out to the consumers in column blocks of
 // up to BlockRows rows. With a non-nil memory image (the benchmark's
-// initial image, NewMemory) the blocks are additionally split after each
-// row that moves a cache line, so a consumer reading memory there observes
-// it exactly as the interpreter left it (see the package comment on memory
-// ordering).
+// initial image, NewMemory) the blocks are additionally split at store rows
+// so every consumer observes memory exactly as the interpreter left it (see
+// the package comment on memory ordering).
 func (cp *Capture) ReplayBlocksOn(ctx context.Context, m *mem.Memory, rc *icomp.Recoder, consumers ...Consumer) error {
 	ifb := cp.ifBytes(rc)
 	blk := Block{Statics: cp.statics, IFB: ifb}
@@ -225,30 +222,27 @@ func (cp *Capture) ReplayBlocksOn(ctx context.Context, m *mem.Memory, rc *icomp.
 	return nil
 }
 
-// emitSpans fans one contiguous decoded column span out to the consumers.
-// With a memory image it splits the span after each row whose miss event
-// moves a cache line, having applied the stores up to and including that
-// row first, so a consumer reading memory at such a row sees exactly the
-// stores of that row and every earlier one (see the package comment on
-// memory ordering). Both sources' replays (ReplayBlocksOn and the streaming
-// frame replayer) and Interpret's window share this, so their memory
-// ordering cannot diverge. start is the trace-global index of span row 0;
-// endNextPC is the NextPC of the span's final row; misses are the
-// miss-stream events of the span's rows, sliced per emitted block. blk
-// carries the Statics/IFB annotation tables and is reused across calls.
+// emitSpans fans one contiguous decoded column span out to the consumers,
+// splitting at store rows when a memory image is present: rows [lo, i) are
+// emitted, store i is applied, and the next span starts at i — the store
+// row is observed only after its store has landed, and before any later
+// one. Both sources' replays (ReplayBlocksOn and the streaming frame
+// replayer) and Interpret's window share this, so their memory ordering
+// cannot diverge. start is the trace-global index of span row 0; endNextPC is the NextPC of the span's final row; misses
+// are the miss-stream events of the span's rows, sliced per emitted block.
+// blk carries the Statics/IFB annotation tables and is reused across calls.
 func emitSpans(blk *Block, m *mem.Memory, consumers []Consumer, start int,
 	slot, pc, srcA, srcB, result, sig []uint32, endNextPC uint32, misses []MissEvent) {
 	n := len(slot)
-	rest := misses
 	emit := func(lo, hi int) {
 		if lo >= hi {
 			return
 		}
 		k := 0
-		for k < len(rest) && int(rest[k].Row) < start+hi {
+		for k < len(misses) && int(misses[k].Row) < start+hi {
 			k++
 		}
-		blk.Misses, rest = rest[:k:k], rest[k:]
+		blk.Misses, misses = misses[:k:k], misses[k:]
 		blk.Start = start + lo
 		blk.Slot = slot[lo:hi]
 		blk.PC = pc[lo:hi]
@@ -269,35 +263,23 @@ func emitSpans(blk *Block, m *mem.Memory, consumers []Consumer, start int,
 		emit(0, n)
 		return
 	}
-	// applyTo lands the stores of rows [from, to).
-	from := 0
-	applyTo := func(to int) {
-		for i := from; i < to; i++ {
-			st := &blk.Statics[slot[i]&SlotMask]
-			if !st.IsStore {
-				continue
-			}
-			addr := srcA[i] + st.Simm
-			switch st.MemWidth {
-			case 1:
-				m.Store8(addr, byte(srcB[i]))
-			case 2:
-				m.Store16(addr, uint16(srcB[i]))
-			default:
-				m.Store32(addr, srcB[i])
-			}
-		}
-		from = to
-	}
-	for _, ev := range misses {
-		if ev.Flags&lineMoves == 0 {
+	lo := 0
+	for i := 0; i < n; i++ {
+		st := &blk.Statics[slot[i]&SlotMask]
+		if !st.IsStore {
 			continue
 		}
-		lo := from
-		applyTo(int(ev.Row) - start + 1)
-		emit(lo, from)
+		emit(lo, i)
+		addr := srcA[i] + st.Simm
+		switch st.MemWidth {
+		case 1:
+			m.Store8(addr, byte(srcB[i]))
+		case 2:
+			m.Store16(addr, uint16(srcB[i]))
+		default:
+			m.Store32(addr, srcB[i])
+		}
+		lo = i
 	}
-	lo := from
-	applyTo(n)
 	emit(lo, n)
 }

@@ -31,11 +31,10 @@
 // Memory. Consumers may read the program's memory image (the activity
 // collectors read cache-line contents at fill time), and only stores mutate
 // memory during a run (syscalls write the CPU's output buffer, never
-// memory). Replay therefore rebuilds the initial image and applies the
-// captured stores so that at every row that moves a cache line the image
-// holds exactly the stores of that row and the rows before it (see
-// emitSpans) — making replay bit-identical to streaming interpretation
-// (Interpret), which the equivalence tests assert.
+// memory). Replay therefore rebuilds the initial image and applies each
+// captured store before any consumer sees its row, and no later store
+// before it (see emitSpans) — making replay bit-identical to streaming
+// interpretation (Interpret), which the equivalence tests assert.
 package trace
 
 import (

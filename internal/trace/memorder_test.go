@@ -12,12 +12,13 @@ import (
 
 // lineOracle is a consumer that holds a replay's memory image to a
 // reference of its own: a cpu.CPU stepped one instruction per consumed row,
-// and a mem.Hierarchy driven by that CPU's accesses. At every row where the
-// reference hierarchy moves a cache line (an L1I fill, an L1D fill, or a
-// dirty writeback), the replay image's copy of that line must equal the
-// reference CPU's memory after the row has executed: the state the
-// activity collectors read there. It shares no code with the replay
-// engine's span splitting or its miss stream.
+// and a mem.Hierarchy driven by that CPU's accesses. When a row arrives the
+// image must equal the reference CPU's memory after that row has executed.
+// The oracle checks this where it can be seen cheaply: the stored word at
+// every store row, and the whole line at every row where the reference
+// hierarchy moves a cache line (an L1I fill, an L1D fill, or a dirty
+// writeback), the state the activity collectors read there. It shares no
+// code with the replay engine's span splitting or its miss stream.
 type lineOracle struct {
 	ref   *cpu.CPU
 	hier  *mem.Hierarchy
@@ -61,6 +62,9 @@ func (o *lineOracle) ConsumeBlock(b *trace.Block) {
 		if h.InstFills != fills {
 			o.compare("L1I fill", o.e.PC, cfg.L1I.LineBytes)
 		}
+		if o.e.Inst.IsStore() {
+			o.compareRange("store", o.e.Addr&^3, 4)
+		}
 		if o.e.MemWidth > 0 {
 			fills, wbs := h.DataFills, h.L1D.Writeback
 			h.Data(o.e.Addr, o.e.Inst.IsStore())
@@ -76,11 +80,19 @@ func (o *lineOracle) ConsumeBlock(b *trace.Block) {
 // reference memory.
 func (o *lineOracle) compare(what string, addr uint32, line int) {
 	o.lines++
-	base := addr &^ uint32(line-1)
-	for off := 0; off < line; off += 4 {
+	o.compareRange(what, addr&^uint32(line-1), line)
+}
+
+// compareRange checks n bytes from the word-aligned base in the replay
+// image against the reference memory.
+func (o *lineOracle) compareRange(what string, base uint32, n int) {
+	if o.err != nil {
+		return
+	}
+	for off := 0; off < n; off += 4 {
 		a := base + uint32(off)
 		if got, want := o.image.Load32(a), o.ref.Mem.Load32(a); got != want {
-			o.err = fmt.Errorf("row %d (%s of line %#x): replay image holds %#08x at %#x, reference %#08x",
+			o.err = fmt.Errorf("row %d (%s at %#x): replay image holds %#08x at %#x, reference %#08x",
 				o.rows, what, base, got, a, want)
 			return
 		}

@@ -35,10 +35,6 @@ const (
 	MissIFill      = 1 << iota // the fetch filled an L1I line
 	MissDFill                  // the data access filled an L1D line
 	MissDWriteback             // that L1D fill evicted a dirty victim
-
-	// lineMoves flags the rows at which a replay's memory image must be
-	// exact (see emitSpans): the rows that move a cache line.
-	lineMoves = MissIFill | MissDFill | MissDWriteback
 )
 
 // MissEvent is one row whose hierarchy outcome is not a plain hit: some

@@ -136,6 +136,22 @@ func (mc *MappedCapture) SizeBytes() int {
 		mc.memo.sizeBytes(len(mc.ix.statics)) + mc.misses.sizeBytes()
 }
 
+// IsFile reports whether path names the file the handle reads: false once
+// the handle is closed, or when path has since been replaced (a rewrite
+// renames a new file over it).
+func (mc *MappedCapture) IsFile(path string) bool {
+	if mc.acquire() != nil {
+		return false
+	}
+	defer mc.release()
+	mine, err := mc.f.Stat()
+	if err != nil {
+		return false
+	}
+	named, err := os.Stat(path)
+	return err == nil && os.SameFile(mine, named)
+}
+
 // MissStream returns the handle's published miss stream, or nil before
 // its first replay has completed. The stream lives with the handle: a
 // re-opened file builds it again.
