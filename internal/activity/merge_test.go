@@ -37,7 +37,6 @@ func feedOperands(t *testing.T, pairs [][2]uint32, consumers ...trace.Consumer) 
 	for i, v := range pairs {
 		cp.Record(aluExec(0x400000+4*uint32(i), v[0], v[1]))
 	}
-	cp.Finalize()
 	if err := cp.ReplayBlocks(context.Background(), rc, consumers...); err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,6 @@ func refHier(c *Collector) *mem.Hierarchy {
 func annotate(e cpu.Exec) trace.Event {
 	cp := trace.NewCapture(bench.Benchmark{})
 	cp.Record(e)
-	cp.Finalize()
 	var ev trace.Event
 	if err := cp.ReplayBlocks(context.Background(), rc, eventFunc(func(e trace.Event) { ev = e })); err != nil {
 		panic(err)

@@ -48,7 +48,6 @@ func feed(t *testing.T, c *Collector, execs ...cpu.Exec) {
 	for _, e := range execs {
 		cp.Record(e)
 	}
-	cp.Finalize()
 	if err := cp.ReplayBlocks(context.Background(), icomp.MustNewRecoder(icomp.DefaultTopFuncts()), c); err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ type blockFunc func(*trace.Block)
 
 func (f blockFunc) ConsumeBlock(b *trace.Block) { f(b) }
 
-// recordExecs returns a finalized capture of a synthetic instruction
+// recordExecs returns a capture of a synthetic instruction
 // stream. Like any capture it derives each row's NextPC from the next
 // row's PC (the last row keeps its own).
 func recordExecs(execs []cpu.Exec) *trace.Capture {
@@ -33,7 +33,6 @@ func recordExecs(execs []cpu.Exec) *trace.Capture {
 	for _, e := range execs {
 		cp.Record(e)
 	}
-	cp.Finalize()
 	return cp
 }
 

@@ -1,7 +1,10 @@
 package sig
 
 import (
+	"fmt"
 	"math/bits"
+	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -89,7 +92,10 @@ func TestSigBitTrickSampled(t *testing.T) {
 }
 
 // TestSigBitTrickExhaustive proves Ext3Of/SigHalves equivalence over the
-// entire 2^32 input space. It takes tens of seconds, so it is skipped in
+// entire 2^32 input space, split into contiguous ranges over
+// runtime.GOMAXPROCS(0) goroutines. Each worker checks every value of its
+// range with both checks and reports its first mismatch back; the test
+// goroutine fails the test. It takes tens of seconds, so it is skipped in
 // short mode and under the race detector (where it would take many
 // minutes); the boundary and sampled sweeps above always run.
 func TestSigBitTrickExhaustive(t *testing.T) {
@@ -99,17 +105,32 @@ func TestSigBitTrickExhaustive(t *testing.T) {
 	if raceEnabled {
 		t.Skip("full 2^32 sweep skipped under the race detector")
 	}
-	v := uint32(0)
-	for {
-		if got, want := Ext3Of(v), ext3OfRef(v); got != want {
-			t.Fatalf("Ext3Of(%#08x) = %03b, want %03b", v, got, want)
-		}
-		if got, want := SigHalves(v), sigHalvesRef(v); got != want {
-			t.Fatalf("SigHalves(%#08x) = %d, want %d", v, got, want)
-		}
-		v++
-		if v == 0 {
-			return
+	workers := uint64(runtime.GOMAXPROCS(0))
+	const space = uint64(1) << 32
+	fails := make([]string, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		lo, hi := space*w/workers, space*(w+1)/workers
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for x := lo; x < hi; x++ {
+				v := uint32(x)
+				if got, want := Ext3Of(v), ext3OfRef(v); got != want {
+					fails[w] = fmt.Sprintf("Ext3Of(%#08x) = %03b, want %03b", v, got, want)
+					return
+				}
+				if got, want := SigHalves(v), sigHalvesRef(v); got != want {
+					fails[w] = fmt.Sprintf("SigHalves(%#08x) = %d, want %d", v, got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, f := range fails {
+		if f != "" {
+			t.Error(f)
 		}
 	}
 }

@@ -2,21 +2,24 @@ package trace
 
 import (
 	"context"
+	"fmt"
 	"maps"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/cpu"
+	"repro/internal/icomp"
 	"repro/internal/isa"
 	"repro/internal/sig"
 	"repro/internal/sigalu"
 )
 
-// This file is the reference the closed-form annotation (aluActivity,
-// sigWord) is judged against: the significance ALU's activity read off the
+// This file is the reference the table-driven annotation (sigtable.go) is
+// judged against: the significance ALU's activity read off the
 // block-serial sigalu unit, one granularity at a time, and the annotation
-// assembled field by field as Event values. The required mismatch rate is
-// zero.
+// assembled field by field as Event values. The per-instruction closed
+// form the tables replaced (aluActivity, sigWord) lives on here as a second
+// oracle. The required mismatch rate is zero.
 
 // refALUActivity is the significance-ALU activity of e at block
 // granularity g (1 = byte, 2 = halfword), simulated block by block.
@@ -145,15 +148,25 @@ func refSigWord(e cpu.Exec) uint32 {
 		uint32(ev.WBHalves)<<sigWBHalvesShift
 }
 
-// checkALU compares the closed form with the reference at both
-// granularities for one instruction shape and operand pair.
+// tableALU returns the ALU fields of the sig word the table path records
+// for e, with e.Result as the result column.
+func tableALU(e *cpu.Exec) (ops, halfOps int) {
+	st := cpu.StaticOf(e.Inst)
+	s := sigSlotOf(&st)
+	w := PackedSig(s.word(e.SrcA, e.SrcB, e.Result))
+	return w.ALUOps(), w.ALUHalfOps()
+}
+
+// checkALU compares the table path and the closed form with the reference
+// at both granularities for one instruction shape and operand pair.
 func checkALU(t testing.TB, e *cpu.Exec) {
 	t.Helper()
-	ops, half := aluActivity(e, sig.Ext3Of(e.SrcA), sig.Ext3Of(e.SrcB))
+	ops, half := tableALU(e)
+	cOps, cHalf := aluActivity(e, sig.Ext3Of(e.SrcA), sig.Ext3Of(e.SrcB))
 	wantOps, wantHalf := refALUActivity(*e, 1), refALUActivity(*e, 2)
-	if int(ops) != wantOps || int(half) != wantHalf {
-		t.Fatalf("op %#02x funct %#02x shamt %d imm %#04x a=%#08x b=%#08x result=%#08x: closed form %d/%d, sigalu %d/%d",
-			e.Inst.Op, e.Inst.Funct, e.Inst.Shamt, uint16(e.Inst.Imm), e.SrcA, e.SrcB, e.Result, ops, half, wantOps, wantHalf)
+	if ops != wantOps || half != wantHalf || int(cOps) != wantOps || int(cHalf) != wantHalf {
+		t.Fatalf("op %#02x funct %#02x shamt %d imm %#04x a=%#08x b=%#08x result=%#08x: table %d/%d, closed form %d/%d, sigalu %d/%d",
+			e.Inst.Op, e.Inst.Funct, e.Inst.Shamt, uint16(e.Inst.Imm), e.SrcA, e.SrcB, e.Result, ops, half, cOps, cHalf, wantOps, wantHalf)
 	}
 }
 
@@ -219,8 +232,8 @@ func TestStructuredValuesCoverEveryPattern(t *testing.T) {
 	}
 }
 
-// TestALUActivityClosedFormStructured judges the closed form against the
-// block-serial unit over structured operands: every pair of structured
+// TestALUActivityClosedFormStructured judges the table path and the closed
+// form against the block-serial unit over structured operands: every pair of structured
 // words through every two-register shape, every structured word against
 // every structured 16-bit immediate through every I-format shape, every
 // shift amount, and every opcode and function code (the shapes aluActivity
@@ -305,39 +318,78 @@ func TestALUActivityClosedFormStructured(t *testing.T) {
 	})
 }
 
-// TestSigWordMatchesReferenceOnSuite steps every benchmark of the suite and
-// checks the sig word of every retired instruction against the field-by-
-// field reference annotation.
+// sigOracle is a consumer that checks every row's recorded sig word against
+// the field-by-field reference, with the Exec taken from a cpu.CPU of its
+// own stepped one instruction per row: it shares no code with the
+// recorder or the class tables.
+type sigOracle struct {
+	ref       *cpu.CPU
+	e         cpu.Exec
+	rows, bad int
+	errs      []string
+}
+
+func (o *sigOracle) ConsumeBlock(b *Block) {
+	for i, got := range b.Sig {
+		if err := o.ref.Step(&o.e); err != nil {
+			o.errs = append(o.errs, fmt.Sprintf("row %d: reference step: %v", o.rows, err))
+			o.bad++
+			return
+		}
+		if want := refSigWord(o.e); got != want || b.PC[i] != o.e.PC {
+			if o.bad++; o.bad <= 5 {
+				o.errs = append(o.errs, fmt.Sprintf("row %d (pc %#x, %#08x a=%#x b=%#x result=%#x): sig %#08x, reference %#08x",
+					o.rows, o.e.PC, o.e.Raw, o.e.SrcA, o.e.SrcB, o.e.Result, got, want))
+			}
+		}
+		o.rows++
+	}
+}
+
+// TestSigWordMatchesReferenceOnSuite checks the sig word recorded for every
+// retired instruction of the suite against the field-by-field reference
+// annotation, both in a resident capture and in Interpret's window.
 func TestSigWordMatchesReferenceOnSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("steps the whole suite")
 	}
+	rc := icomp.MustNewRecoder(icomp.DefaultTopFuncts())
 	for _, b := range bench.All() {
 		t.Run(b.Name, func(t *testing.T) {
 			t.Parallel()
+			oracle := func() *sigOracle {
+				c, err := b.NewCPU()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return &sigOracle{ref: c}
+			}
+			check := func(path string, o *sigOracle, want int) {
+				for _, msg := range o.errs {
+					t.Errorf("%s: %s", path, msg)
+				}
+				if o.bad > 0 || o.rows != want {
+					t.Fatalf("%s: %d of %d rows differ from the reference (%d rows expected)", path, o.bad, o.rows, want)
+				}
+			}
+			cp, err := CaptureRun(context.Background(), b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resident := oracle()
+			if err := cp.ReplayBlocks(context.Background(), rc, resident); err != nil {
+				t.Fatal(err)
+			}
+			check("capture", resident, cp.Len())
 			c, err := b.NewCPU()
 			if err != nil {
 				t.Fatal(err)
 			}
-			var n, bad int
-			_, err = interpret(context.Background(), c, b.Name, b.MaxInsts, func(e *cpu.Exec, d *cpu.Decoded) {
-				n++
-				if got, want := sigWord(e), refSigWord(*e); got != want {
-					if bad++; bad <= 5 {
-						t.Errorf("instruction %d (pc %#x, %#08x a=%#x b=%#x result=%#x): sig %#08x, reference %#08x",
-							n-1, e.PC, e.Raw, e.SrcA, e.SrcB, e.Result, got, want)
-					}
-				}
-			})
-			if err != nil {
+			window := oracle()
+			if _, err := Interpret(context.Background(), c, b.MaxInsts, nil, rc, window); err != nil {
 				t.Fatal(err)
 			}
-			if err := benchDone(c, b); err != nil {
-				t.Fatal(err)
-			}
-			if bad > 0 {
-				t.Fatalf("%d of %d instructions differ from the reference", bad, n)
-			}
+			check("Interpret", window, cp.Len())
 		})
 	}
 }
@@ -371,20 +423,97 @@ func FuzzALUActivityClosedForm(f *testing.F) {
 	})
 }
 
-// TestSigWordAllocFree guards the per-instruction annotate-and-pack step:
-// it runs once per retired instruction on every capture and Interpret window.
-func TestSigWordAllocFree(t *testing.T) {
-	raw := isa.EncodeI(isa.OpSW, isa.RegT0, isa.RegT1, -4)
-	e := cpu.Exec{
-		Raw: raw, Inst: isa.Decode(raw), SrcA: 0x1000_0010, SrcB: 0x1234, ReadsA: true, ReadsB: true,
-		Addr: 0x1000_000c, MemWidth: 4, StoreVal: 0x1234,
+// sigExec builds the Exec the interpreter retires for the word raw with
+// operands a and b, under its contract: an unread port and $zero read 0,
+// Result is
+// r when the word writes a register and 0 otherwise, a load's Loaded is r
+// (so a load to $zero keeps it there), and a store's value is b.
+func sigExec(raw, a, b, r uint32) cpu.Exec {
+	st := cpu.StaticOf(isa.Decode(raw))
+	e := cpu.Exec{Raw: raw, Inst: st.Inst, ReadsA: st.ReadsA, ReadsB: st.ReadsB,
+		Dest: st.Dest, HasDest: st.HasDest, MemWidth: int(st.MemWidth)}
+	if e.ReadsA && st.Inst.Rs != isa.RegZero {
+		e.SrcA = a
 	}
+	if e.ReadsB && st.Inst.Rt != isa.RegZero {
+		e.SrcB = b
+	}
+	if e.HasDest {
+		e.Result = r
+	}
+	if st.MemWidth > 0 {
+		e.Addr = e.SrcA + st.Simm
+		if st.IsStore {
+			e.StoreVal = e.SrcB
+		} else {
+			e.Loaded = r
+		}
+	}
+	return e
+}
+
+// FuzzSigTable records arbitrary instruction words and operands through
+// Capture.Record and checks the recorded sig word against the field-by-
+// field reference and the closed form. Opcode, function code and shift
+// amount are masked to their field widths, the immediate is taken whole,
+// and the destination register is $zero or $t0, so the seeds reach the
+// rows whose result column is not the ALU output: writes to $zero
+// (loads, shifts, moves and links), and MTHI/MTLO.
+func FuzzSigTable(f *testing.F) {
+	f.Add(uint8(0), uint8(isa.FnADDU), uint8(0), uint16(0), false, uint32(0xff), uint32(0x01), uint32(0x100))
+	f.Add(uint8(0), uint8(isa.FnSUBU), uint8(0), uint16(0), true, uint32(0), uint32(0x80), uint32(0))
+	f.Add(uint8(0), uint8(isa.FnSLL), uint8(0), uint16(0), true, uint32(0), uint32(0), uint32(0))
+	f.Add(uint8(0), uint8(isa.FnSRA), uint8(31), uint16(0), true, uint32(0), uint32(0x8000_0000), uint32(0))
+	f.Add(uint8(0), uint8(isa.FnSRLV), uint8(5), uint16(0), true, uint32(9), uint32(0x1234_5678), uint32(0))
+	f.Add(uint8(0), uint8(isa.FnSLLV), uint8(0), uint16(0), false, uint32(4), uint32(0xff), uint32(0xff0))
+	f.Add(uint8(0), uint8(isa.FnMFHI), uint8(0), uint16(0), true, uint32(0), uint32(0), uint32(0x1234))
+	f.Add(uint8(0), uint8(isa.FnMTHI), uint8(0), uint16(0), false, uint32(0x7fff_ffff), uint32(0), uint32(0x55))
+	f.Add(uint8(0), uint8(isa.FnMTLO), uint8(0), uint16(0), false, uint32(0xffff_ff80), uint32(0), uint32(0))
+	f.Add(uint8(0), uint8(isa.FnJALR), uint8(0), uint16(0), true, uint32(0x40_0100), uint32(0), uint32(0x40_0008))
+	f.Add(uint8(0), uint8(isa.FnMULT), uint8(0), uint16(0), false, uint32(0x1234), uint32(0xffff_ff80), uint32(0))
+	f.Add(uint8(0), uint8(isa.FnSLT), uint8(0), uint16(0), true, uint32(0x7fff_ffff), uint32(0xffff_ffff), uint32(0))
+	f.Add(uint8(isa.OpLW), uint8(0), uint8(0), uint16(0xfffc), true, uint32(0x1000_0004), uint32(0), uint32(0xdead_beef))
+	f.Add(uint8(isa.OpLB), uint8(0), uint8(0), uint16(3), false, uint32(0x1000_0000), uint32(0), uint32(0xffff_ff80))
+	f.Add(uint8(isa.OpSH), uint8(0), uint8(0), uint16(2), false, uint32(0x1000_0000), uint32(0x8000), uint32(0))
+	f.Add(uint8(isa.OpADDIU), uint8(0), uint8(0), uint16(0xff80), true, uint32(0x7f80), uint32(0), uint32(0x7f00))
+	f.Add(uint8(isa.OpSLTIU), uint8(0), uint8(0), uint16(0x8000), false, uint32(0), uint32(0), uint32(1))
+	f.Add(uint8(isa.OpANDI), uint8(0), uint8(0), uint16(0xff00), false, uint32(0xffff_0000), uint32(0), uint32(0))
+	f.Add(uint8(isa.OpLUI), uint8(0), uint8(0), uint16(0x8000), true, uint32(0), uint32(0), uint32(0))
+	f.Add(uint8(isa.OpJAL), uint8(0), uint8(0), uint16(0), false, uint32(0), uint32(0), uint32(0x40_0008))
+	f.Add(uint8(isa.OpBNE), uint8(0), uint8(0), uint16(4), false, uint32(0x100), uint32(0xffff_ff00), uint32(0))
+	f.Fuzz(func(t *testing.T, op, funct, shamt uint8, imm uint16, zeroDest bool, a, b, r uint32) {
+		dest := isa.RegT0
+		if zeroDest {
+			dest = isa.RegZero
+		}
+		var raw uint32
+		if op&63 == uint8(isa.OpSpecial) {
+			raw = isa.EncodeR(isa.Funct(funct&63), isa.RegT1, isa.RegT2, dest, shamt&31)
+		} else {
+			raw = isa.EncodeI(isa.Opcode(op&63), isa.RegT1, dest, int16(imm))
+		}
+		e := sigExec(raw, a, b, r)
+		cp := NewCapture(bench.Benchmark{})
+		cp.Record(e)
+		got := cp.chunkAt(0)[5][0]
+		if want, closed := refSigWord(e), sigWord(&e); got != want || closed != want {
+			t.Fatalf("%#08x (op %#02x funct %#02x) a=%#08x b=%#08x result=%#08x loaded=%#08x: recorded %#08x, closed form %#08x, reference %#08x",
+				raw, e.Inst.Op, e.Inst.Funct, e.SrcA, e.SrcB, e.Result, e.Loaded, got, closed, want)
+		}
+	})
+}
+
+// TestSigWordAllocFree guards the per-row table lookup: it runs once per
+// retired instruction on every capture and Interpret window.
+func TestSigWordAllocFree(t *testing.T) {
+	st := cpu.StaticOf(isa.Decode(isa.EncodeI(isa.OpSW, isa.RegT0, isa.RegT1, -4)))
+	s := sigSlotOf(&st)
 	var sink uint32
-	if allocs := testing.AllocsPerRun(1000, func() { sink += sigWord(&e) }); allocs != 0 {
-		t.Errorf("sigWord allocates %.1f per instruction", allocs)
+	if allocs := testing.AllocsPerRun(1000, func() { sink += s.word(0x1000_0010, 0x1234, 0) }); allocs != 0 {
+		t.Errorf("the table lookup allocates %.1f per row", allocs)
 	}
 	if sink == 0 {
-		t.Fatal("sigWord returned 0 for a store")
+		t.Fatal("the table gave 0 for a store")
 	}
 }
 
@@ -416,4 +545,115 @@ func TestFunctProfileMatchesMapTally(t *testing.T) {
 	if !maps.Equal(got, want) {
 		t.Fatalf("FunctProfile %v, per-instruction tally %v", got, want)
 	}
+}
+
+// addCounts is the significance adder's activity (§2.5) for a + b = sum,
+// with ea and eb the markings of a and b. A block is operated on when
+// either operand's block is significant (cases 1 and 2), or when neither
+// is but the true sum block differs from the sign extension of the sum
+// block below it (case 3's Table-4 exceptions) — that is, unless the
+// block is free in all three of a, b and sum. Subtraction adds ^b + 1, and
+// complementing a word keeps its extension marking, so a - b passes
+// Ext3Of(b) and the difference.
+func addCounts(ea, eb sig.Ext3, sum uint32) (bytes, halves uint32) {
+	return blockCounts(ea & eb & sig.Ext3Of(sum))
+}
+
+// aluActivity is the significance-ALU activity of e (§2.5 and the design
+// decisions recorded in DESIGN.md §7) at byte and halfword granularity,
+// in closed form over the operands' extension markings ea = Ext3Of(SrcA)
+// and eb = Ext3Of(SrcB): the per-instruction form the class tables
+// (sigtable.go) replaced, kept as a second oracle between them and the
+// block-serial sigalu unit.
+func aluActivity(e *cpu.Exec, ea, eb sig.Ext3) (ops, halfOps uint32) {
+	in := &e.Inst
+	a, b := e.SrcA, e.SrcB
+	simm := uint32(int32(in.Imm))
+	switch in.Op {
+	case isa.OpSpecial:
+		switch in.Funct {
+		case isa.FnADD, isa.FnADDU:
+			return addCounts(ea, eb, a+b)
+		case isa.FnSUB, isa.FnSUBU, isa.FnSLT, isa.FnSLTU:
+			// SLT/SLTU cost their subtraction.
+			return addCounts(ea, eb, a-b)
+		case isa.FnAND, isa.FnOR, isa.FnXOR, isa.FnNOR:
+			// Blocks where both operands are extensions come for free.
+			return blockCounts(ea & eb)
+		// Shifts touch the larger of the source's and the result's
+		// significant block counts.
+		case isa.FnSLL:
+			return maxCounts(eb, sig.Ext3Of(b<<(in.Shamt&31)))
+		case isa.FnSRL:
+			return maxCounts(eb, sig.Ext3Of(b>>(in.Shamt&31)))
+		case isa.FnSRA:
+			return maxCounts(eb, sig.Ext3Of(uint32(int32(b)>>(in.Shamt&31))))
+		case isa.FnSLLV:
+			return maxCounts(eb, sig.Ext3Of(b<<(a&31)))
+		case isa.FnSRLV:
+			return maxCounts(eb, sig.Ext3Of(b>>(a&31)))
+		case isa.FnSRAV:
+			return maxCounts(eb, sig.Ext3Of(uint32(int32(b)>>(a&31))))
+		case isa.FnMULT, isa.FnMULTU, isa.FnDIV, isa.FnDIVU:
+			// The iterative units operate on both sources' blocks.
+			xb, xh := blockCounts(ea)
+			yb, yh := blockCounts(eb)
+			return xb + yb, xh + yh
+		case isa.FnJALR, isa.FnMFHI, isa.FnMFLO, isa.FnMTHI, isa.FnMTLO:
+			// Link/move values: the unit produces the significant blocks.
+			return blockCounts(sig.Ext3Of(e.Result))
+		}
+		// JR (address passthrough), SYSCALL, BREAK.
+		return 1, 1
+	case isa.OpADDI, isa.OpADDIU,
+		isa.OpLB, isa.OpLBU, isa.OpLH, isa.OpLHU, isa.OpLW,
+		isa.OpSB, isa.OpSH, isa.OpSW:
+		// Loads and stores pay their effective-address addition.
+		return addCounts(ea, sig.Ext3Of(simm), a+simm)
+	case isa.OpSLTI, isa.OpSLTIU:
+		return addCounts(ea, sig.Ext3Of(simm), a-simm)
+	case isa.OpANDI, isa.OpORI, isa.OpXORI:
+		return blockCounts(ea & sig.Ext3Of(uint32(uint16(in.Imm))))
+	case isa.OpLUI, isa.OpJAL:
+		return blockCounts(sig.Ext3Of(e.Result))
+	case isa.OpBEQ, isa.OpBNE:
+		// The comparator reads stored blocks up to the larger count.
+		return maxCounts(ea, eb)
+	}
+	// BLEZ/BGTZ/REGIMM sign and zero tests examine the extension bits plus
+	// the top significant block; J has nothing to operate on.
+	return 1, 1
+}
+
+// sigWord packs e's ten significance quantities into one sig-column word
+// per instruction, with aluActivity's switch chains: the closed form the
+// recorder computed per row before the class tables. Source counts are 0
+// for a port that is not read, data-access counts are capped at the access
+// width, and writeback counts are 0 when no register is written.
+func sigWord(e *cpu.Exec) uint32 {
+	ea, eb := sig.Ext3Of(e.SrcA), sig.Ext3Of(e.SrcB)
+	ops, halfOps := aluActivity(e, ea, eb)
+	w := ops<<sigALUOpsShift | halfOps<<sigALUHalfShift
+	if e.ReadsA {
+		n, h := blockCounts(ea)
+		w |= n<<sigSrcBytesAShift | h<<sigSrcHalvesAShift
+	}
+	if e.ReadsB {
+		n, h := blockCounts(eb)
+		w |= n<<sigSrcBytesBShift | h<<sigSrcHalvesBShift
+	}
+	if e.MemWidth > 0 {
+		v := e.Loaded
+		if e.Inst.IsStore() {
+			v = e.StoreVal
+		}
+		n, h := blockCounts(sig.Ext3Of(v))
+		width := uint32(e.MemWidth)
+		w |= min(n, width)<<sigMemBytesShift | min(h, (width+1)/2)<<sigMemHalvesShift
+	}
+	if e.HasDest {
+		n, h := blockCounts(sig.Ext3Of(e.Result))
+		w |= n<<sigWBBytesShift | h<<sigWBHalvesShift
+	}
+	return w
 }

@@ -189,50 +189,47 @@ func (cp *Capture) ReplayBlocks(ctx context.Context, rc *icomp.Recoder, consumer
 	return cp.ReplayBlocksOn(ctx, nil, rc, consumers...)
 }
 
-// ReplayBlocksOn fans the capture out to the consumers in column blocks of
-// up to BlockRows rows. With a non-nil memory image (the benchmark's
-// initial image, NewMemory) the blocks are additionally split at store rows
-// so every consumer observes memory exactly as the interpreter left it (see
-// the package comment on memory ordering).
+// ReplayBlocksOn fans the capture out to the consumers, one block per
+// chunk of up to BlockRows rows, read in place. With a non-nil memory
+// image (the benchmark's initial image, NewMemory) the blocks are
+// additionally split at store rows so every consumer observes memory
+// exactly as the interpreter left it (see the package comment on memory
+// ordering).
 func (cp *Capture) ReplayBlocksOn(ctx context.Context, m *mem.Memory, rc *icomp.Recoder, consumers ...Consumer) error {
 	ifb := cp.ifBytes(rc)
 	blk := Block{Statics: cp.statics, IFB: ifb}
 	misses := cp.misses.cursor()
-	n := len(cp.slot)
-	for base := 0; base < n; base += BlockRows {
+	for c := range cp.chunks {
+		base := c * BlockRows
 		select {
 		case <-ctx.Done():
 			return fmt.Errorf("trace: replaying %s aborted after %d instructions: %w", cp.bench.Name, base, ctx.Err())
 		default:
 		}
-		hi := base + BlockRows
-		if hi > n {
-			hi = n
-		}
+		ch := cp.chunkAt(c)
 		endNextPC := cp.lastNextPC
-		if hi < n {
-			endNextPC = cp.pc[hi]
+		if c+1 < len(cp.chunks) {
+			endNextPC = cp.chunks[c+1][1][0]
 		}
-		emitSpans(&blk, m, consumers, base,
-			cp.slot[base:hi], cp.pc[base:hi], cp.srcA[base:hi], cp.srcB[base:hi],
-			cp.result[base:hi], cp.sig[base:hi], endNextPC,
-			misses.next(cp.statics, base, cp.slot[base:hi], cp.pc[base:hi], cp.srcA[base:hi]))
+		emitSpans(&blk, m, consumers, base, ch, endNextPC, misses.next(cp.statics, base, ch))
 	}
 	cp.misses.publish(&misses)
 	return nil
 }
 
-// emitSpans fans one contiguous decoded column span out to the consumers,
+// emitSpans fans one chunk of decoded columns out to the consumers,
 // splitting at store rows when a memory image is present: rows [lo, i) are
 // emitted, store i is applied, and the next span starts at i — the store
 // row is observed only after its store has landed, and before any later
 // one. Both sources' replays (ReplayBlocksOn and the streaming frame
 // replayer) and Interpret's window share this, so their memory ordering
-// cannot diverge. start is the trace-global index of span row 0; endNextPC is the NextPC of the span's final row; misses
-// are the miss-stream events of the span's rows, sliced per emitted block.
+// cannot diverge. start is the trace-global index of the chunk's row 0;
+// endNextPC is the NextPC of its final row; misses are the miss-stream
+// events of its rows, sliced per emitted block.
 // blk carries the Statics/IFB annotation tables and is reused across calls.
 func emitSpans(blk *Block, m *mem.Memory, consumers []Consumer, start int,
-	slot, pc, srcA, srcB, result, sig []uint32, endNextPC uint32, misses []MissEvent) {
+	ch chunk, endNextPC uint32, misses []MissEvent) {
+	slot, pc, srcA, srcB := ch[0], ch[1], ch[2], ch[3]
 	n := len(slot)
 	emit := func(lo, hi int) {
 		if lo >= hi {
@@ -248,8 +245,8 @@ func emitSpans(blk *Block, m *mem.Memory, consumers []Consumer, start int,
 		blk.PC = pc[lo:hi]
 		blk.SrcA = srcA[lo:hi]
 		blk.SrcB = srcB[lo:hi]
-		blk.Result = result[lo:hi]
-		blk.Sig = sig[lo:hi]
+		blk.Result = ch[4][lo:hi]
+		blk.Sig = ch[5][lo:hi]
 		if hi < n {
 			blk.EndNextPC = pc[hi]
 		} else {

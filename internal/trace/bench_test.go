@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"testing"
+	"time"
 
+	"repro/internal/bench"
 	"repro/internal/icomp"
 	"repro/internal/trace"
 )
@@ -49,6 +51,41 @@ func BenchmarkCapture(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkCaptureSuite compares capture with the bare interpreter over the
+// whole suite: each iteration runs every benchmark on cpu.CPU.Run and then
+// captures it with CaptureRun, and the benchmark reports both costs per
+// retired instruction and their ratio (capture-x), the cold-start overhead
+// recording adds to execution.
+func BenchmarkCaptureSuite(b *testing.B) {
+	ctx := context.Background()
+	var interp, capture time.Duration
+	var insts int
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, bm := range bench.All() {
+			c, err := bm.NewCPU()
+			if err != nil {
+				b.Fatal(err)
+			}
+			t := time.Now()
+			if _, err := c.Run(bm.MaxInsts); err != nil {
+				b.Fatal(err)
+			}
+			interp += time.Since(t)
+			t = time.Now()
+			cp, err := trace.CaptureRun(ctx, bm)
+			capture += time.Since(t)
+			if err != nil {
+				b.Fatal(err)
+			}
+			insts += cp.Len()
+		}
+	}
+	b.ReportMetric(float64(capture.Nanoseconds())/float64(insts), "capture-ns/inst")
+	b.ReportMetric(float64(interp.Nanoseconds())/float64(insts), "interp-ns/inst")
+	b.ReportMetric(float64(capture)/float64(interp), "capture-x")
 }
 
 // BenchmarkReplayBlocks measures the column-block batch path over a fully

@@ -118,9 +118,9 @@ func (ix *cap2Index) indexSizeBytes() int {
 	return len(ix.statics)*staticSize + len(ix.frames)*cap2FrameMeta
 }
 
-// WriteTo2 serializes the capture as SIGCAP02. The capture must be
-// complete (CaptureRun, or Record + Finalize); concurrent replays are fine,
-// concurrent recording is not. Returns the bytes written.
+// WriteTo2 serializes the capture as SIGCAP02, one chunk per frame.
+// Concurrent replays are fine, concurrent recording is not. Returns the
+// bytes written.
 func (cp *Capture) WriteTo2(w io.Writer) (int64, error) {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	le := binary.LittleEndian
@@ -132,7 +132,7 @@ func (cp *Capture) WriteTo2(w io.Writer) (int64, error) {
 	for i := range cp.statics {
 		hdr = le.AppendUint32(hdr, cp.statics[i].Inst.Raw)
 	}
-	rows := len(cp.slot)
+	rows := cp.rows
 	hdr = binary.AppendUvarint(hdr, uint64(rows))
 	hdr = le.AppendUint32(hdr, cp.lastNextPC)
 	hdr = le.AppendUint32(hdr, crc32.ChecksumIEEE(hdr))
@@ -146,15 +146,12 @@ func (cp *Capture) WriteTo2(w io.Writer) (int64, error) {
 	payload := make([]byte, 0, (FrameRows+7)/8+FrameRows*cap2MinRowBytes)
 	sc := newCap2Scratch(len(cp.statics))
 	for f := 0; f < nFrames; f++ {
-		lo, hi := f*FrameRows, (f+1)*FrameRows
-		if hi > rows {
-			hi = rows
-		}
-		payload = cp.appendFrame(payload[:0], lo, hi, sc)
+		ch := cp.chunkAt(f)
+		payload = appendFrame(payload[:0], ch, sc)
 		footer = le.AppendUint64(footer, uint64(total))
 		footer = le.AppendUint32(footer, uint32(len(payload)))
 		footer = le.AppendUint32(footer, crc32.ChecksumIEEE(payload))
-		footer = le.AppendUint32(footer, cp.pc[lo])
+		footer = le.AppendUint32(footer, ch[1][0])
 		bw.Write(payload)
 		total += int64(len(payload))
 	}
@@ -175,11 +172,11 @@ func (cp *Capture) WriteTo2(w io.Writer) (int64, error) {
 	return total, nil
 }
 
-// appendFrame appends the self-contained encoding of rows [lo, hi) to buf.
-// All predictors start from zero: the first occurrence of a slot in the
-// frame pays an absolute varint instead of a delta.
-func (cp *Capture) appendFrame(buf []byte, lo, hi int, sc *cap2Scratch) []byte {
-	slots := cp.slot[lo:hi]
+// appendFrame appends the self-contained encoding of chunk ch to buf. All
+// predictors start from zero: the first occurrence of a slot in the frame
+// pays an absolute varint instead of a delta.
+func appendFrame(buf []byte, ch chunk, sc *cap2Scratch) []byte {
+	slots := ch[0]
 	bm := len(buf)
 	buf = append(buf, make([]byte, (len(slots)+7)/8)...)
 	taken := buf[bm:]
@@ -192,11 +189,11 @@ func (cp *Capture) appendFrame(buf []byte, lo, hi int, sc *cap2Scratch) []byte {
 		buf = binary.AppendUvarint(buf, uint64(sw&SlotMask))
 	}
 	var prevPC uint32
-	for _, pc := range cp.pc[lo:hi] {
+	for _, pc := range ch[1] {
 		buf = binary.AppendUvarint(buf, zigzag(int32(pc-prevPC)))
 		prevPC = pc
 	}
-	for ci, col := range [...][]uint32{cp.srcA[lo:hi], cp.srcB[lo:hi], cp.result[lo:hi]} {
+	for ci, col := range ch[2:5] {
 		prev := sc.prev[ci]
 		clear(prev)
 		for i, v := range col {
@@ -207,7 +204,7 @@ func (cp *Capture) appendFrame(buf []byte, lo, hi int, sc *cap2Scratch) []byte {
 	}
 	prev := sc.prev[3]
 	clear(prev)
-	for i, v := range cp.sig[lo:hi] {
+	for i, v := range ch[5] {
 		s := slots[i] & SlotMask
 		buf = binary.AppendUvarint(buf, uint64(v^prev[s]))
 		prev[s] = v
@@ -493,14 +490,14 @@ func openCap2Index(ra io.ReaderAt, size int64) (*cap2Index, error) {
 
 // ReadCapture eagerly decodes the SIGCAP02 capture held in the first size
 // bytes of ra into a fully resident, replay-ready Capture, reading the
-// index and then each frame positionally. The benchmark named in the
-// header must exist in the served suite (its memory image is rebuilt from
-// the benchmark, not the file). Decoding verifies every CRC; a capture
-// that loads cleanly replays bit-identically to the one that was written.
-// Structural damage — any other format included — surfaces as a
-// *CorruptError, and header counts are validated against size before any
-// column is allocated, so a corrupt or adversarial header cannot trigger a
-// huge allocation.
+// index and then each frame positionally into a chunk of its own. The
+// benchmark named in the header must exist in the served suite (its memory
+// image is rebuilt from the benchmark, not the file). Decoding verifies
+// every CRC; a capture that loads cleanly replays bit-identically to the
+// one that was written. Structural damage — any other format included —
+// surfaces as a *CorruptError, and header counts are validated against
+// size before any column is allocated, so a corrupt or adversarial header
+// cannot trigger a huge allocation.
 func ReadCapture(ra io.ReaderAt, size int64) (*Capture, error) {
 	ix, err := openCap2Index(ra, size)
 	if err != nil {
@@ -512,13 +509,8 @@ func ReadCapture(ra io.ReaderAt, size int64) (*Capture, error) {
 		cp.slotOf[ix.statics[i].Inst.Raw] = uint32(i)
 	}
 	cp.lastNextPC = ix.lastNextPC
-	n := ix.rows
-	cp.slot = make([]uint32, n)
-	cp.pc = make([]uint32, n)
-	cp.srcA = make([]uint32, n)
-	cp.srcB = make([]uint32, n)
-	cp.result = make([]uint32, n)
-	cp.sig = make([]uint32, n)
+	cp.rows = ix.rows
+	cp.chunks = make([]chunk, len(ix.frames))
 	sc := newCap2Scratch(len(ix.statics))
 	var raw []byte
 	for f := range ix.frames {
@@ -527,11 +519,12 @@ func ReadCapture(ra io.ReaderAt, size int64) (*Capture, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: reading %s frame %d: %w", ix.b.Name, f, err)
 		}
+		ch := newChunk(hi - lo)
 		if err := decodeCap2Frame(p, ix.frames[f], uint64(len(ix.statics)),
-			cp.slot[lo:hi], cp.pc[lo:hi], cp.srcA[lo:hi], cp.srcB[lo:hi],
-			cp.result[lo:hi], cp.sig[lo:hi], sc); err != nil {
+			ch[0], ch[1], ch[2], ch[3], ch[4], ch[5], sc); err != nil {
 			return nil, err
 		}
+		cp.chunks[f] = ch
 	}
 	return cp, nil
 }

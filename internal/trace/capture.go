@@ -20,6 +20,16 @@
 //	result  written-back value, or the loaded value for load-to-$zero
 //	sig     the ten recoder-independent significance quantities, packed
 //
+// The columns are recorded in chunks of BlockRows rows, and a chunk is the
+// unit every reader walks in place: replay emits one chunk as one block,
+// the SIGCAP02 encoder writes one chunk as one frame (FrameRows ==
+// BlockRows), and ReadCapture decodes one frame into one chunk. So chunk =
+// block = frame, rows are written once where they will stay, and only a
+// finished capture's last, partial chunk is copied to its exact size. The
+// sig word of a row is one lookup in its class's table (sigtable.go), keyed
+// by the extension markings of its operands, its result and its adder's or
+// shifter's output.
+//
 // Every remaining cpu.Exec field is derived on replay: Addr = SrcA + simm,
 // StoreVal = SrcB, NextPC = next instruction's PC (the interpreter retires
 // in program order), destination register/flags from the statics. The
@@ -179,19 +189,42 @@ func (mm *ifbMemo) sizeBytes(nStatics int) int {
 type Capture struct {
 	bench   bench.Benchmark
 	statics []Static
+	sigs    []sigSlot         // per statics slot: how its rows' sig words are computed
 	slotOf  map[uint32]uint32 // raw instruction word -> statics index
 
-	slot   []uint32 // statics index | TakenBit
-	pc     []uint32
-	srcA   []uint32
-	srcB   []uint32
-	result []uint32
-	sig    []uint32
+	// chunks hold the dynamic columns, BlockRows rows each but the last;
+	// rows counts the recorded rows, and tail is the array the chunk being
+	// recorded into is cut from.
+	chunks []chunk
+	rows   int
+	tail   *[6][BlockRows]uint32
 
 	lastNextPC uint32 // NextPC of the final instruction (no successor row)
 
 	memo   ifbMemo  // per-recoder-profile fetch-size tables
 	misses missMemo // hierarchy outcome, built by the first replay
+}
+
+// chunk is one block of a capture's rows: the six dynamic columns in
+// storage order (slot, pc, srcA, srcB, result, sig), all of one length.
+type chunk [6][]uint32
+
+// newChunk returns a chunk of n zero rows over one exact-size allocation.
+func newChunk(n int) chunk {
+	var ch chunk
+	backing := make([]uint32, 6*n)
+	for i := range ch {
+		ch[i] = backing[i*n : (i+1)*n : (i+1)*n]
+	}
+	return ch
+}
+
+// head returns the chunk's first n rows.
+func (ch chunk) head(n int) chunk {
+	for i := range ch {
+		ch[i] = ch[i][:n]
+	}
+	return ch
 }
 
 // NewCapture returns an empty capture for b, ready to Record into.
@@ -213,124 +246,54 @@ func CaptureRun(ctx context.Context, b bench.Benchmark) (*Capture, error) {
 	return recordRun(ctx, c, b, "capturing "+b.Name, b.MaxInsts, func() error { return benchDone(c, b) })
 }
 
-// recordRun records up to limit instructions of c into a finalized capture
-// of b, then runs check (if any) on the halted CPU.
+// recordRun records up to limit instructions of c into a capture of b,
+// then runs check (if any) on the halted CPU, and trims the capture's last
+// chunk to its rows.
 func recordRun(ctx context.Context, c *cpu.CPU, b bench.Benchmark, what string, limit uint64, check func() error) (*Capture, error) {
-	r := recorder{cp: NewCapture(b)}
-	_, err := interpret(ctx, c, what, limit, r.record)
+	cp := NewCapture(b)
+	_, err := interpret(ctx, c, what, limit, cp.record)
 	if err == nil && check != nil {
 		err = check()
 	}
-	r.finish(err == nil)
 	if err != nil {
 		return nil, err
 	}
-	return r.cp, nil
-}
-
-// Recording chunks start at minChunkRows rows, so a short program records
-// into little memory, and double up to maxChunkRows (1.5 MiB over the six
-// columns).
-const (
-	minChunkRows = 1 << 8
-	maxChunkRows = 1 << 16
-)
-
-// recorder records a capture in chunks: the capture's columns are the
-// current chunk until it fills, and finish copies every chunk out once, at
-// the trace's exact size. Growing the columns instead would copy a long
-// trace several times over into freshly paged-in memory (append grows a
-// slice this large by about 1.25x), and once more to trim the slack.
-type recorder struct {
-	cp   *Capture
-	full [][6][]uint32 // the filled chunks, in order
-	rows int           // rows in full
-}
-
-func (r *recorder) record(e *cpu.Exec, d *cpu.Decoded) {
-	if len(r.cp.slot) == cap(r.cp.slot) {
-		r.next()
-	}
-	r.cp.record(e, d)
-}
-
-// next files the current chunk, if any, and starts one twice its size.
-func (r *recorder) next() {
-	n := min(max(2*cap(r.cp.slot), minChunkRows), maxChunkRows)
-	var ch [6][]uint32
-	for i, col := range r.cp.cols() {
-		ch[i] = *col
-		*col = make([]uint32, 0, n)
-	}
-	if len(ch[0]) > 0 {
-		r.full = append(r.full, ch)
-		r.rows += len(ch[0])
-	}
-}
-
-// finish drops the chunks, first copying the recorded rows into exact-size
-// columns when keep is set.
-func (r *recorder) finish(keep bool) {
-	for i, col := range r.cp.cols() {
-		var out []uint32
-		if keep {
-			out = make([]uint32, r.rows+len(*col))
-			k := 0
-			for _, ch := range r.full {
-				k += copy(out[k:], ch[i])
-			}
-			copy(out[k:], *col)
+	if n := cp.rows % BlockRows; n != 0 {
+		last := &cp.chunks[len(cp.chunks)-1]
+		trimmed := newChunk(n)
+		for i := range trimmed {
+			copy(trimmed[i], last[i])
 		}
-		*col = out
+		*last = trimmed
 	}
-	r.full = nil
+	cp.tail, cp.sigs = nil, nil
+	return cp, nil
 }
 
-// cols returns the six dynamic columns, in storage order.
-func (cp *Capture) cols() [6]*[]uint32 {
-	return [6]*[]uint32{&cp.slot, &cp.pc, &cp.srcA, &cp.srcB, &cp.result, &cp.sig}
-}
-
-// grow gives the empty dynamic columns room for n rows: Interpret's
-// window, which is emptied whenever it fills.
-func (cp *Capture) grow(n int) {
-	for _, col := range cp.cols() {
-		*col = make([]uint32, 0, n)
-	}
-}
-
-// Finalize trims append slack so SizeBytes reflects exactly the recorded
-// trace. CaptureRun and RecordCPU return captures with no slack; any
-// capture filled through Record must be finalized before it is sized or
-// cached — append growth otherwise leaves up to ~2x slack in the dynamic
-// columns. Safe to call more than once; a finalized capture with no slack
-// is left untouched.
-func (cp *Capture) Finalize() {
-	for _, col := range cp.cols() {
-		if cap(*col) != len(*col) {
-			out := make([]uint32, len(*col))
-			copy(out, *col)
-			*col = out
-		}
-	}
-}
-
-// truncate empties the dynamic columns, keeping their storage and the
-// statics table: Interpret's window reuse.
-func (cp *Capture) truncate() {
-	for _, col := range cp.cols() {
-		*col = (*col)[:0]
-	}
+// chunkAt returns chunk c cut to the rows recorded in it.
+func (cp *Capture) chunkAt(c int) chunk {
+	return cp.chunks[c].head(min(BlockRows, cp.rows-c*BlockRows))
 }
 
 // Record appends one retired instruction, annotating its significance.
-// Instructions must arrive in retirement order.
+// Instructions must arrive in retirement order, and only until the capture
+// is complete: a capture CaptureRun, RecordCPU or ReadCapture returned
+// records nothing more.
 func (cp *Capture) Record(e cpu.Exec) { cp.record(&e, nil) }
 
 // record is Record without copying the Exec: the interpreter loop retires
 // every instruction through it, with d the interpreter's decode-table entry
-// for the instruction (nil for a record built by hand).
+// for the instruction (nil for a record built by hand). A row is written
+// once, into the current chunk; a new chunk starts when every chunk is full.
 func (cp *Capture) record(e *cpu.Exec, d *cpu.Decoded) {
+	if cp.rows == len(cp.chunks)*BlockRows {
+		cp.tail = new([6][BlockRows]uint32)
+		var ch chunk
+		for i := range ch {
+			ch[i] = cp.tail[i][:]
+		}
+		cp.chunks = append(cp.chunks, ch)
+	}
 	idx := cp.slotFor(e, d)
 	sw := idx
 	if e.Taken {
@@ -343,23 +306,26 @@ func (cp *Capture) record(e *cpu.Exec, d *cpu.Decoded) {
 		// reconstruct it. Every other dest-less instruction leaves 0 here.
 		res = e.Loaded
 	}
-	cp.slot = append(cp.slot, sw)
-	cp.pc = append(cp.pc, e.PC)
-	cp.srcA = append(cp.srcA, e.SrcA)
-	cp.srcB = append(cp.srcB, e.SrcB)
-	cp.result = append(cp.result, res)
-	cp.sig = append(cp.sig, sigWord(e))
+	k, t := cp.rows&(BlockRows-1), cp.tail
+	t[0][k] = sw
+	t[1][k] = e.PC
+	t[2][k] = e.SrcA
+	t[3][k] = e.SrcB
+	t[4][k] = res
+	t[5][k] = cp.sigs[idx].word(e.SrcA, e.SrcB, res)
+	cp.rows++
 	cp.lastNextPC = e.NextPC
 }
 
 // slotFor returns the statics slot of e's instruction word, appending a new
-// entry the first time the word is seen. The slot is a function of the raw
-// word alone, so aliasing, self-modifying code and the first-appearance
-// order of the statics table are exactly those of the slotOf map. A decode
-// entry d remembers the slot in d.Slot, and is trusted only while that slot
-// holds the same word in this capture: raw words are unique in the table,
-// so a match cannot be another word's slot, and an entry left by another
-// capture or refilled by the interpreter falls back to the map.
+// entry (and its sig recipe) the first time the word is seen. The slot is a
+// function of the raw word alone, so aliasing, self-modifying code and the
+// first-appearance order of the statics table are exactly those of the
+// slotOf map. A decode entry d remembers the slot in d.Slot, and is trusted
+// only while that slot holds the same word in this capture: raw words are
+// unique in the table, so a match cannot be another word's slot, and an
+// entry left by another capture or refilled by the interpreter falls back
+// to the map.
 func (cp *Capture) slotFor(e *cpu.Exec, d *cpu.Decoded) uint32 {
 	if d != nil {
 		if s := d.Slot; s != 0 && int(s) <= len(cp.statics) && cp.statics[s-1].Inst.Raw == e.Raw {
@@ -374,6 +340,7 @@ func (cp *Capture) slotFor(e *cpu.Exec, d *cpu.Decoded) uint32 {
 		} else {
 			cp.statics = append(cp.statics, cpu.StaticOf(e.Inst))
 		}
+		cp.sigs = append(cp.sigs, sigSlotOf(&cp.statics[idx]))
 		cp.slotOf[e.Raw] = idx
 	}
 	if d != nil {
@@ -386,20 +353,26 @@ func (cp *Capture) slotFor(e *cpu.Exec, d *cpu.Decoded) uint32 {
 func (cp *Capture) Bench() bench.Benchmark { return cp.bench }
 
 // Len returns the number of recorded instructions.
-func (cp *Capture) Len() int { return len(cp.slot) }
+func (cp *Capture) Len() int { return cp.rows }
 
 // Statics returns the number of distinct instruction words recorded.
 func (cp *Capture) Statics() int { return len(cp.statics) }
 
-// SizeBytes estimates the capture's resident memory: the six dynamic
-// columns (exact), the statics table and its lookup map (estimated per
-// entry), and the per-recoder-profile fetch-size memos replays have built
-// (one byte per statics slot each, plus key/bucket overhead), and the miss
-// stream once a replay has published it. The memos are included so the
-// byte-budgeted trace cache in internal/simsvc accounts for everything a
-// cached capture actually keeps resident, not just its columns.
+// SizeBytes estimates the capture's resident memory: the chunks' six
+// dynamic columns (exact: a finished capture's last chunk holds only its
+// rows), the statics table and its lookup map (estimated per entry), and
+// the per-recoder-profile fetch-size memos replays have built (one byte per
+// statics slot each, plus key/bucket overhead), and the miss stream once a
+// replay has published it. The memos are included so the byte-budgeted
+// trace cache in internal/simsvc accounts for everything a cached capture
+// actually keeps resident, not just its columns.
 func (cp *Capture) SizeBytes() int {
-	cols := cap(cp.slot) + cap(cp.pc) + cap(cp.srcA) + cap(cp.srcB) + cap(cp.result) + cap(cp.sig)
+	cols := 0
+	for _, ch := range cp.chunks {
+		for _, col := range ch {
+			cols += cap(col)
+		}
+	}
 	return cols*4 + len(cp.statics)*staticSize + cp.memo.sizeBytes(len(cp.statics)) +
 		cp.misses.sizeBytes()
 }
@@ -415,7 +388,9 @@ func (cp *Capture) MissStream() []MissEvent { return cp.misses.stream() }
 // capture's tally never fails.
 func (cp *Capture) FunctCounts() (map[isa.Funct]uint64, error) {
 	perSlot := make([]uint64, len(cp.statics))
-	tallySlots(perSlot, cp.slot)
+	for c := range cp.chunks {
+		tallySlots(perSlot, cp.chunkAt(c)[0])
+	}
 	return functsOf(cp.statics, perSlot), nil
 }
 

@@ -88,7 +88,6 @@ func TestReplayBitIdentical(t *testing.T) {
 			}
 			byHand.Record(e)
 		}
-		byHand.Finalize()
 
 		captured, err := trace.CaptureRun(context.Background(), b)
 		if err != nil {

@@ -5,7 +5,7 @@
 // trace to consumers exactly as the two capture tiers do, in column blocks
 // of up to BlockRows rows. The interpreter loop is the one CaptureRun
 // records with; here it records into a single reusable window (a Capture
-// whose columns are emptied after every block) instead of the whole trace,
+// whose one chunk is emptied after every block) instead of the whole trace,
 // so a pass holds O(BlockRows) rows however long the program runs — a
 // runaway program under a large instruction cap costs time, not memory.
 // The statics table and its fetch-size table grow as new instruction words
@@ -31,7 +31,6 @@ import (
 // error; a caller that requires completion checks c.Done.
 func Interpret(ctx context.Context, c *cpu.CPU, limit uint64, m *mem.Memory, rc *icomp.Recoder, consumers ...Consumer) (uint64, error) {
 	win := NewCapture(bench.Benchmark{})
-	win.grow(BlockRows)
 	misses := NewMissBuilder(mem.DefaultHierarchyConfig())
 	var (
 		blk  Block
@@ -43,30 +42,30 @@ func Interpret(ctx context.Context, c *cpu.CPU, limit uint64, m *mem.Memory, rc 
 			ifb = append(ifb, uint8(rc.FetchBytes(win.statics[i].Inst.Raw)))
 		}
 		blk.Statics, blk.IFB = win.statics, ifb
+		ch := win.chunkAt(0)
 		misses.ev = misses.ev[:0]
-		misses.simulate(win.statics, base, win.slot, win.pc, win.srcA)
-		emitSpans(&blk, m, consumers, base, win.slot, win.pc, win.srcA, win.srcB,
-			win.result, win.sig, win.lastNextPC, misses.ev)
-		base += len(win.slot)
-		win.truncate()
+		misses.simulate(win.statics, base, ch[0], ch[1], ch[2])
+		emitSpans(&blk, m, consumers, base, ch, win.lastNextPC, misses.ev)
+		base += win.rows
+		win.rows = 0 // the chunk stays and is written over
 	}
 	n, err := interpret(ctx, c, "program", limit, func(e *cpu.Exec, d *cpu.Decoded) {
 		win.record(e, d)
-		if len(win.slot) == BlockRows {
+		if win.rows == BlockRows {
 			flush()
 		}
 	})
 	if err != nil {
 		return n, err
 	}
-	if len(win.slot) > 0 {
+	if win.rows > 0 {
 		flush()
 	}
 	return n, nil
 }
 
 // RecordCPU records up to limit instructions of c (fewer if it halts first)
-// into a finalized Capture, for programs that are not registered benchmarks.
+// into a complete Capture, for programs that are not registered benchmarks.
 // The capture's Bench is the zero Benchmark, so it replays without a memory
 // image (ReplayBlocks).
 func RecordCPU(ctx context.Context, c *cpu.CPU, limit uint64) (*Capture, error) {

@@ -24,6 +24,7 @@ package trace
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync/atomic"
 	"unsafe"
 
@@ -59,6 +60,13 @@ const missEventBytes = int(unsafe.Sizeof(MissEvent{}))
 type MissBuilder struct {
 	hier *mem.Hierarchy
 	ev   []MissEvent
+
+	// lineShift and lastLine skip the fetch of a row whose PC is in the
+	// line fetched last. Only fetches touch the L1I and the ITLB, and a
+	// hit reaches no further, so that line is still the most recent of
+	// both: fetching it again would hit and change neither's LRU order.
+	lineShift uint
+	lastLine  uint32
 }
 
 // NewMissBuilder returns a builder over a cold hierarchy of geometry cfg.
@@ -69,8 +77,10 @@ func NewMissBuilder(cfg mem.HierarchyConfig) *MissBuilder {
 		panic(fmt.Sprintf("trace: hierarchy worst-case stall %d cycles exceeds %d", worst, math.MaxUint16))
 	}
 	return &MissBuilder{
-		hier: mem.NewHierarchy(cfg),
-		ev:   make([]MissEvent, 0, 64), // never nil: see Block.Misses
+		hier:      mem.NewHierarchy(cfg),
+		ev:        make([]MissEvent, 0, 64), // never nil: see Block.Misses
+		lineShift: uint(min(bits.Len(uint(cfg.L1I.LineBytes))-1, mem.PageShift)),
+		lastLine:  math.MaxUint32,
 	}
 }
 
@@ -89,11 +99,15 @@ func (mb *MissBuilder) simulate(statics []Static, start int, slot, pc, srcA []ui
 	h := mb.hier
 	for i, sw := range slot {
 		st := &statics[sw&SlotMask]
-		fills := h.InstFills
-		ic := h.Fetch(pc[i])
+		ic := 0
 		var flags uint8
-		if h.InstFills != fills {
-			flags |= MissIFill
+		if line := pc[i] >> mb.lineShift; line != mb.lastLine {
+			fills := h.InstFills
+			ic = h.Fetch(pc[i])
+			if h.InstFills != fills {
+				flags |= MissIFill
+			}
+			mb.lastLine = line
 		}
 		dc := 0
 		if st.MemWidth > 0 {
@@ -152,23 +166,23 @@ func (mm *missMemo) publish(c *missCursor) {
 }
 
 // missCursor is one replay's position in the miss stream. Replays visit
-// rows in order, so the events of each decoded chunk are the next run of
-// the stream.
+// rows in order, so the events of each chunk are the next run of the
+// stream.
 type missCursor struct {
 	ev    []MissEvent
 	pos   int
 	build *MissBuilder // non-nil while this replay records the stream
 }
 
-// next returns the events of rows [start, start+len(slot)), first
-// simulating those rows when this replay records the stream. The result is
-// capped so a consumer cannot append into it.
-func (c *missCursor) next(statics []Static, start int, slot, pc, srcA []uint32) []MissEvent {
+// next returns the events of chunk ch, whose row 0 is trace row start,
+// first simulating its rows when this replay records the stream. The
+// result is capped so a consumer cannot append into it.
+func (c *missCursor) next(statics []Static, start int, ch chunk) []MissEvent {
 	if c.build != nil {
-		c.build.simulate(statics, start, slot, pc, srcA)
+		c.build.simulate(statics, start, ch[0], ch[1], ch[2])
 		c.ev = c.build.ev
 	}
-	end := start + len(slot)
+	end := start + len(ch[0])
 	lo := c.pos
 	for c.pos < len(c.ev) && int(c.ev[c.pos].Row) < end {
 		c.pos++

@@ -253,18 +253,13 @@ func (mc *MappedCapture) unmap() error {
 // raw frame byte buffer. Concurrent replays of one MappedCapture never
 // share mutable state.
 type frameDec struct {
-	cols [6][]uint32
+	cols chunk
 	sc   *cap2Scratch
 	raw  []byte
 }
 
 func newFrameDec(nStatics int) *frameDec {
-	d := &frameDec{sc: newCap2Scratch(nStatics)}
-	backing := make([]uint32, 6*FrameRows)
-	for i := range d.cols {
-		d.cols[i] = backing[i*FrameRows : (i+1)*FrameRows]
-	}
-	return d
+	return &frameDec{cols: newChunk(FrameRows), sc: newCap2Scratch(nStatics)}
 }
 
 // frameDecSizeBytes is the resident estimate of one replay's decode
@@ -306,21 +301,17 @@ func (mc *MappedCapture) replayFrames(ctx context.Context, m *mem.Memory, rc *ic
 		default:
 		}
 		lo, hi := mc.ix.frameSpan(f)
-		rows := hi - lo
 		payload, err := mc.framePayload(f, &d.raw)
 		if err != nil {
 			return fmt.Errorf("trace: reading %s frame %d: %w", mc.ix.b.Name, f, err)
 		}
+		ch := d.cols.head(hi - lo)
 		if err := decodeCap2Frame(payload, mc.ix.frames[f], nStatics,
-			d.cols[0][:rows], d.cols[1][:rows], d.cols[2][:rows],
-			d.cols[3][:rows], d.cols[4][:rows], d.cols[5][:rows], d.sc); err != nil {
+			ch[0], ch[1], ch[2], ch[3], ch[4], ch[5], d.sc); err != nil {
 			return fmt.Errorf("trace: replaying %s: %w", mc.ix.b.Name, err)
 		}
-		emitSpans(&blk, m, consumers, lo,
-			d.cols[0][:rows], d.cols[1][:rows], d.cols[2][:rows],
-			d.cols[3][:rows], d.cols[4][:rows], d.cols[5][:rows],
-			mc.ix.frameEndNextPC(f),
-			misses.next(mc.ix.statics, lo, d.cols[0][:rows], d.cols[1][:rows], d.cols[2][:rows]))
+		emitSpans(&blk, m, consumers, lo, ch, mc.ix.frameEndNextPC(f),
+			misses.next(mc.ix.statics, lo, ch))
 	}
 	mc.misses.publish(&misses)
 	return nil

@@ -94,11 +94,9 @@ func TestStreamReadAtFallback(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadCaptureFile: %v", err)
 	}
-	for i, pair := range [][2][]uint32{
-		{cp.slot, got.slot}, {cp.pc, got.pc}, {cp.srcA, got.srcA},
-		{cp.srcB, got.srcB}, {cp.result, got.result}, {cp.sig, got.sig},
-	} {
-		if len(pair[1]) != cp.Len() || !slices.Equal(pair[0], pair[1]) {
+	want, read := columns(cp), columns(got)
+	for i := range want {
+		if len(read[i]) != cp.Len() || !slices.Equal(want[i], read[i]) {
 			t.Fatalf("ReadCaptureFile column %d differs from the recorded capture", i)
 		}
 	}

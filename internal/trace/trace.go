@@ -100,121 +100,6 @@ func maxCounts(x, y sig.Ext3) (bytes, halves uint32) {
 	return max(xb, yb), max(xh, yh)
 }
 
-// addCounts is the significance adder's activity (§2.5) for a + b = sum,
-// with ea and eb the markings of a and b. A block is operated on when
-// either operand's block is significant (cases 1 and 2), or when neither
-// is but the true sum block differs from the sign extension of the sum
-// block below it (case 3's Table-4 exceptions) — that is, unless the
-// block is free in all three of a, b and sum. Subtraction adds ^b + 1, and
-// complementing a word keeps its extension marking, so a - b passes
-// Ext3Of(b) and the difference.
-func addCounts(ea, eb sig.Ext3, sum uint32) (bytes, halves uint32) {
-	return blockCounts(ea & eb & sig.Ext3Of(sum))
-}
-
-// aluActivity is the significance-ALU activity of e (§2.5 and the design
-// decisions recorded in DESIGN.md §7) at byte and halfword granularity,
-// in closed form over the operands' extension markings ea = Ext3Of(SrcA)
-// and eb = Ext3Of(SrcB). It equals the BlocksOperated of the block-serial
-// sigalu unit at both granularities, which its _test.go oracle checks
-// exhaustively over operand extension patterns and on every retired
-// instruction of the suite.
-func aluActivity(e *cpu.Exec, ea, eb sig.Ext3) (ops, halfOps uint32) {
-	in := &e.Inst
-	a, b := e.SrcA, e.SrcB
-	simm := uint32(int32(in.Imm))
-	switch in.Op {
-	case isa.OpSpecial:
-		switch in.Funct {
-		case isa.FnADD, isa.FnADDU:
-			return addCounts(ea, eb, a+b)
-		case isa.FnSUB, isa.FnSUBU, isa.FnSLT, isa.FnSLTU:
-			// SLT/SLTU cost their subtraction.
-			return addCounts(ea, eb, a-b)
-		case isa.FnAND, isa.FnOR, isa.FnXOR, isa.FnNOR:
-			// Blocks where both operands are extensions come for free.
-			return blockCounts(ea & eb)
-		// Shifts touch the larger of the source's and the result's
-		// significant block counts.
-		case isa.FnSLL:
-			return maxCounts(eb, sig.Ext3Of(b<<(in.Shamt&31)))
-		case isa.FnSRL:
-			return maxCounts(eb, sig.Ext3Of(b>>(in.Shamt&31)))
-		case isa.FnSRA:
-			return maxCounts(eb, sig.Ext3Of(uint32(int32(b)>>(in.Shamt&31))))
-		case isa.FnSLLV:
-			return maxCounts(eb, sig.Ext3Of(b<<(a&31)))
-		case isa.FnSRLV:
-			return maxCounts(eb, sig.Ext3Of(b>>(a&31)))
-		case isa.FnSRAV:
-			return maxCounts(eb, sig.Ext3Of(uint32(int32(b)>>(a&31))))
-		case isa.FnMULT, isa.FnMULTU, isa.FnDIV, isa.FnDIVU:
-			// The iterative units operate on both sources' blocks.
-			xb, xh := blockCounts(ea)
-			yb, yh := blockCounts(eb)
-			return xb + yb, xh + yh
-		case isa.FnJALR, isa.FnMFHI, isa.FnMFLO, isa.FnMTHI, isa.FnMTLO:
-			// Link/move values: the unit produces the significant blocks.
-			return blockCounts(sig.Ext3Of(e.Result))
-		}
-		// JR (address passthrough), SYSCALL, BREAK.
-		return 1, 1
-	case isa.OpADDI, isa.OpADDIU,
-		isa.OpLB, isa.OpLBU, isa.OpLH, isa.OpLHU, isa.OpLW,
-		isa.OpSB, isa.OpSH, isa.OpSW:
-		// Loads and stores pay their effective-address addition.
-		return addCounts(ea, sig.Ext3Of(simm), a+simm)
-	case isa.OpSLTI, isa.OpSLTIU:
-		return addCounts(ea, sig.Ext3Of(simm), a-simm)
-	case isa.OpANDI, isa.OpORI, isa.OpXORI:
-		return blockCounts(ea & sig.Ext3Of(uint32(uint16(in.Imm))))
-	case isa.OpLUI, isa.OpJAL:
-		return blockCounts(sig.Ext3Of(e.Result))
-	case isa.OpBEQ, isa.OpBNE:
-		// The comparator reads stored blocks up to the larger count.
-		return maxCounts(ea, eb)
-	}
-	// BLEZ/BGTZ/REGIMM sign and zero tests examine the extension bits plus
-	// the top significant block; J has nothing to operate on.
-	return 1, 1
-}
-
-// sigWord packs e's ten significance quantities into one sig-column word
-// (the sig*Shift layout in capture.go; PackedSig unpacks it). Every
-// quantity depends only on the Exec record — instruction shape and the
-// dynamic values that flowed through it — never on the instruction
-// recoding, which is what lets a Capture store the column once and replay
-// it under any recoder. Source counts are 0 for a port that is not read,
-// data-access counts are capped at the access width, and writeback counts
-// are 0 when no register is written.
-func sigWord(e *cpu.Exec) uint32 {
-	ea, eb := sig.Ext3Of(e.SrcA), sig.Ext3Of(e.SrcB)
-	ops, halfOps := aluActivity(e, ea, eb)
-	w := ops<<sigALUOpsShift | halfOps<<sigALUHalfShift
-	if e.ReadsA {
-		n, h := blockCounts(ea)
-		w |= n<<sigSrcBytesAShift | h<<sigSrcHalvesAShift
-	}
-	if e.ReadsB {
-		n, h := blockCounts(eb)
-		w |= n<<sigSrcBytesBShift | h<<sigSrcHalvesBShift
-	}
-	if e.MemWidth > 0 {
-		v := e.Loaded
-		if e.Inst.IsStore() {
-			v = e.StoreVal
-		}
-		n, h := blockCounts(sig.Ext3Of(v))
-		width := uint32(e.MemWidth)
-		w |= min(n, width)<<sigMemBytesShift | min(h, (width+1)/2)<<sigMemHalvesShift
-	}
-	if e.HasDest {
-		n, h := blockCounts(sig.Ext3Of(e.Result))
-		w |= n<<sigWBBytesShift | h<<sigWBHalvesShift
-	}
-	return w
-}
-
 // Consumer receives a trace as column blocks (see Block), from whichever
 // source produced it: a resident Capture, a MappedCapture streaming frames,
 // or Interpret's window. Every timing model and activity collector

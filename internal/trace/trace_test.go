@@ -96,7 +96,6 @@ func TestAnnotateNoSources(t *testing.T) {
 func annotate(e cpu.Exec) Event {
 	cp := NewCapture(bench.Benchmark{})
 	cp.Record(e)
-	cp.Finalize()
 	var ev Event
 	if err := cp.ReplayBlocks(context.Background(), rc, blockFunc(func(b *Block) { b.EventAt(0, &ev) })); err != nil {
 		panic(err)
